@@ -1,6 +1,6 @@
 # Developer convenience targets.
 
-.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench bench-features bench-kernel bench-blocking bench-suite bench-tiny bench-paper examples lines
+.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench-smoke bench bench-features bench-kernel bench-blocking bench-suite bench-tiny bench-paper examples lines
 
 install:
 	pip install -e . || python setup.py develop
@@ -55,6 +55,12 @@ serve-smoke:
 # journal serves byte-identical match bodies.
 serve-http-smoke:
 	PYTHONPATH=src python scripts/serve_http_smoke.py
+
+# The end-to-end benchmark's own tests (bench/): harness unit tests
+# plus a small-scale smoke of every workload, each checking its output
+# digests.  Tier-1 does not collect them (testpaths = tests).
+bench-smoke:
+	python -m pytest bench -q
 
 # Evaluation-engine benchmark: serial legacy grid vs shared feature
 # store + process-pool executor.  Writes BENCH_grid.json.

@@ -113,10 +113,9 @@ class LeapmeClassifier:
         return self
 
     def _transform(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
         if self._scaler is not None:
-            features = self._scaler.transform(features)
-        return features
+            return self._scaler.transform(features)
+        return np.asarray(features, dtype=np.float64)
 
     def match_scores(self, features: np.ndarray) -> np.ndarray:
         """Positive-class probabilities -- the paper's similarity scores."""

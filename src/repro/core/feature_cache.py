@@ -54,6 +54,14 @@ from repro.data.pairs import (
 from repro.errors import ConfigurationError
 
 
+def _positions_in(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of each of ``keys`` in ``sorted_keys``, ``-1`` where absent."""
+    if len(sorted_keys) == 0:
+        return np.full(len(keys), -1, dtype=np.intp)
+    positions = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return np.where(sorted_keys[positions] == keys, positions, -1).astype(np.intp)
+
+
 class PairUniverse:
     """The candidate cross-source pairs of a dataset, enumerated once.
 
@@ -66,7 +74,10 @@ class PairUniverse:
     and every downstream consumer (subsets, feature stores, scoring)
     automatically operates on the pruned universe.  Pair identity is
     tracked as sorted index pairs into the sorted property list, never
-    as per-pair ``frozenset`` keys.
+    as per-pair ``frozenset`` keys: row ``r`` holds the pair whose key
+    ``i * len(properties) + j`` is ``_keys[r]``, and because every
+    policy enumerates ``(i, j)`` lexicographically the key array is
+    sorted, so row lookup is one ``searchsorted``.
     """
 
     def __init__(
@@ -95,14 +106,16 @@ class PairUniverse:
                 blocker if blocker is not None else self.policy.resolve(embeddings)
             )
             index_pairs = self._blocker.candidate_index_pairs(dataset, properties)
+        width = len(properties)
         pairs: list[LabeledPair] = []
-        row_of: dict[tuple[int, int], int] = {}
-        for row, (i, j) in enumerate(index_pairs):
+        keys: list[int] = []
+        for i, j in index_pairs:
             left, right = properties[i], properties[j]
             pairs.append(LabeledPair(left, right, dataset.is_match(left, right)))
-            row_of[(i, j)] = row
+            keys.append(i * width + j)
         self.pairs: tuple[LabeledPair, ...] = tuple(pairs)
-        self._row_of = row_of
+        self._keys = np.array(keys, dtype=np.int64)
+        self._keys.setflags(write=False)
         self._index_of: dict[PropertyRef, int] = {
             ref: index for index, ref in enumerate(properties)
         }
@@ -258,21 +271,61 @@ class PairUniverse:
         )
         return slice_true - kept_true
 
-    def _row_lookup(self, left: PropertyRef, right: PropertyRef) -> int | None:
-        """Universe row of an unordered ref pair, or ``None``."""
-        i = self._index_of.get(left)
-        j = self._index_of.get(right)
-        if i is None or j is None:
-            return None
-        return self._row_of.get((i, j) if i < j else (j, i))
+    def lookup_rows(
+        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
+    ) -> np.ndarray:
+        """Universe row of each (unordered) pair, ``-1`` where it has none.
+
+        A pair has no row when either property is foreign to the
+        dataset, both sit in one source, or the policy pruned it.
+        """
+        get = self._index_of.get
+        ends = np.array(
+            [
+                (get(pair.left, -1), get(pair.right, -1))
+                if isinstance(pair, LabeledPair)
+                else (get(pair[0], -1), get(pair[1], -1))
+                for pair in pairs
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        low, high = ends.min(axis=1), ends.max(axis=1)
+        rows = _positions_in(self._keys, low * len(self._index_of) + high)
+        rows[low < 0] = -1
+        return rows
+
+    def rows_from(self, previous: "PairUniverse") -> np.ndarray:
+        """Row of each of this universe's pairs in ``previous``, or ``-1``.
+
+        The delta-ingestion row map.  ``previous`` is the universe this
+        one grew from, so its properties are a subset of ours and sort
+        the same way: remapping its keys through our property index is
+        monotone, keeps them sorted, and one ``searchsorted`` then
+        matches them against ours -- no per-pair hashing.  A previous
+        pair the policy no longer keeps simply matches no row.
+        """
+        remap = np.array(
+            [self._index_of.get(ref, -1) for ref in previous._index_of],
+            dtype=np.int64,
+        )
+        old_width = max(len(previous._index_of), 1)
+        left = remap[previous._keys // old_width]
+        right = remap[previous._keys % old_width]
+        present = np.flatnonzero((left >= 0) & (right >= 0))
+        hits = _positions_in(
+            left[present] * len(self._index_of) + right[present], self._keys
+        )
+        rows = np.full(len(self._keys), -1, dtype=np.intp)
+        found = hits >= 0
+        rows[found] = present[hits[found]]
+        return rows
 
     def row_of(self, pair: LabeledPair | tuple[PropertyRef, PropertyRef]) -> int:
         """Universe row of an (unordered) pair."""
-        left, right = (
-            (pair.left, pair.right) if isinstance(pair, LabeledPair) else pair
-        )
-        row = self._row_lookup(left, right)
-        if row is None:
+        return int(self._require_rows(self.lookup_rows([pair]))[0])
+
+    def _require_rows(self, rows: np.ndarray) -> np.ndarray:
+        if (rows < 0).any():
             raise ConfigurationError(
                 "pair is not part of this dataset's cross-source universe"
                 + (
@@ -281,7 +334,7 @@ class PairUniverse:
                     else ""
                 )
             )
-        return row
+        return rows
 
     def rows_of(
         self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
@@ -292,7 +345,7 @@ class PairUniverse:
             if cached is not None and cached[0] is pairs:
                 self._rows_cache.move_to_end(id(pairs))
                 return cached[1]
-        rows = np.array([self.row_of(pair) for pair in pairs], dtype=np.intp)
+        rows = self._require_rows(self.lookup_rows(pairs))
         rows.setflags(write=False)
         with self._cache_lock:
             self._rows_cache[id(pairs)] = (pairs, rows)
@@ -345,10 +398,6 @@ class PairFeatureStore:
         self._gather_cache_size = gather_cache_size
         self._gather_cache_bytes = gather_cache_bytes
         self._gather_bytes = 0
-        # Float64 shadow for the score phase (see scoring_features).
-        self._matrix64: np.ndarray | None = None
-        self._gather64_cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
-        self._gather64_cache_size = 8
         # Serialises gather-cache bookkeeping so concurrent read-only
         # requests (serve-layer handler threads) can share one store.
         self._cache_lock = threading.Lock()
@@ -426,29 +475,14 @@ class PairFeatureStore:
             self.universe.policy,
             blocker=self.universe._blocker,
         )
-        old_universe = self.universe
-        width = self.schema.total_width
-        matrix = np.empty((len(universe), width), dtype=FEATURE_DTYPE)
-        kept_dst: list[int] = []
-        kept_src: list[int] = []
-        new_rows: list[int] = []
-        new_pairs: list[LabeledPair] = []
-        for row, pair in enumerate(universe.pairs):
-            old_row = old_universe._row_lookup(pair.left, pair.right)
-            if old_row is None:
-                new_rows.append(row)
-                new_pairs.append(pair)
-            else:
-                kept_dst.append(row)
-                kept_src.append(old_row)
-        if kept_dst:
-            matrix[np.array(kept_dst, dtype=np.intp)] = self.matrix[
-                np.array(kept_src, dtype=np.intp)
-            ]
+        old_rows = universe.rows_from(self.universe)
+        kept = old_rows >= 0
+        matrix = np.empty((len(universe), self.schema.total_width), dtype=FEATURE_DTYPE)
+        matrix[kept] = self.matrix[old_rows[kept]]
+        new_rows = np.flatnonzero(~kept)
+        new_pairs = [universe.pairs[row] for row in new_rows]
         if new_pairs:
-            matrix[np.array(new_rows, dtype=np.intp)] = self._assemble(
-                table, new_pairs
-            )
+            matrix[new_rows] = self._assemble(table, new_pairs)
         matrix.setflags(write=False)
         return table, universe, matrix, PairSet(new_pairs)
 
@@ -470,8 +504,6 @@ class PairFeatureStore:
         with self._cache_lock:
             self._gather_cache.clear()
             self._gather_bytes = 0
-            self._matrix64 = None
-            self._gather64_cache.clear()
         return new_pairs
 
     def with_source(self, addition: Dataset) -> tuple["PairFeatureStore", PairSet]:
@@ -515,21 +547,6 @@ class PairFeatureStore:
                 self._gather_bytes -= evicted.nbytes
         return gathered
 
-    def _covers(
-        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
-    ) -> bool:
-        """Whether every pair has a row in this store's universe."""
-        lookup = self.universe._row_lookup
-        for pair in pairs:
-            left, right = (
-                (pair.left, pair.right)
-                if isinstance(pair, LabeledPair)
-                else pair
-            )
-            if lookup(left, right) is None:
-                return False
-        return True
-
     def features(
         self,
         pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
@@ -549,56 +566,11 @@ class PairFeatureStore:
             pairs = pairs.pairs
         if not pairs:
             return np.zeros((0, self.schema.width(config)), dtype=FEATURE_DTYPE)
-        if self.universe.is_blocked and not self._covers(pairs):
+        try:
+            rows = self.universe.rows_of(pairs)
+        except ConfigurationError:
+            if not self.universe.is_blocked:
+                raise
             return pair_feature_matrix(self.table, list(pairs), config)
-        rows = self.universe.rows_of(pairs)
         columns = self.schema.active_columns(config)
         return self._gathered(rows)[:, columns]
-
-    def scoring_features(
-        self,
-        pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
-        config: FeatureConfig,
-    ) -> np.ndarray:
-        """Float64 feature matrix for ``pairs``, ready for the classifier.
-
-        Bit-identical to the classifier's own upcast of
-        :meth:`features` (float32 to float64 is exact), but served from
-        a lazily built read-only float64 shadow of the full matrix, so
-        repeated score phases -- the grid scores the same test subset
-        under nine configs per repetition -- skip the per-call upcast
-        copy.  The shadow and its small gather cache are score-phase
-        state only; training keeps reading the float32 matrix.
-        """
-        if isinstance(pairs, PairSet):
-            pairs = pairs.pairs
-        if not pairs:
-            return np.zeros((0, self.schema.width(config)), dtype=np.float64)
-        if self.universe.is_blocked and not self._covers(pairs):
-            # Same out-of-universe fallback as :meth:`features`; float32
-            # to float64 is exact, so this matches the classifier's own
-            # upcast of the direct path bit for bit.
-            return np.asarray(
-                pair_feature_matrix(self.table, list(pairs), config),
-                dtype=np.float64,
-            )
-        with self._cache_lock:
-            if self._matrix64 is None:
-                matrix64 = np.asarray(self.matrix, dtype=np.float64)
-                matrix64.setflags(write=False)
-                self._matrix64 = matrix64
-            matrix64 = self._matrix64
-        rows = self.universe.rows_of(pairs)
-        key = rows.tobytes()
-        with self._cache_lock:
-            gathered = self._gather64_cache.get(key)
-            if gathered is not None:
-                self._gather64_cache.move_to_end(key)
-        if gathered is None:
-            gathered = matrix64[rows]
-            gathered.setflags(write=False)
-            with self._cache_lock:
-                self._gather64_cache[key] = gathered
-                while len(self._gather64_cache) > self._gather64_cache_size:
-                    self._gather64_cache.popitem(last=False)
-        return gathered[:, self.schema.active_columns(config)]

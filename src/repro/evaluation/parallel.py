@@ -44,8 +44,8 @@ the parent holds runs pair build + fit only and ships back a
 :class:`~repro.evaluation.runner._PendingScore` (the fitted classifier,
 pre-pickled) instead of scoring.  The parent resolves pendings in
 serial order after the pool drains (:class:`_ScoreResolver`), replaying
-the deterministic test split against its own store's float64 scoring
-shadow -- bit-identical features, so identical scores and journals.
+the deterministic test split against its own store's float32 gather --
+bit-identical features, so identical scores and journals.
 Scoring in the parent runs uncontended: workers scoring concurrently
 time-slice against each other and re-fault fresh feature upcasts per
 process, which is exactly the score-phase regression this removes.
@@ -584,9 +584,10 @@ class _ScoreResolver:
     parent finishes each one here, after the pool has drained, so the
     score phase runs uncontended instead of time-slicing against
     sibling workers.  The test split is replayed deterministically from
-    ``(seed, repetition)``, features come from the store's float64
-    scoring shadow (bit-identical to the worker's own upcast), so
-    scores, qualities and journals match the serial grid byte for byte.
+    ``(seed, repetition)`` and features come from the same float32
+    store gather the worker would read (the classifier's float64
+    upcast is exact), so scores, qualities and journals match the
+    serial grid byte for byte.
 
     The resolver keeps direct references to the prebuilt universes and
     stores: resolution happens after ``_PREBUILT`` has been cleared.
@@ -619,7 +620,7 @@ class _ScoreResolver:
             test = universe.subset(list(split.train_sources), within=False)
             timings.pair_build += perf_counter() - started
             started = perf_counter()
-            features = store.scoring_features(test.pairs, config)
+            features = store.features(test.pairs, config)
             timings.feature_assembly += perf_counter() - started
             started = perf_counter()
             scores = classifier.match_scores(features)

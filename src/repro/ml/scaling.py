@@ -31,10 +31,11 @@ class StandardScaler:
         """Apply the learned scaling."""
         if self.mean_ is None or self.scale_ is None:
             raise NotFittedError("StandardScaler is not fitted")
-        inputs = np.asarray(inputs, dtype=np.float64)
-        # Subtract into a fresh array, then divide in place: one output
-        # allocation instead of two (these matrices reach tens of MB).
-        scaled = np.subtract(inputs, self.mean_)
+        # Subtract into a fresh float64 array, then divide in place: one
+        # output allocation instead of two (these matrices reach tens of
+        # MB).  Float32 inputs upcast exactly inside the ufunc, so they
+        # need no converted copy first.
+        scaled = np.subtract(np.asarray(inputs), self.mean_, dtype=np.float64)
         scaled /= self.scale_
         return scaled
 

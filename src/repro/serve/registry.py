@@ -34,16 +34,17 @@ from __future__ import annotations
 import copy
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.blocking import CandidatePolicy
+from repro.core.feature_cache import PairUniverse
 from repro.core.matcher import LeapmeMatcher
 from repro.core.pipeline import flush_persistent_distances
 from repro.data.csvio import load_dataset_csv
-from repro.data.model import Dataset
+from repro.data.model import Dataset, PropertyRef
 from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
 from repro.errors import (
     ConfigurationError,
@@ -153,6 +154,28 @@ class TenantSpec:
         return hasher.hexdigest()[:_FINGERPRINT_HEX]
 
 
+class _Once:
+    """A value computed at most once, on first use.
+
+    Concurrent first callers serialise on the guard, so exactly one of
+    them computes; the rest wait and share its result.  A computation
+    that raises leaves the slot empty, and the next caller retries.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._done = False
+        self._value = None
+
+    def get(self, compute):
+        if not self._done:
+            with self._lock:
+                if not self._done:
+                    self._value = compute()
+                    self._done = True
+        return self._value
+
+
 @dataclass(frozen=True)
 class TenantState:
     """One immutable snapshot of a tenant's serving state.
@@ -160,13 +183,85 @@ class TenantState:
     Requests read ``tenant.state`` exactly once and hold the reference;
     reloads build a whole new snapshot and swap it in.  Nothing in here
     is mutated after construction (store gathers are internally locked
-    read-through caches; see :mod:`repro.core.feature_cache`).
+    read-through caches; see :mod:`repro.core.feature_cache`) except
+    two write-once memos, each a pure function of the snapshot: its
+    scored candidate pairs and its ``(source, name)`` property index.
     """
 
     dataset: Dataset
     matcher: object
     #: ``(file, fingerprint)`` of every reload applied, in order.
     sources: tuple[tuple[str, str], ...] = ()
+    _scores: _Once = field(
+        default_factory=_Once, init=False, repr=False, compare=False
+    )
+    _refs: _Once = field(
+        default_factory=_Once, init=False, repr=False, compare=False
+    )
+
+    @property
+    def universe(self) -> PairUniverse | None:
+        """The warm LEAPME store's candidate universe, if the matcher has one."""
+        matcher = self.matcher
+        if isinstance(matcher, LeapmeMatcher) and matcher.store is not None:
+            return matcher.store.universe
+        return None
+
+    def scored_pairs(self) -> tuple[list[LabeledPair], np.ndarray]:
+        """Every candidate pair of the snapshot and its score.
+
+        One forward pass per snapshot, run lazily by the first read:
+        scoring at bootstrap, reload or replay would charge every
+        ``/add-source`` (and every warm restart) for snapshots that may
+        never be read.  The call is exactly the one ``/match`` always
+        made, so response bytes do not change.
+        """
+        return self._scores.get(self._score_candidates)
+
+    def _score_candidates(self) -> tuple[list[LabeledPair], np.ndarray]:
+        universe = self.universe
+        # The warm store's universe is element-identical to build_pairs
+        # under the null policy, and the blocked candidate set otherwise.
+        pairs = (
+            list(universe.pairs)
+            if universe is not None
+            else build_pairs(self.dataset).pairs
+        )
+        scores = np.asarray(
+            self.matcher.score_pairs(self.dataset, pairs) if pairs else np.zeros(0)
+        )
+        scores.setflags(write=False)
+        return pairs, scores
+
+    def scores_of(self, pairs: list[LabeledPair]) -> np.ndarray:
+        """Scores of explicit pairs: universe rows from the memo.
+
+        Pairs without a universe row -- those a blocking policy pruned
+        -- are scored on demand, and so is everything for a matcher
+        without a store.
+        """
+        if not pairs:
+            return np.zeros(0)
+        universe = self.universe
+        if universe is None:
+            return self.matcher.score_pairs(self.dataset, pairs)
+        rows = universe.lookup_rows(pairs)
+        found = rows >= 0
+        if found.all():
+            return self.scored_pairs()[1][rows]
+        scores = np.empty(len(pairs))
+        if found.any():
+            scores[found] = self.scored_pairs()[1][rows[found]]
+        scores[~found] = self.matcher.score_pairs(
+            self.dataset, [pair for pair, hit in zip(pairs, found) if not hit]
+        )
+        return scores
+
+    def property_index(self) -> dict[tuple[str, str], PropertyRef]:
+        """``(source, name) -> PropertyRef`` over the snapshot's dataset."""
+        return self._refs.get(
+            lambda: {(ref.source, ref.name): ref for ref in self.dataset.properties()}
+        )
 
 
 @dataclass
@@ -200,9 +295,8 @@ def _state_pair_count(state: TenantState) -> int:
     policy that is the pruned candidate count, and under the null
     policy it equals the full ``build_pairs`` enumeration exactly.
     """
-    matcher = state.matcher
-    if isinstance(matcher, LeapmeMatcher) and matcher.store is not None:
-        return len(matcher.store.universe)
+    if state.universe is not None:
+        return len(state.universe)
     return len(build_pairs(state.dataset).pairs)
 
 
@@ -528,33 +622,24 @@ class TenantRegistry:
     def match_payload(self, tenant_id: str) -> dict:
         """The deterministic ``/match`` response body.
 
-        Scores every cross-source pair of the tenant's current snapshot
-        and returns the rows at or above the tenant threshold --
-        exactly the content of ``repro match``'s CSV, as JSON.  Pure
-        function of the snapshot, which is what the chaos suite's
-        byte-identity assertions lean on.
+        The rows of the snapshot's scored candidate pairs
+        (:meth:`TenantState.scored_pairs`, one forward pass per
+        snapshot) at or above the tenant threshold -- exactly the
+        content of ``repro match``'s CSV, as JSON.  Pure function of
+        the snapshot, which is what the chaos suite's byte-identity
+        assertions lean on.
         """
         tenant = self._require_live(tenant_id)
         state = tenant.state
-        matcher = state.matcher
-        if isinstance(matcher, LeapmeMatcher) and matcher.store is not None:
-            # The warm store's universe is element-identical to
-            # build_pairs and its gathers are cached.
-            pairs = list(matcher.store.universe.pairs)
-        else:
-            pairs = build_pairs(state.dataset).pairs
+        pairs, scores = state.scored_pairs()
         threshold = _tenant_threshold(tenant)
-        scores = (
-            matcher.score_pairs(state.dataset, pairs)
-            if pairs
-            else np.zeros(0)
-        )
-        matches = [
-            [pair.left.source, pair.left.name,
-             pair.right.source, pair.right.name, f"{float(score):.4f}"]
-            for pair, score in zip(pairs, scores)
-            if score >= threshold
-        ]
+        matches = []
+        for row in np.flatnonzero(scores >= threshold):
+            pair = pairs[row]
+            matches.append(
+                [pair.left.source, pair.left.name,
+                 pair.right.source, pair.right.name, f"{float(scores[row]):.4f}"]
+            )
         payload = {
             "tenant": tenant_id,
             "pairs": len(pairs),
@@ -562,14 +647,10 @@ class TenantRegistry:
             "matches": matches,
             "sources": [file for file, _ in state.sources],
         }
-        if (
-            isinstance(matcher, LeapmeMatcher)
-            and matcher.store is not None
-            and matcher.store.universe.is_blocked
-        ):
+        if state.universe is not None and state.universe.is_blocked:
             # Only under a blocking policy: null-policy responses stay
             # byte-identical to the pre-blocking service.
-            payload["blocking"] = matcher.store.universe.policy.label
+            payload["blocking"] = state.universe.policy.label
         return payload
 
     def predict_payload(self, tenant_id: str, raw_pairs: list) -> dict:
@@ -578,12 +659,13 @@ class TenantRegistry:
         ``raw_pairs`` is a list of ``[left_source, left_property,
         right_source, right_property]`` rows; unknown properties raise
         :class:`DataError` (a client error, not a tenant failure).
+        Pairs in the snapshot's candidate universe are answered from
+        its score vector (the row ``/match`` reports); the rest -- pairs
+        a blocking policy pruned -- are scored on demand.
         """
         tenant = self._require_live(tenant_id)
         state = tenant.state
-        refs = {
-            (ref.source, ref.name): ref for ref in state.dataset.properties()
-        }
+        refs = state.property_index()
         pairs: list[LabeledPair] = []
         for row in raw_pairs:
             if not isinstance(row, (list, tuple)) or len(row) != 4:
@@ -600,11 +682,7 @@ class TenantRegistry:
                 LabeledPair(left, right, state.dataset.is_match(left, right))
             )
         threshold = _tenant_threshold(tenant)
-        scores = (
-            state.matcher.score_pairs(state.dataset, pairs)
-            if pairs
-            else np.zeros(0)
-        )
+        scores = state.scores_of(pairs)
         return {
             "tenant": tenant_id,
             "threshold": threshold,

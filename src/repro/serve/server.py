@@ -71,6 +71,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout: a stalled client cannot pin a handler thread
     #: forever (REP011: every blocking read is bounded).
     timeout = 30.0
+    #: TCP_NODELAY: headers and body leave in two sends, and with
+    #: Nagle's algorithm on, the body would wait for the client's
+    #: delayed ACK (~40 ms) on every keep-alive response.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Per-request stderr chatter is diagnostics the probes already

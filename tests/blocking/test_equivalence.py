@@ -197,6 +197,34 @@ class TestBlockedAddSourceEquivalence:
             for pair in new_pairs.pairs
         )
 
+    def test_base_pairs_leaving_the_universe_are_dropped(
+        self, tiny_headphones, tiny_embeddings
+    ):
+        # The added source pushes some base buckets past their caps, so
+        # base candidates leave the merged universe.  The delta row map
+        # must skip them and still copy every kept row bit for bit.
+        sources = sorted(tiny_headphones.sources())
+        base = tiny_headphones.restrict_to_sources(sources[:-1])
+        addition = tiny_headphones.restrict_to_sources(sources[-1:])
+        store = PairFeatureStore.build(base, tiny_embeddings, policy=MINHASH)
+        grown, _ = store.with_source(addition)
+        base_keys = {p.key for p in store.universe.pairs}
+        assert base_keys - {p.key for p in grown.universe.pairs}
+        old_rows = grown.universe.rows_from(store.universe)
+        for row, pair in enumerate(grown.universe.pairs):
+            if pair.key in base_keys:
+                assert old_rows[row] == store.universe.row_of(pair)
+                assert (
+                    grown.matrix[row].tobytes()
+                    == store.matrix[old_rows[row]].tobytes()
+                )
+            else:
+                assert old_rows[row] == -1
+        rebuilt = PairFeatureStore.build(
+            base.merged_with(addition), tiny_embeddings, policy=MINHASH
+        )
+        assert grown.matrix.tobytes() == rebuilt.matrix.tobytes()
+
     def test_config_views_match_rebuild(self, delta):
         store, _, rebuilt = delta
         pairs = list(store.universe.pairs)[:40]

@@ -64,6 +64,34 @@ class TestPairUniverse:
         with pytest.raises(ConfigurationError):
             universe.row_of(foreign)
 
+    def test_lookup_rows_marks_pairs_without_a_row(
+        self, tiny_headphones, tiny_cameras
+    ):
+        universe = PairUniverse(tiny_headphones)
+        pair = universe.pairs[5]
+        source = tiny_headphones.sources()[0]
+        same_source = tuple(tiny_headphones.properties(source)[:2])
+        foreign = PairUniverse(tiny_cameras).pairs[0]
+        rows = universe.lookup_rows(
+            [pair, (pair.right, pair.left), same_source, foreign,
+             (pair.left, pair.left)]
+        )
+        assert rows.tolist() == [5, 5, -1, -1, -1]
+        assert universe.lookup_rows([]).tolist() == []
+
+    def test_rows_from_maps_every_kept_pair(self, tiny_headphones):
+        sources = sorted(tiny_headphones.sources())
+        base = PairUniverse(tiny_headphones.restrict_to_sources(sources[:-1]))
+        grown = PairUniverse(tiny_headphones)
+        old_rows = grown.rows_from(base)
+        base_keys = {pair.key for pair in base.pairs}
+        for row, pair in enumerate(grown.pairs):
+            if pair.key in base_keys:
+                assert old_rows[row] == base.row_of(pair)
+            else:
+                assert sources[-1] in (pair.left.source, pair.right.source)
+                assert old_rows[row] == -1
+
 
 class TestPairFeatureStore:
     @pytest.mark.parametrize("config", FeatureConfig.grid(), ids=lambda c: c.label())
