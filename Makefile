@@ -101,5 +101,8 @@ bench-paper:
 examples:
 	for script in examples/*.py; do echo "== $$script"; python $$script || exit 1; done
 
+# Python line counts: src/ and tests/ on their own, then everything.
 lines:
-	find src tests benchmarks examples -name "*.py" | xargs wc -l | tail -1
+	@for dir in src tests "src tests benchmarks examples"; do \
+		printf '%8d  %s\n' "$$(find $$dir -name '*.py' -exec cat {} + | wc -l)" "$$dir"; \
+	done

@@ -28,7 +28,7 @@ from repro.ingest import (  # noqa: E402
     IngestPipeline,
     cold_rebuild,
 )
-from repro.testing import IngestFaultPlan, write_poison_csv  # noqa: E402
+from repro.testing import StageFaultPlan, write_poison_csv  # noqa: E402
 from repro.testing.faults import WORKER_EXIT_CODE  # noqa: E402
 
 SOURCES = {
@@ -85,7 +85,7 @@ def main() -> int:
         files = [write_source(feed, name) for name in sorted(SOURCES)]
 
         # 1. Hard-kill right after the first fused record lands.
-        plan = IngestFaultPlan(
+        plan = StageFaultPlan(
             exit_after={"fused": 1}, state_dir=str(root / "faults")
         )
         code = run_forked(

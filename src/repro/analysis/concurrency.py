@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 from repro.analysis.callgraph import CallGraph, FunctionInfo, own_nodes
 from repro.analysis.registry import ROLE_LIBRARY, Rule, register
+from repro.analysis.rules import JOURNAL_WRITE_NAMES
 from repro.analysis.visitor import ModuleContext
 
 #: Rule codes computed by the cross-module project pass in
@@ -88,12 +89,6 @@ _BLOCKING_ATTRS = frozenset({
 #: Waits: blocking unless the receiver is the lock being held
 #: (``Condition.wait`` atomically releases it).
 _WAIT_ATTRS = frozenset({"wait", "join"})
-
-#: Journal append methods (fsync per append -- see REP006's list) plus
-#: anything whose dotted path mentions the journal.
-_JOURNAL_ATTRS = frozenset({
-    "fsync_append_line", "record_quality", "record_skip", "record_failure",
-})
 
 #: Request-handler method names that run on per-request threads.
 _HANDLER_METHOD_NAMES = frozenset({"handle", "handle_one_request", "setup", "finish"})
@@ -687,7 +682,7 @@ class ConcurrencyModel:
             if call.receiver_lock is not None and call.receiver_lock in call.held:
                 return None  # Condition.wait releases the held lock.
             return f"blocking .{attr}() on an object that is not the held lock"
-        if attr in _JOURNAL_ATTRS or "journal" in dotted.lower():
+        if attr in JOURNAL_WRITE_NAMES or "journal" in dotted.lower():
             return "fsynced journal append"
         return None
 

@@ -311,7 +311,7 @@ _STRUCTURED_CALL_NAMES = {
     "print", "log", "debug", "info", "warning", "warn", "error",
     "exception", "critical",
     # this repo's structured failure records
-    "record", "record_failure", "record_skip", "record_quality",
+    "record", "record_failure",
     "quarantine", "fail", "add_note",
 }
 
@@ -374,12 +374,10 @@ class SwallowedExceptionRule(Rule):
 # REP006 -- journal writes from worker code paths
 
 
-_JOURNAL_METHOD_NAMES = {
-    "fsync_append_line",
-    "record_quality",
-    "record_skip",
-    "record_failure",
-}
+#: Calls that append a journal line (one fsync each).  REP006 and REP014
+#: also treat any call whose dotted name mentions ``journal`` as a
+#: journal write, which covers every journal's ``append``.
+JOURNAL_WRITE_NAMES = frozenset({"fsync_append_line"})
 
 
 @register
@@ -419,7 +417,7 @@ class WorkerJournalWriteRule(Rule):
     @staticmethod
     def _is_journal_write(node: ast.Call, ctx) -> bool:
         name = _call_name(node)
-        if name in _JOURNAL_METHOD_NAMES:
+        if name in JOURNAL_WRITE_NAMES:
             return True
         dotted = ctx.dotted_name(node.func) or (name or "")
         if "journal" in dotted.lower():

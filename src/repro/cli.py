@@ -60,10 +60,10 @@ from repro.evaluation import (
     evaluate_matcher,
     render_robustness_report,
 )
-from repro.evaluation.checkpoint import peek_journal_type
 from repro.ingest import FollowDaemon, IngestJournal, IngestPipeline
 from repro.ingest.journal import INGEST_JOURNAL_TYPE
 from repro.ioutils import atomic_open_text
+from repro.journal import peek_journal_type
 from repro.serve import (
     REGISTRY_JOURNAL_TYPE,
     AdmissionQueue,
@@ -666,11 +666,12 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     describe = commands.add_parser(
-        "describe", help="summarise a run or ingestion journal (post-mortem)"
+        "describe",
+        help="summarise a run, ingestion or registry journal (post-mortem)",
     )
     describe.add_argument("--journal", required=True, metavar="PATH",
-                          help="JSONL journal to summarise (run journals and "
-                               "ingestion journals are both understood)")
+                          help="JSONL journal to summarise (run, ingestion "
+                               "and registry journals are all understood)")
     describe.set_defaults(handler=_cmd_describe)
 
     serve = commands.add_parser(

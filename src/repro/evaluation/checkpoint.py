@@ -8,10 +8,8 @@ repetitions so an interrupted grid resumes exactly where it left off.
 
 Format
 ------
-A journal is a JSONL file.  The first line is a header record::
-
-    {"type": "journal", "version": 1}
-
+The file format, durability and torn-tail handling are those of
+:mod:`repro.journal`; the header is ``{"type": "journal", "version": 1}``.
 Every subsequent line describes one repetition of one run cell::
 
     {"type": "repetition", "key": "...", "repetition": 3,
@@ -21,29 +19,27 @@ Every subsequent line describes one repetition of one run cell::
 ``status`` is ``ok`` (quality recorded), ``skipped`` (no usable training
 split) or ``failed`` (all retries exhausted; carries ``error_type`` and
 ``error``).  ``key`` identifies the cell -- see :func:`run_key` -- so one
-journal file can serve a whole experiment grid.
-
-Durability: each record is a single fsynced ``O_APPEND`` write
-(:func:`repro.ioutils.fsync_append_line`).  A process killed mid-write
-can leave at most one torn *final* line, which the reader detects and
-drops; torn lines anywhere else mean real corruption and raise
-:class:`~repro.errors.JournalError`.  Re-running a repetition appends a
-fresh record; on read, the *last* record per (key, repetition) wins.
+journal file can serve a whole experiment grid.  Re-running a repetition
+appends a fresh record; on read, the *last* record per (key, repetition)
+wins.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.data.model import Dataset
-from repro.errors import JournalError
 from repro.evaluation.metrics import MatchQuality
-from repro.ioutils import fsync_append_line
-
-_JOURNAL_VERSION = 1
+from repro.journal import (
+    JournalFile,
+    event_from_record,
+    event_record,
+    fold_latest,
+    malformed_record,
+)
 
 #: ``type`` value of the header line every run journal starts with.
 JOURNAL_HEADER_TYPE = "journal"
@@ -60,72 +56,6 @@ STATUS_FAILED = "failed"
 REASON_WORKER_CRASH = "worker_crash"
 REASON_TIMEOUT = "timeout"
 QUARANTINE_REASONS = frozenset({REASON_WORKER_CRASH, REASON_TIMEOUT})
-
-
-def peek_journal_type(path: str | Path) -> str | None:
-    """The ``type`` of a journal file's header line, or ``None``.
-
-    Reads only the first line; used to dispatch a path to the journal
-    class that owns it (run journals vs. ingestion journals) without
-    parsing -- or validating -- the whole file.  Returns ``None`` for a
-    missing, empty, or torn-headed file.
-    """
-    path = Path(path)
-    if not path.exists():
-        return None
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(header, dict):
-        return None
-    kind = header.get("type")
-    return kind if isinstance(kind, str) else None
-
-
-def read_journal_records(
-    path: str | Path, *, header_type: str, version: int, kind: str
-) -> list[dict]:
-    """Body records of a JSONL journal, torn-tail tolerant.
-
-    The shared read side of the ``fsync_append_line`` machinery: a
-    process killed mid-append leaves at most one torn *final* line,
-    which is dropped; torn lines anywhere else mean real corruption and
-    raise :class:`~repro.errors.JournalError`, as do a wrong header
-    ``type`` or an unsupported ``version``.  A missing file reads as an
-    empty journal.  ``kind`` names the journal flavour in error
-    messages (``"a run journal"``, ``"an ingestion journal"``).
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    lines = path.read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    records: list[dict] = []
-    for number, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lines) - 1:
-                # Torn final line from a kill mid-append: recoverable.
-                continue
-            raise JournalError(
-                f"corrupt journal line {number + 1} in {path}"
-            ) from None
-        records.append(record)
-    if records:
-        header = records[0]
-        if header.get("type") != header_type:
-            raise JournalError(f"not {kind} (missing header): {path}")
-        if header.get("version") != version:
-            raise JournalError(
-                f"unsupported journal version {header.get('version')!r} "
-                f"in {path}"
-            )
-    return records[1:]
 
 
 def run_key(matcher_name: str, dataset: Dataset, settings) -> str:
@@ -166,50 +96,28 @@ class JournalEntry:
     error: str | None = None
 
     def to_record(self) -> dict:
-        """JSON-serialisable journal line."""
-        record: dict = {
-            "type": "repetition",
-            "key": self.key,
-            "repetition": self.repetition,
-            "status": self.status,
-            "attempts": self.attempts,
-        }
+        """JSON-serialisable journal line; ``quality`` flattens to tp/fp/fn."""
+        record = event_record(replace(self, quality=None), "repetition")
         if self.quality is not None:
             record.update(
                 tp=self.quality.true_positives,
                 fp=self.quality.false_positives,
                 fn=self.quality.false_negatives,
             )
-        if self.degradation is not None:
-            record["degradation"] = self.degradation
-        if self.error_type is not None:
-            record["error_type"] = self.error_type
-            record["error"] = self.error
         return record
 
     @classmethod
     def from_record(cls, record: dict) -> "JournalEntry":
         """Inverse of :meth:`to_record`."""
-        try:
-            quality = None
-            if "tp" in record:
+        quality = None
+        if "tp" in record:
+            with malformed_record("journal"):
                 quality = MatchQuality(
                     true_positives=int(record["tp"]),
                     false_positives=int(record["fp"]),
                     false_negatives=int(record["fn"]),
                 )
-            return cls(
-                key=record["key"],
-                repetition=int(record["repetition"]),
-                status=record["status"],
-                quality=quality,
-                degradation=record.get("degradation"),
-                attempts=int(record.get("attempts", 1)),
-                error_type=record.get("error_type"),
-                error=record.get("error"),
-            )
-        except (KeyError, TypeError, ValueError) as problem:
-            raise JournalError(f"malformed journal record: {problem}") from None
+        return event_from_record(cls, record, "journal", quality=quality)
 
 
 class RunJournal:
@@ -223,96 +131,33 @@ class RunJournal:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-
-    # -- writing -------------------------------------------------------------
-    def _ensure_header(self) -> None:
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            fsync_append_line(
-                self.path,
-                json.dumps(
-                    {"type": JOURNAL_HEADER_TYPE, "version": _JOURNAL_VERSION}
-                ),
-            )
+        self._file = JournalFile(path, JOURNAL_HEADER_TYPE, "a run journal")
+        self.path = self._file.path
 
     def append(self, entry: JournalEntry) -> None:
         """Durably record one repetition outcome (a single fsynced line)."""
-        self._ensure_header()
-        fsync_append_line(self.path, json.dumps(entry.to_record(), sort_keys=True))
+        self._file.append(entry.to_record())
 
-    def record_quality(
-        self,
-        key: str,
-        repetition: int,
-        quality: MatchQuality,
-        degradation: str | None = None,
-        attempts: int = 1,
-    ) -> None:
-        """Record a completed repetition."""
-        self.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_OK,
-                quality=quality,
-                degradation=degradation,
-                attempts=attempts,
-            )
-        )
-
-    def record_skip(self, key: str, repetition: int, reason: str) -> None:
-        """Record a repetition skipped for data reasons (no positives)."""
-        self.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_SKIPPED,
-                error_type="skip",
-                error=reason,
-            )
-        )
-
-    def record_failure(
-        self, key: str, repetition: int, error: BaseException, attempts: int
-    ) -> None:
-        """Record a repetition that exhausted its retries."""
-        self.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_FAILED,
-                attempts=attempts,
-                error_type=type(error).__name__,
-                error=str(error),
-            )
-        )
-
-    # -- reading -------------------------------------------------------------
-    def _raw_records(self) -> list[dict]:
-        return read_journal_records(
-            self.path,
-            header_type=JOURNAL_HEADER_TYPE,
-            version=_JOURNAL_VERSION,
-            kind="a run journal",
-        )
+    def _entries(self) -> list[JournalEntry]:
+        return [
+            JournalEntry.from_record(record)
+            for record in self._file.records("repetition")
+        ]
 
     def entries(self, key: str) -> dict[int, JournalEntry]:
         """Latest entry per repetition for one run cell (empty if none)."""
-        latest: dict[int, JournalEntry] = {}
-        for record in self._raw_records():
-            if record.get("type") != "repetition" or record.get("key") != key:
-                continue
-            entry = JournalEntry.from_record(record)
-            latest[entry.repetition] = entry
-        return latest
+        return fold_latest(
+            (
+                JournalEntry.from_record(record)
+                for record in self._file.records("repetition")
+                if record.get("key") == key
+            ),
+            key=lambda entry: entry.repetition,
+        )
 
     def keys(self) -> list[str]:
         """All run-cell keys present in the journal, in first-seen order."""
-        seen: dict[str, None] = {}
-        for record in self._raw_records():
-            if record.get("type") == "repetition" and "key" in record:
-                seen.setdefault(record["key"], None)
-        return list(seen)
+        return list(fold_latest(self._entries(), key=lambda entry: entry.key))
 
     def describe(self) -> str:
         """Post-mortem summary: per-status counts and the last failure.
@@ -328,19 +173,19 @@ class RunJournal:
         """
         # Latest entry per (key, repetition), with its journal position
         # so "last failure" means last *written* among still-failed ones.
-        latest: dict[str, dict[int, tuple[int, JournalEntry]]] = {}
-        for position, record in enumerate(self._raw_records()):
-            if record.get("type") != "repetition" or "key" not in record:
-                continue
-            entry = JournalEntry.from_record(record)
-            latest.setdefault(entry.key, {})[entry.repetition] = (position, entry)
+        latest: dict[str, list[tuple[int, JournalEntry]]] = {}
+        for position, entry in fold_latest(
+            enumerate(self._entries()),
+            key=lambda pair: (pair[1].key, pair[1].repetition),
+        ).values():
+            latest.setdefault(entry.key, []).append((position, entry))
         lines = [f"journal {self.path}:"]
         for key, repetitions in latest.items():
             per_status: dict[str, int] = {}
             degraded = 0
             quarantined = 0
             failures: list[tuple[int, JournalEntry]] = []
-            for position, entry in repetitions.values():
+            for position, entry in repetitions:
                 per_status[entry.status] = per_status.get(entry.status, 0) + 1
                 if entry.degradation is not None:
                     degraded += 1

@@ -370,7 +370,6 @@ class _Outcome:
     attempts: int = 1
     error_type: str | None = None
     error_message: str | None = None
-    skip_reason: str | None = None
     timings: PhaseTimings | None = None
 
 
@@ -478,10 +477,12 @@ def _run_repetition(
                     )
                 timings.pair_build += perf_counter() - started
                 if not training.positives() or not training.negatives():
+                    # A skip is a data verdict, journaled with the
+                    # default attempts=1 whichever attempt reached it.
                     return _Outcome(
                         status=STATUS_SKIPPED,
-                        skip_reason=_SKIP_NO_POSITIVES,
-                        attempts=attempt,
+                        error_type="skip",
+                        error_message=_SKIP_NO_POSITIVES,
                         timings=timings,
                     )
                 features_before = _matcher_feature_seconds(matcher)
@@ -555,27 +556,18 @@ def _journal_outcome(
     journal: RunJournal, key: str, repetition: int, outcome: _Outcome
 ) -> None:
     """Durably append one executed outcome (shared by serial + parallel)."""
-    if outcome.status == STATUS_OK:
-        journal.record_quality(
-            key,
-            repetition,
-            outcome.quality,
+    journal.append(
+        JournalEntry(
+            key=key,
+            repetition=repetition,
+            status=outcome.status,
+            quality=outcome.quality,
             degradation=outcome.degradation,
             attempts=outcome.attempts,
+            error_type=outcome.error_type,
+            error=outcome.error_message,
         )
-    elif outcome.status == STATUS_SKIPPED:
-        journal.record_skip(key, repetition, outcome.skip_reason or "")
-    else:
-        journal.append(
-            JournalEntry(
-                key=key,
-                repetition=repetition,
-                status=STATUS_FAILED,
-                attempts=outcome.attempts,
-                error_type=outcome.error_type,
-                error=outcome.error_message,
-            )
-        )
+    )
 
 
 def _apply_journal_entry(result: ExperimentResult, entry: JournalEntry) -> None:

@@ -52,8 +52,14 @@ from repro.ingest.journal import (
     REASON_DUPLICATE,
     REASON_POISON,
     REASON_RETRIES_EXHAUSTED,
+    STATUS_ADMITTED,
+    STATUS_DISCOVERED,
+    STATUS_FEATURIZED,
+    STATUS_FUSED,
     STATUS_QUARANTINED,
+    STATUS_RETRYING,
     IngestJournal,
+    SourceEvent,
 )
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.watcher import (
@@ -102,7 +108,7 @@ class FollowDaemon:
     seed:
         Seeds the retry jitter (with the per-file repetition index).
     fault_plan:
-        Optional :class:`repro.testing.faults.IngestFaultPlan`; its
+        Optional :class:`repro.testing.faults.StageFaultPlan`; its
         ``maybe_exit`` hook fires after each journal append so chaos
         tests can kill the process at exact journaled stages.
     stop_event:
@@ -239,14 +245,18 @@ class FollowDaemon:
                     if key in self._seen:
                         continue
                     self._seen.add(key)
-                    self.journal.record_discovered(file, fingerprint)
+                    self.journal.append(
+                        SourceEvent(file, fingerprint, STATUS_DISCOVERED)
+                    )
                 for file, fingerprint in result.admitted:
                     key = (file, fingerprint)
                     if key in self._done:
                         continue
                     progressed = True
                     self._seen.add(key)
-                    self.journal.record_admitted(file, fingerprint)
+                    self.journal.append(
+                        SourceEvent(file, fingerprint, STATUS_ADMITTED)
+                    )
                     self._maybe_fault("admitted")
                     self._pending[file] = _PendingSource(
                         fingerprint=fingerprint, ready_at=self.clock()
@@ -333,18 +343,27 @@ class FollowDaemon:
             batch = self.pipeline.featurize(
                 path, alignment_sidecar(path), entry.fingerprint
             )
-            self.journal.record_featurized(
-                file, entry.fingerprint, batch.properties, len(batch.pairs)
+            self.journal.append(
+                SourceEvent(
+                    file,
+                    entry.fingerprint,
+                    STATUS_FEATURIZED,
+                    properties=batch.properties,
+                    pairs=len(batch.pairs),
+                )
             )
             self._maybe_fault("featurized")
             counts = self.pipeline.fuse(batch)
-            self.journal.record_fused(
-                file,
-                entry.fingerprint,
-                order=counts["order"],
-                properties=batch.properties,
-                pairs=len(batch.pairs),
-                matches=counts["matches"],
+            self.journal.append(
+                SourceEvent(
+                    file,
+                    entry.fingerprint,
+                    STATUS_FUSED,
+                    order=counts["order"],
+                    properties=batch.properties,
+                    pairs=len(batch.pairs),
+                    matches=counts["matches"],
+                )
             )
             self._maybe_fault("fused")
         except (TransientDataError, OSError) as error:
@@ -373,7 +392,16 @@ class FollowDaemon:
         entry.attempts = attempt
         if attempt >= self.retry_policy.max_attempts:
             return self._quarantine(file, entry, reason, error, attempt)
-        self.journal.record_retry(file, entry.fingerprint, attempt, error)
+        self.journal.append(
+            SourceEvent(
+                file,
+                entry.fingerprint,
+                STATUS_RETRYING,
+                attempt=attempt,
+                error_type=type(error).__name__,
+                error=str(error),
+            )
+        )
         entry.ready_at = self.clock() + self.retry_policy.delay(
             attempt, seed=self.seed, repetition=_file_repetition(file)
         )
@@ -387,8 +415,16 @@ class FollowDaemon:
         error: Exception,
         attempts: int,
     ) -> str:
-        self.journal.record_quarantined(
-            file, entry.fingerprint, reason, error, attempts
+        self.journal.append(
+            SourceEvent(
+                file,
+                entry.fingerprint,
+                STATUS_QUARANTINED,
+                reason=reason,
+                attempt=attempts,
+                error_type=type(error).__name__,
+                error=str(error),
+            )
         )
         del self._pending[file]
         self._done.add((file, entry.fingerprint))

@@ -9,22 +9,19 @@ moves through a small state machine::
                      |       |
                      +--> quarantined
 
-Each transition is one fsynced JSONL append
-(:func:`repro.ioutils.fsync_append_line`), so a process killed at any
-point leaves a journal whose *latest* record per (file, fingerprint)
-names exactly how far that source got.  ``--resume`` replays the
-``fused`` records in fusion order -- re-ingesting the same bytes through
-the same deterministic pipeline -- and lands on matches and clusters
-bit-identical to a cold rebuild over the same source set; everything
-not yet fused is simply re-discovered by the watcher.
+Each transition is one fsynced append to a :mod:`repro.journal` file,
+so a process killed at any point leaves a journal whose *latest* record
+per (file, fingerprint) names exactly how far that source got.
+``--resume`` replays the ``fused`` records in fusion order --
+re-ingesting the same bytes through the same deterministic pipeline --
+and lands on matches and clusters bit-identical to a cold rebuild over
+the same source set; everything not yet fused is simply re-discovered
+by the watcher.
 
 Format
 ------
-The first line is a header record::
-
-    {"type": "ingest-journal", "version": 1}
-
-Every subsequent line describes one transition of one source file::
+The header is ``{"type": "ingest-journal", "version": 1}``.  Every
+subsequent line describes one transition of one source file::
 
     {"type": "source", "file": "cameras_b.csv", "fingerprint": "9f2c...",
      "status": "fused", "order": 1, "properties": 7, "pairs": 21,
@@ -35,23 +32,17 @@ Every subsequent line describes one transition of one source file::
 error and attempt count.  Sources are keyed by *(file name,
 content fingerprint)*: a file whose bytes change after quarantine is a
 new source with a fresh lifecycle, while re-appends for the same
-fingerprint supersede each other (latest wins), exactly as in
-:class:`repro.evaluation.checkpoint.RunJournal`, whose torn-tail
-reading machinery this module reuses.
+fingerprint supersede each other (latest wins).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import JournalError
-from repro.evaluation.checkpoint import read_journal_records
-from repro.ioutils import fsync_append_line
+from repro.journal import JournalFile, event_from_record, event_record, fold_latest
 
 INGEST_JOURNAL_TYPE = "ingest-journal"
-_INGEST_JOURNAL_VERSION = 1
 
 STATUS_DISCOVERED = "discovered"
 STATUS_ADMITTED = "admitted"
@@ -102,46 +93,12 @@ class SourceEvent:
 
     def to_record(self) -> dict:
         """JSON-serialisable journal line."""
-        record: dict = {
-            "type": "source",
-            "file": self.file,
-            "fingerprint": self.fingerprint,
-            "status": self.status,
-        }
-        for name in (
-            "attempt", "error_type", "error", "reason",
-            "order", "properties", "pairs", "matches",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                record[name] = value
-        return record
+        return event_record(self, "source")
 
     @classmethod
     def from_record(cls, record: dict) -> "SourceEvent":
         """Inverse of :meth:`to_record`."""
-        try:
-            return cls(
-                file=record["file"],
-                fingerprint=record["fingerprint"],
-                status=record["status"],
-                attempt=_opt_int(record.get("attempt")),
-                error_type=record.get("error_type"),
-                error=record.get("error"),
-                reason=record.get("reason"),
-                order=_opt_int(record.get("order")),
-                properties=_opt_int(record.get("properties")),
-                pairs=_opt_int(record.get("pairs")),
-                matches=_opt_int(record.get("matches")),
-            )
-        except (KeyError, TypeError, ValueError) as problem:
-            raise JournalError(
-                f"malformed ingestion-journal record: {problem}"
-            ) from None
-
-
-def _opt_int(value) -> int | None:
-    return None if value is None else int(value)
+        return event_from_record(cls, record, "ingestion-journal")
 
 
 class IngestJournal:
@@ -154,127 +111,22 @@ class IngestJournal:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-
-    # -- writing -------------------------------------------------------------
-    def _ensure_header(self) -> None:
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            fsync_append_line(
-                self.path,
-                json.dumps(
-                    {
-                        "type": INGEST_JOURNAL_TYPE,
-                        "version": _INGEST_JOURNAL_VERSION,
-                    }
-                ),
-            )
+        self._file = JournalFile(path, INGEST_JOURNAL_TYPE, "an ingestion journal")
+        self.path = self._file.path
 
     def append(self, event: SourceEvent) -> None:
         """Durably record one transition (a single fsynced line)."""
-        self._ensure_header()
-        fsync_append_line(self.path, json.dumps(event.to_record(), sort_keys=True))
+        self._file.append(event.to_record())
 
-    def record_discovered(self, file: str, fingerprint: str) -> None:
-        """A candidate file was seen for the first time (maybe unstable)."""
-        self.append(SourceEvent(file, fingerprint, STATUS_DISCOVERED))
-
-    def record_admitted(self, file: str, fingerprint: str) -> None:
-        """The file's size + fingerprint settled; it may now be read."""
-        self.append(SourceEvent(file, fingerprint, STATUS_ADMITTED))
-
-    def record_retry(
-        self, file: str, fingerprint: str, attempt: int, error: BaseException
-    ) -> None:
-        """An ingestion attempt failed; a bounded-backoff retry is due."""
-        self.append(
-            SourceEvent(
-                file,
-                fingerprint,
-                STATUS_RETRYING,
-                attempt=attempt,
-                error_type=type(error).__name__,
-                error=str(error),
-            )
-        )
-
-    def record_featurized(
-        self, file: str, fingerprint: str, properties: int, pairs: int
-    ) -> None:
-        """The batch's features and scores are computed (not yet fused)."""
-        self.append(
-            SourceEvent(
-                file,
-                fingerprint,
-                STATUS_FEATURIZED,
-                properties=properties,
-                pairs=pairs,
-            )
-        )
-
-    def record_fused(
-        self,
-        file: str,
-        fingerprint: str,
-        order: int,
-        properties: int,
-        pairs: int,
-        matches: int,
-    ) -> None:
-        """The batch is folded into matches + clusters and outputs written."""
-        self.append(
-            SourceEvent(
-                file,
-                fingerprint,
-                STATUS_FUSED,
-                order=order,
-                properties=properties,
-                pairs=pairs,
-                matches=matches,
-            )
-        )
-
-    def record_quarantined(
-        self,
-        file: str,
-        fingerprint: str,
-        reason: str,
-        error: BaseException,
-        attempts: int,
-    ) -> None:
-        """The source is set aside; healthy sources continue without it."""
-        self.append(
-            SourceEvent(
-                file,
-                fingerprint,
-                STATUS_QUARANTINED,
-                reason=reason,
-                attempt=attempts,
-                error_type=type(error).__name__,
-                error=str(error),
-            )
-        )
-
-    # -- reading -------------------------------------------------------------
     def events(self) -> list[SourceEvent]:
         """Every source transition, in append order (torn tail dropped)."""
-        records = read_journal_records(
-            self.path,
-            header_type=INGEST_JOURNAL_TYPE,
-            version=_INGEST_JOURNAL_VERSION,
-            kind="an ingestion journal",
-        )
         return [
-            SourceEvent.from_record(record)
-            for record in records
-            if record.get("type") == "source"
+            SourceEvent.from_record(record) for record in self._file.records("source")
         ]
 
     def latest(self) -> dict[tuple[str, str], SourceEvent]:
         """Latest event per (file, fingerprint), in first-seen order."""
-        latest: dict[tuple[str, str], SourceEvent] = {}
-        for event in self.events():
-            latest[event.key] = event
-        return latest
+        return fold_latest(self.events(), key=lambda event: event.key)
 
     def fused_in_order(self) -> list[SourceEvent]:
         """Sources whose latest status is ``fused``, by fusion order.
@@ -310,10 +162,7 @@ class IngestJournal:
         diagnose a dead follow loop from ``repro describe --journal X``
         alone.
         """
-        events = self.events()
-        latest: dict[tuple[str, str], tuple[int, SourceEvent]] = {}
-        for position, event in enumerate(events):
-            latest[event.key] = (position, event)
+        latest = fold_latest(enumerate(self.events()), key=lambda pair: pair[1].key)
         lines = [f"ingestion journal {self.path}:"]
         counts: dict[str, int] = {}
         failures: list[tuple[int, SourceEvent]] = []

@@ -124,7 +124,7 @@ def fsync_append_line(path: str | Path, line: str, encoding: str = "utf-8") -> N
     ``O_APPEND`` writes of a single small line are effectively atomic on
     POSIX filesystems; a kill between the write and the fsync can at
     worst leave one torn *final* line, which journal readers detect and
-    ignore (see :mod:`repro.evaluation.checkpoint`).  Before appending,
+    ignore (see :mod:`repro.journal`).  Before appending,
     any torn tail left by a previous kill is truncated away — otherwise
     the new record would merge into the torn line and corrupt both.
     """

@@ -7,13 +7,13 @@ moves through a small lifecycle::
                     |
                     +--> quarantined
 
-Each transition is one fsynced JSONL append
-(:func:`repro.ioutils.fsync_append_line`), exactly like the run and
-ingestion journals, so a server killed at any instant leaves a journal
-from which a warm restart rebuilds the same tenant set: ``created``
-records carry the full bootstrap spec (system, input paths, seed,
-threshold) plus the content fingerprint of the inputs, and
-``source-added`` records carry the reload order and file fingerprints.
+Each transition is one fsynced append to a :mod:`repro.journal` file,
+exactly like the run and ingestion journals, so a server killed at any
+instant leaves a journal from which a warm restart rebuilds the same
+tenant set: ``created`` records carry the full bootstrap spec (system,
+input paths, seed, threshold) plus the content fingerprint of the
+inputs, and ``source-added`` records carry the reload order and file
+fingerprints.
 Replaying those records through the same deterministic bootstrap and
 delta paths lands every tenant on state whose match responses are
 byte-identical to a cold rebuild -- the acceptance invariant the serve
@@ -21,11 +21,8 @@ chaos suite pins with SIGKILL at every journaled stage.
 
 Format
 ------
-The first line is a header record::
-
-    {"type": "registry-journal", "version": 1}
-
-Every subsequent line describes one transition of one tenant::
+The header is ``{"type": "registry-journal", "version": 1}``.  Every
+subsequent line describes one transition of one tenant::
 
     {"type": "tenant", "tenant": "shop-a", "status": "source-added",
      "file": "feeds/extra.csv", "fingerprint": "9f2c...", "order": 2,
@@ -33,23 +30,17 @@ Every subsequent line describes one transition of one tenant::
 
 ``quarantined`` records carry a structured ``reason`` plus the final
 error and the consecutive-failure count that tripped the breaker.
-Records for the same tenant supersede each other (latest status wins),
-and the torn-tail reading machinery is shared with
-:class:`repro.evaluation.checkpoint.RunJournal`.
+Records for the same tenant supersede each other (latest status wins).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import JournalError
-from repro.evaluation.checkpoint import read_journal_records
-from repro.ioutils import fsync_append_line
+from repro.journal import JournalFile, event_from_record, event_record, fold_latest
 
 REGISTRY_JOURNAL_TYPE = "registry-journal"
-_REGISTRY_JOURNAL_VERSION = 1
 
 TENANT_CREATED = "created"
 TENANT_BOOTSTRAPPED = "bootstrapped"
@@ -91,49 +82,12 @@ class TenantEvent:
 
     def to_record(self) -> dict:
         """JSON-serialisable journal line."""
-        record: dict = {
-            "type": "tenant",
-            "tenant": self.tenant,
-            "status": self.status,
-        }
-        for name in (
-            "spec", "fingerprint", "file", "order", "properties",
-            "pairs", "reason", "error_type", "error", "failures",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                record[name] = value
-        return record
+        return event_record(self, "tenant")
 
     @classmethod
     def from_record(cls, record: dict) -> "TenantEvent":
         """Inverse of :meth:`to_record`."""
-        try:
-            spec = record.get("spec")
-            if spec is not None and not isinstance(spec, dict):
-                raise TypeError("spec must be an object")
-            return cls(
-                tenant=str(record["tenant"]),
-                status=str(record["status"]),
-                spec=spec,
-                fingerprint=record.get("fingerprint"),
-                file=record.get("file"),
-                order=_opt_int(record.get("order")),
-                properties=_opt_int(record.get("properties")),
-                pairs=_opt_int(record.get("pairs")),
-                reason=record.get("reason"),
-                error_type=record.get("error_type"),
-                error=record.get("error"),
-                failures=_opt_int(record.get("failures")),
-            )
-        except (KeyError, TypeError, ValueError) as problem:
-            raise JournalError(
-                f"malformed registry-journal record: {problem}"
-            ) from None
-
-
-def _opt_int(value) -> int | None:
-    return None if value is None else int(value)
+        return event_from_record(cls, record, "registry-journal")
 
 
 class RegistryJournal:
@@ -146,104 +100,22 @@ class RegistryJournal:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-
-    # -- writing -------------------------------------------------------------
-    def _ensure_header(self) -> None:
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            fsync_append_line(
-                self.path,
-                json.dumps(
-                    {
-                        "type": REGISTRY_JOURNAL_TYPE,
-                        "version": _REGISTRY_JOURNAL_VERSION,
-                    }
-                ),
-            )
+        self._file = JournalFile(path, REGISTRY_JOURNAL_TYPE, "a registry journal")
+        self.path = self._file.path
 
     def append(self, event: TenantEvent) -> None:
         """Durably record one transition (a single fsynced line)."""
-        self._ensure_header()
-        fsync_append_line(self.path, json.dumps(event.to_record(), sort_keys=True))
+        self._file.append(event.to_record())
 
-    def record_created(self, tenant: str, spec: dict, fingerprint: str | None) -> None:
-        """A tenant was registered; the spec is everything a rebuild needs."""
-        self.append(
-            TenantEvent(
-                tenant, TENANT_CREATED, spec=spec, fingerprint=fingerprint
-            )
-        )
-
-    def record_bootstrapped(self, tenant: str, properties: int, pairs: int) -> None:
-        """The tenant's warm store and fitted bundle are built."""
-        self.append(
-            TenantEvent(
-                tenant, TENANT_BOOTSTRAPPED, properties=properties, pairs=pairs
-            )
-        )
-
-    def record_source_added(
-        self,
-        tenant: str,
-        file: str,
-        fingerprint: str,
-        order: int,
-        properties: int,
-        pairs: int,
-    ) -> None:
-        """A reload landed: the tenant's state now includes ``file``."""
-        self.append(
-            TenantEvent(
-                tenant,
-                TENANT_SOURCE_ADDED,
-                file=file,
-                fingerprint=fingerprint,
-                order=order,
-                properties=properties,
-                pairs=pairs,
-            )
-        )
-
-    def record_quarantined(
-        self, tenant: str, reason: str, error: BaseException, failures: int
-    ) -> None:
-        """The tenant's breaker opened; healthy tenants keep serving."""
-        self.append(
-            TenantEvent(
-                tenant,
-                TENANT_QUARANTINED,
-                reason=reason,
-                error_type=type(error).__name__,
-                error=str(error),
-                failures=failures,
-            )
-        )
-
-    def record_removed(self, tenant: str) -> None:
-        """The tenant was deleted; a rebuild skips it entirely."""
-        self.append(TenantEvent(tenant, TENANT_REMOVED))
-
-    # -- reading -------------------------------------------------------------
     def events(self) -> list[TenantEvent]:
         """Every tenant transition, in append order (torn tail dropped)."""
-        records = read_journal_records(
-            self.path,
-            header_type=REGISTRY_JOURNAL_TYPE,
-            version=_REGISTRY_JOURNAL_VERSION,
-            kind="a registry journal",
-        )
         return [
-            TenantEvent.from_record(record)
-            for record in records
-            if record.get("type") == "tenant"
+            TenantEvent.from_record(record) for record in self._file.records("tenant")
         ]
 
     def latest(self) -> dict[str, TenantEvent]:
         """Latest event per tenant, in first-seen order."""
-        latest: dict[str, TenantEvent] = {}
-        for event in self.events():
-            latest[event.tenant] = event
-        return latest
+        return fold_latest(self.events(), key=lambda event: event.tenant)
 
     def replay_plan(self) -> list[tuple[TenantEvent, list[TenantEvent]]]:
         """``(created, [source-added...])`` per live tenant, in creation order.

@@ -56,7 +56,11 @@ from repro.ingest.watcher import alignment_sidecar, source_fingerprint
 from repro.serve.journal import (
     REASON_CIRCUIT_OPEN,
     REASON_POISON_TENANT,
+    TENANT_BOOTSTRAPPED,
+    TENANT_CREATED,
     TENANT_QUARANTINED,
+    TENANT_REMOVED,
+    TENANT_SOURCE_ADDED,
     RegistryJournal,
     TenantEvent,
 )
@@ -300,6 +304,18 @@ def _state_pair_count(state: TenantState) -> int:
     return len(build_pairs(state.dataset).pairs)
 
 
+def _poison_quarantine(tenant_id: str, error: BaseException) -> TenantEvent:
+    """The quarantine of a tenant whose bootstrap or replay failed."""
+    return TenantEvent(
+        tenant_id,
+        TENANT_QUARANTINED,
+        reason=REASON_POISON_TENANT,
+        error_type=type(error).__name__,
+        error=str(error),
+        failures=0,
+    )
+
+
 class TenantRegistry:
     """The warm tenant set behind :mod:`repro.serve.server`.
 
@@ -312,7 +328,7 @@ class TenantRegistry:
         Consecutive request failures after which a tenant is
         quarantined (journaled, 503 from then on).
     fault_plan:
-        Optional :class:`repro.testing.faults.ServeFaultPlan`; its
+        Optional :class:`repro.testing.faults.StageFaultPlan`; its
         ``maybe_exit`` hook fires after each journal append (and at the
         ``reload`` point just before one) so chaos tests can SIGKILL
         the process at exact lifecycle stages.
@@ -365,9 +381,9 @@ class TenantRegistry:
         )
 
     # -- journaling + fault hooks -------------------------------------------
-    def _journal(self, record_method: str, *args) -> None:
+    def _journal(self, event: TenantEvent) -> None:
         if self.journal is not None:
-            getattr(self.journal, record_method)(*args)
+            self.journal.append(event)
 
     def _maybe_fault(self, stage: str) -> None:
         if self.fault_plan is not None:
@@ -432,34 +448,31 @@ class TenantRegistry:
                     raise DataError(f"tenant already exists: {spec.tenant}")
                 created_order = len(self._tenants)
             self._journal(  # repro: noqa[REP014] durability before visibility: the record must be fsynced before the tenant is observable; serving never takes _reload_lock
-                "record_created", spec.tenant, spec.to_record(),
-                spec.input_fingerprint(),
+                TenantEvent(
+                    spec.tenant,
+                    TENANT_CREATED,
+                    spec=spec.to_record(),
+                    fingerprint=spec.input_fingerprint(),
+                )
             )
             self._maybe_fault("created")
             tenant = Tenant(spec=spec, created_order=created_order)
             try:
                 state = self._bootstrap(spec)
             except ReproError as error:
-                tenant.quarantine = TenantEvent(
-                    spec.tenant,
-                    TENANT_QUARANTINED,
-                    reason=REASON_POISON_TENANT,
-                    error_type=type(error).__name__,
-                    error=str(error),
-                )
-                self._journal(  # repro: noqa[REP014] durability before visibility: the quarantine must be fsynced before the poisoned tenant is published; serving never takes _reload_lock
-                    "record_quarantined", spec.tenant, REASON_POISON_TENANT,
-                    error, 0,
-                )
+                tenant.quarantine = _poison_quarantine(spec.tenant, error)
+                self._journal(tenant.quarantine)  # repro: noqa[REP014] durability before visibility: the quarantine must be fsynced before the poisoned tenant is published; serving never takes _reload_lock
                 with self._lock:
                     self._tenants[spec.tenant] = tenant
                 raise
             tenant.state = state
             self._journal(  # repro: noqa[REP014] durability before visibility: bootstrap is journaled before the tenant serves; serving never takes _reload_lock
-                "record_bootstrapped",
-                spec.tenant,
-                len(state.dataset.properties()),
-                _state_pair_count(state),
+                TenantEvent(
+                    spec.tenant,
+                    TENANT_BOOTSTRAPPED,
+                    properties=len(state.dataset.properties()),
+                    pairs=_state_pair_count(state),
+                )
             )
             flush_persistent_distances()
             self._maybe_fault("bootstrapped")
@@ -529,13 +542,15 @@ class TenantRegistry:
             self._maybe_fault("reload")
             order = tenant.reloads + 1
             self._journal(  # repro: noqa[REP014] durability before visibility: the reload is journaled before the swapped state is observable; serving never takes _reload_lock
-                "record_source_added",
-                tenant_id,
-                str(path),
-                new_state.sources[-1][1],
-                order,
-                addition_properties,
-                new_pairs,
+                TenantEvent(
+                    tenant_id,
+                    TENANT_SOURCE_ADDED,
+                    file=str(path),
+                    fingerprint=new_state.sources[-1][1],
+                    order=order,
+                    properties=addition_properties,
+                    pairs=new_pairs,
+                )
             )
             flush_persistent_distances()
             self._maybe_fault("source-added")
@@ -554,7 +569,7 @@ class TenantRegistry:
                 if tenant_id not in self._tenants:
                     raise DataError(f"no such tenant: {tenant_id}")
                 del self._tenants[tenant_id]
-            self._journal("record_removed", tenant_id)  # repro: noqa[REP014] durability before visibility: removal is fsynced while admission still rejects the tenant; serving never takes _reload_lock
+            self._journal(TenantEvent(tenant_id, TENANT_REMOVED))  # repro: noqa[REP014] durability before visibility: removal is fsynced while admission still rejects the tenant; serving never takes _reload_lock
             self._maybe_fault("removed")
 
     # -- breaker -------------------------------------------------------------
@@ -595,10 +610,7 @@ class TenantRegistry:
             error=str(error),
             failures=failures,
         )
-        self._journal(
-            "record_quarantined", tenant_id, REASON_CIRCUIT_OPEN, error,
-            failures,
-        )
+        self._journal(event)
         with self._lock:
             tenant.quarantine = event
         self._maybe_fault("quarantined")
@@ -767,17 +779,8 @@ class TenantRegistry:
                     tenant = self._replay_tenant(spec, additions)
                 except ReproError as error:
                     tenant = Tenant(spec=spec)
-                    tenant.quarantine = TenantEvent(
-                        spec.tenant,
-                        TENANT_QUARANTINED,
-                        reason=REASON_POISON_TENANT,
-                        error_type=type(error).__name__,
-                        error=str(error),
-                    )
-                    self._journal(
-                        "record_quarantined", spec.tenant,
-                        REASON_POISON_TENANT, error, 0,
-                    )
+                    tenant.quarantine = _poison_quarantine(spec.tenant, error)
+                    self._journal(tenant.quarantine)
                     quarantined += 1
                 with self._lock:
                     tenant.created_order = len(self._tenants)

@@ -12,10 +12,9 @@ from repro.testing.faults import (
     FaultInjected,
     FaultPlan,
     FaultyMatcher,
-    IngestFaultPlan,
-    ServeFaultPlan,
     SimulatedKill,
     SlowSourceWriter,
+    StageFaultPlan,
     corrupt_with_nan,
     write_poison_csv,
     write_torn_csv,
@@ -27,10 +26,9 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultyMatcher",
-    "IngestFaultPlan",
-    "ServeFaultPlan",
     "SimulatedKill",
     "SlowSourceWriter",
+    "StageFaultPlan",
     "corrupt_with_nan",
     "write_poison_csv",
     "write_torn_csv",

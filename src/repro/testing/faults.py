@@ -231,16 +231,23 @@ def _consume_file_budget(state_dir: str | None, key: str, budget: int) -> bool:
 
 
 @dataclass(frozen=True)
-class IngestFaultPlan:
-    """Process kills at exact journaled stages of the follow daemon.
+class StageFaultPlan:
+    """Process kills at exact journaled stages of a long-lived process.
 
-    The daemon calls :meth:`maybe_exit` right after appending each
-    lifecycle record; ``exit_after={"fused": 1}`` therefore means "hard-
-    kill the process immediately after the *first* ``fused`` record
-    lands in the journal" -- the worst possible instant for that stage,
-    since everything after the append is lost.  Budgets are counted in
+    The follow daemon and the tenant registry call :meth:`maybe_exit`
+    right after appending each lifecycle record, so
+    ``exit_after={"fused": 1}`` means "hard-kill the process immediately
+    after the *first* ``fused`` record lands in the journal" -- the worst
+    possible instant for that stage, since everything after the append
+    is lost.  The registry additionally calls it at the ``reload`` point,
+    after a copy-on-swap successor state is fully built but *before* its
+    ``source-added`` record lands.  Ingestion stages (``admitted``,
+    ``featurized``, ``fused``) and serving stages (``created``,
+    ``bootstrapped``, ``reload``, ``source-added``, ``removed``,
+    ``quarantined``) do not overlap.  Budgets are counted in
     ``state_dir`` files (the process about to die cannot count in
-    memory), so a resumed daemon given the same plan does not die again.
+    memory), so a restarted process given the same plan does not die
+    again.
     """
 
     exit_after: Mapping[str, int] = field(default_factory=dict)
@@ -249,46 +256,14 @@ class IngestFaultPlan:
     def __post_init__(self) -> None:
         if self.exit_after and self.state_dir is None:
             raise ConfigurationError(
-                "IngestFaultPlan.state_dir is required: the kill budget "
+                "StageFaultPlan.state_dir is required: the kill budget "
                 "must survive the process deaths it causes"
             )
 
     def maybe_exit(self, stage: str) -> None:
         """Hard-kill the process if ``stage`` still has kill budget."""
         if _consume_file_budget(
-            self.state_dir, f"ingest-{stage}", self.exit_after.get(stage, 0)
-        ):
-            os._exit(WORKER_EXIT_CODE)
-
-
-@dataclass(frozen=True)
-class ServeFaultPlan:
-    """Process kills at exact journaled stages of the tenant registry.
-
-    The registry calls :meth:`maybe_exit` right after appending each
-    lifecycle record -- and additionally at the ``reload`` point, after
-    a copy-on-swap successor state is fully built but *before* its
-    ``source-added`` record lands -- so ``exit_after={"source-added": 1}``
-    means "hard-kill immediately after the first reload is journaled
-    but before the swap becomes visible".  Budgets are counted in
-    ``state_dir`` files exactly like :class:`IngestFaultPlan`, so a
-    warm-restarted registry given the same plan does not die again.
-    """
-
-    exit_after: Mapping[str, int] = field(default_factory=dict)
-    state_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.exit_after and self.state_dir is None:
-            raise ConfigurationError(
-                "ServeFaultPlan.state_dir is required: the kill budget "
-                "must survive the process deaths it causes"
-            )
-
-    def maybe_exit(self, stage: str) -> None:
-        """Hard-kill the process if ``stage`` still has kill budget."""
-        if _consume_file_budget(
-            self.state_dir, f"serve-{stage}", self.exit_after.get(stage, 0)
+            self.state_dir, f"stage-{stage}", self.exit_after.get(stage, 0)
         ):
             os._exit(WORKER_EXIT_CODE)
 

@@ -61,7 +61,12 @@ class TestJournalRoundTrip:
     def test_quality_round_trips_exactly(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
         quality = MatchQuality(true_positives=7, false_positives=2, false_negatives=3)
-        journal.record_quality("k", 0, quality, degradation="reduced-lr", attempts=2)
+        journal.append(
+            JournalEntry(
+                "k", 0, STATUS_OK, quality=quality,
+                degradation="reduced-lr", attempts=2,
+            )
+        )
         entry = journal.entries("k")[0]
         assert entry.status == STATUS_OK
         assert entry.quality == quality
@@ -70,8 +75,17 @@ class TestJournalRoundTrip:
 
     def test_skip_and_failure_records(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_skip("k", 1, "no positives")
-        journal.record_failure("k", 2, ValueError("boom"), attempts=3)
+        journal.append(
+            JournalEntry(
+                "k", 1, STATUS_SKIPPED, error_type="skip", error="no positives"
+            )
+        )
+        journal.append(
+            JournalEntry(
+                "k", 2, STATUS_FAILED, attempts=3,
+                error_type="ValueError", error="boom",
+            )
+        )
         entries = journal.entries("k")
         assert entries[1].status == STATUS_SKIPPED
         assert entries[2].status == STATUS_FAILED
@@ -82,28 +96,48 @@ class TestJournalRoundTrip:
     def test_keys_isolated_per_cell(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
         quality = MatchQuality(1, 0, 0)
-        journal.record_quality("a", 0, quality)
-        journal.record_quality("b", 0, quality)
+        journal.append(JournalEntry("a", 0, STATUS_OK, quality=quality))
+        journal.append(JournalEntry("b", 0, STATUS_OK, quality=quality))
         assert journal.keys() == ["a", "b"]
         assert set(journal.entries("a")) == {0}
 
     def test_last_record_per_repetition_wins(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_failure("k", 0, RuntimeError("first try"), attempts=1)
-        journal.record_quality("k", 0, MatchQuality(5, 0, 0))
+        journal.append(
+            JournalEntry(
+                "k", 0, STATUS_FAILED, attempts=1,
+                error_type="RuntimeError", error="first try",
+            )
+        )
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(5, 0, 0)))
         assert journal.entries("k")[0].status == STATUS_OK
 
     def test_describe_summarises(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_quality("k", 0, MatchQuality(1, 0, 0))
-        journal.record_failure("k", 1, RuntimeError("x"), attempts=2)
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(1, 0, 0)))
+        journal.append(
+            JournalEntry(
+                "k", 1, STATUS_FAILED, attempts=2,
+                error_type="RuntimeError", error="x",
+            )
+        )
         text = journal.describe()
         assert "1 ok" in text and "1 failed" in text
 
     def test_describe_reports_last_failure_reason(self, tmp_path):
         journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_failure("k", 1, RuntimeError("first"), attempts=1)
-        journal.record_failure("k", 3, ValueError("most recent"), attempts=2)
+        journal.append(
+            JournalEntry(
+                "k", 1, STATUS_FAILED, attempts=1,
+                error_type="RuntimeError", error="first",
+            )
+        )
+        journal.append(
+            JournalEntry(
+                "k", 3, STATUS_FAILED, attempts=2,
+                error_type="ValueError", error="most recent",
+            )
+        )
         text = journal.describe()
         assert "last failure: repetition 3" in text
         assert "ValueError: most recent" in text
@@ -114,8 +148,13 @@ class TestJournalRoundTrip:
         # latest entry for the repetition is ok, so a healthy journal
         # must not advertise a "last failure" post-mortem line.
         journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_failure("k", 0, RuntimeError("transient"), attempts=1)
-        journal.record_quality("k", 0, MatchQuality(1, 0, 0))
+        journal.append(
+            JournalEntry(
+                "k", 0, STATUS_FAILED, attempts=1,
+                error_type="RuntimeError", error="transient",
+            )
+        )
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(1, 0, 0)))
         text = journal.describe()
         assert "1 ok" in text
         assert "failed" not in text
@@ -128,9 +167,19 @@ class TestJournalRoundTrip:
         # but a resumed run then fixed repetition 0 -- so the reported
         # last failure must be repetition 1's, the only one still live.
         journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_failure("k", 1, RuntimeError("still broken"), attempts=1)
-        journal.record_failure("k", 0, RuntimeError("later fixed"), attempts=1)
-        journal.record_quality("k", 0, MatchQuality(1, 0, 0))
+        journal.append(
+            JournalEntry(
+                "k", 1, STATUS_FAILED, attempts=1,
+                error_type="RuntimeError", error="still broken",
+            )
+        )
+        journal.append(
+            JournalEntry(
+                "k", 0, STATUS_FAILED, attempts=1,
+                error_type="RuntimeError", error="later fixed",
+            )
+        )
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(1, 0, 0)))
         text = journal.describe()
         assert "last failure: repetition 1" in text
         assert "still broken" in text
@@ -140,8 +189,13 @@ class TestJournalRoundTrip:
         from repro.evaluation.checkpoint import REASON_TIMEOUT, REASON_WORKER_CRASH
 
         journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_quality("k", 0, MatchQuality(1, 0, 0))
-        journal.record_failure("k", 1, RuntimeError("plain failure"), attempts=1)
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(1, 0, 0)))
+        journal.append(
+            JournalEntry(
+                "k", 1, STATUS_FAILED, attempts=1,
+                error_type="RuntimeError", error="plain failure",
+            )
+        )
         journal.append(
             JournalEntry(
                 key="k",
@@ -175,7 +229,7 @@ class TestJournalDurability:
     def test_torn_final_line_is_ignored(self, tmp_path):
         path = tmp_path / "run.jsonl"
         journal = RunJournal(path)
-        journal.record_quality("k", 0, MatchQuality(1, 0, 0))
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(1, 0, 0)))
         with path.open("a") as handle:
             handle.write('{"type": "repetition", "key": "k", "repe')  # torn write
         assert set(RunJournal(path).entries("k")) == {0}
@@ -186,11 +240,11 @@ class TestJournalDurability:
         # every subsequent read (and resume) still works.
         path = tmp_path / "run.jsonl"
         journal = RunJournal(path)
-        journal.record_quality("k", 0, MatchQuality(1, 0, 0))
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(1, 0, 0)))
         with path.open("a") as handle:
             handle.write('{"type": "repetition", "key": "k", "repe')  # torn write
-        journal.record_quality("k", 1, MatchQuality(2, 0, 0))
-        journal.record_quality("k", 2, MatchQuality(3, 0, 0))
+        journal.append(JournalEntry("k", 1, STATUS_OK, quality=MatchQuality(2, 0, 0)))
+        journal.append(JournalEntry("k", 2, STATUS_OK, quality=MatchQuality(3, 0, 0)))
         entries = RunJournal(path).entries("k")
         assert set(entries) == {0, 1, 2}
         assert entries[1].quality == MatchQuality(2, 0, 0)
@@ -198,10 +252,10 @@ class TestJournalDurability:
     def test_corruption_mid_file_raises(self, tmp_path):
         path = tmp_path / "run.jsonl"
         journal = RunJournal(path)
-        journal.record_quality("k", 0, MatchQuality(1, 0, 0))
+        journal.append(JournalEntry("k", 0, STATUS_OK, quality=MatchQuality(1, 0, 0)))
         with path.open("a") as handle:
             handle.write("GARBAGE\n")
-        journal.record_quality("k", 1, MatchQuality(1, 0, 0))
+        journal.append(JournalEntry("k", 1, STATUS_OK, quality=MatchQuality(1, 0, 0)))
         with pytest.raises(JournalError):
             RunJournal(path).entries("k")
 

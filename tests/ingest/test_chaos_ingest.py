@@ -24,7 +24,7 @@ from repro.ingest import (
     IngestJournal,
     cold_rebuild,
 )
-from repro.testing import IngestFaultPlan, write_torn_csv
+from repro.testing import StageFaultPlan, write_torn_csv
 from repro.testing.faults import WORKER_EXIT_CODE
 
 from tests.ingest.conftest import PROPS_A, PROPS_B, make_daemon, write_source
@@ -64,7 +64,7 @@ class TestStageKills:
         b = write_source(feed, "b.csv", "srcB", PROPS_B)
         out = tmp_path / "out"
         out.mkdir()
-        plan = IngestFaultPlan(
+        plan = StageFaultPlan(
             exit_after={stage: 1}, state_dir=str(tmp_path / "faults")
         )
 
@@ -94,7 +94,7 @@ class TestStageKills:
         b = write_source(feed, "b.csv", "srcB", PROPS_B)
         out = tmp_path / "out"
         out.mkdir()
-        plan = IngestFaultPlan(
+        plan = StageFaultPlan(
             exit_after={"admitted": 1, "featurized": 1, "fused": 1},
             state_dir=str(tmp_path / "faults"),
         )

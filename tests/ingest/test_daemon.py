@@ -154,13 +154,14 @@ class TestStop:
         write_source(feed, "a.csv", "srcA", PROPS_A)
         write_source(feed, "b.csv", "srcB", PROPS_B)
         daemon = make_daemon(feed, tmp_path)
-        real_record_fused = daemon.journal.record_fused
+        real_append = daemon.journal.append
 
-        def record_then_stop(*args, **kwargs):
-            real_record_fused(*args, **kwargs)
-            daemon.stop_event.set()
+        def record_then_stop(event):
+            real_append(event)
+            if event.status == STATUS_FUSED:
+                daemon.stop_event.set()
 
-        daemon.journal.record_fused = record_then_stop
+        daemon.journal.append = record_then_stop
         with pytest.raises(IngestInterrupted):
             daemon.run()
         # The in-flight batch (a.csv) was finished and journaled; b.csv

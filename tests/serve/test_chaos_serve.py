@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.serve import RegistryJournal, TenantRegistry
-from repro.testing import ServeFaultPlan
+from repro.testing import StageFaultPlan
 from repro.testing.faults import WORKER_EXIT_CODE
 
 from tests.serve.conftest import (
@@ -62,7 +62,7 @@ class TestStageKills:
         spec = make_spec(tmp_path)
         extra = write_extra_source(tmp_path)
         journal_path = tmp_path / "registry.journal"
-        plan = ServeFaultPlan(
+        plan = StageFaultPlan(
             exit_after={stage: 1}, state_dir=str(tmp_path / "faults")
         )
 
@@ -88,7 +88,7 @@ class TestStageKills:
         spec = make_spec(tmp_path)
         extra = write_extra_source(tmp_path)
         journal_path = tmp_path / "registry.journal"
-        plan = ServeFaultPlan(
+        plan = StageFaultPlan(
             exit_after={
                 "created": 1,
                 "bootstrapped": 1,
@@ -144,7 +144,7 @@ class TestBlockedTenantKills:
         spec = make_spec(tmp_path, system="leapme", blocking="minhash")
         extra = write_extra_source(tmp_path)
         journal_path = tmp_path / "registry.journal"
-        plan = ServeFaultPlan(
+        plan = StageFaultPlan(
             exit_after={stage: 1}, state_dir=str(tmp_path / "faults")
         )
 

@@ -6,23 +6,34 @@ from repro.errors import JournalError
 from repro.serve import RegistryJournal
 from repro.serve.journal import (
     REASON_CIRCUIT_OPEN,
+    TENANT_BOOTSTRAPPED,
+    TENANT_CREATED,
     TENANT_QUARANTINED,
+    TENANT_REMOVED,
     TENANT_SOURCE_ADDED,
+    TenantEvent,
 )
 
 
 def populated(tmp_path) -> RegistryJournal:
     journal = RegistryJournal(tmp_path / "registry.journal")
-    journal.record_created("t1", {"system": "lsh"}, "aaaa")
-    journal.record_bootstrapped("t1", 4, 4)
-    journal.record_created("t2", {"system": "lsh"}, "bbbb")
-    journal.record_bootstrapped("t2", 4, 4)
-    journal.record_source_added("t1", "extra.csv", "cccc", 1, 2, 8)
-    journal.record_quarantined(
-        "t2", REASON_CIRCUIT_OPEN, ValueError("boom"), 3
-    )
-    journal.record_created("t3", {"system": "lsh"}, None)
-    journal.record_removed("t3")
+    for event in [
+        TenantEvent("t1", TENANT_CREATED, spec={"system": "lsh"}, fingerprint="aaaa"),
+        TenantEvent("t1", TENANT_BOOTSTRAPPED, properties=4, pairs=4),
+        TenantEvent("t2", TENANT_CREATED, spec={"system": "lsh"}, fingerprint="bbbb"),
+        TenantEvent("t2", TENANT_BOOTSTRAPPED, properties=4, pairs=4),
+        TenantEvent(
+            "t1", TENANT_SOURCE_ADDED, file="extra.csv", fingerprint="cccc",
+            order=1, properties=2, pairs=8,
+        ),
+        TenantEvent(
+            "t2", TENANT_QUARANTINED, reason=REASON_CIRCUIT_OPEN,
+            error_type="ValueError", error="boom", failures=3,
+        ),
+        TenantEvent("t3", TENANT_CREATED, spec={"system": "lsh"}),
+        TenantEvent("t3", TENANT_REMOVED),
+    ]:
+        journal.append(event)
     return journal
 
 

@@ -149,6 +149,20 @@ class TestDescribe:
         assert code == 2
         assert "journal not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]\n",
+            '{"type": "registry-journal", "version": 1}\n"x"\n',
+        ],
+    )
+    def test_non_object_line_is_a_journal_error(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(text)
+        code = main(["describe", "--journal", str(path)])
+        assert code == 2
+        assert "error: corrupt journal line" in capsys.readouterr().err
+
 
 class TestMatch:
     def test_supervised_match_to_csv(self, tmp_path, capsys):
