@@ -1,6 +1,6 @@
 # Developer convenience targets.
 
-.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench-smoke bench bench-features bench-kernel bench-blocking bench-suite bench-tiny bench-paper examples lines
+.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench-smoke bench-trace bench bench-features bench-kernel bench-blocking bench-suite bench-tiny bench-paper examples lines
 
 install:
 	pip install -e . || python setup.py develop
@@ -61,6 +61,12 @@ serve-http-smoke:
 # digests.  Tier-1 does not collect them (testpaths = tests).
 bench-smoke:
 	python -m pytest bench -q
+
+# One traced grid_engine run: the end-to-end metrics plus the per-layer
+# split (calls, busy and self seconds per traced function, parent vs
+# worker) of the cameras grid.
+bench-trace:
+	python3 bench/run.py --workload grid_engine --trace 1
 
 # Evaluation-engine benchmark: serial legacy grid vs shared feature
 # store + process-pool executor.  Writes BENCH_grid.json.

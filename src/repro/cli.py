@@ -655,8 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 1)")
     evaluate.add_argument("--cell-timeout", type=float, default=None,
                           metavar="SECONDS",
-                          help="wall-clock deadline per repetition under "
-                               "--workers: a hung repetition is killed, "
+                          help="wall-clock deadline per repetition (pair "
+                               "build, fit and score) under --workers: a "
+                               "hung repetition is killed, "
                                "re-dispatched, and quarantined if it keeps "
                                "timing out (default: no deadline)")
     evaluate.add_argument("--max-pool-respawns", type=int, default=5,

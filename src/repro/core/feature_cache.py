@@ -12,14 +12,12 @@ repetitions.  The seed implementation recomputed, per grid cell:
 
 This module hoists both.  :class:`PairUniverse` enumerates all
 cross-source pairs of a dataset exactly once and serves every
-``(sources, within)`` subset by filtering that enumeration -- the
-result is element-identical to ``build_pairs``.  :class:`PairFeatureStore`
-is a thin gather over the staged pipeline's outputs: the full-width
-float32 matrix over the universe is assembled once from the cached
-per-property stage columns, then any (pair set, config) request is a
-row gather plus a column slice; the gathered full-width submatrix is
-cached per pair set, so the nine configs of a grid cell share one
-gather and eight of them are zero-copy column views of it.
+``(sources, within)`` subset with one vectorised mask over that
+enumeration -- the result is element-identical to ``build_pairs``.
+:class:`PairFeatureStore` is a thin gather over the staged pipeline's
+outputs: the full-width float32 matrix over the universe is assembled
+once from the cached per-property stage columns, then any (pair set,
+config) request is one read-only ``matrix[rows, columns]`` gather.
 
 Stores are keyed by the dataset's content fingerprint: a store never
 answers for a dataset it was not built from.  :meth:`PairFeatureStore.add_source`
@@ -119,14 +117,20 @@ class PairUniverse:
         self._index_of: dict[PropertyRef, int] = {
             ref: index for index, ref in enumerate(properties)
         }
-        self._block_sizes = [
-            end - start for start, end in source_block_bounds(properties)
-        ]
+        bounds = source_block_bounds(properties)
+        self._block_sizes = [end - start for start, end in bounds]
+        #: Source name of each source id; ``_property_source[i]`` is the
+        #: source id of property ``i`` (sources sort as their blocks do).
+        self._source_names = [properties[start].source for start, _ in bounds]
+        self._property_source = np.repeat(
+            np.arange(len(bounds), dtype=np.intp), self._block_sizes
+        )
         self._stats_cache: dict | None = None
         self._subset_cache: dict[tuple[frozenset[str], bool], PairSet] = {}
-        # rows_of is a per-pair Python loop; the same (memoised) pair
+        # lookup_rows is a per-pair Python loop; the same (memoised) pair
         # list recurs for every config of a grid cell, so cache the row
-        # arrays by list identity.  Entries hold a strong reference to
+        # arrays by list identity (subsets enter with the rows their
+        # mask selected).  Entries hold a strong reference to
         # the list, which keeps the id stable while cached.  Sizing: a
         # grid touches repetitions+1 entries per train fraction, and the
         # entries are small (index arrays / pair lists), so the caps sit
@@ -157,20 +161,29 @@ class PairUniverse:
                 raise ConfigurationError(f"unknown sources: {sorted(unknown)}")
             selected = set(sources)
         # The same split recurs across the nine configs of a grid cell;
-        # memoise so the filter runs once per (sources, within).
+        # memoise so the mask runs once per (sources, within).
         cache_key = (frozenset(selected), within)
         with self._cache_lock:
             cached = self._subset_cache.get(cache_key)
             if cached is not None:
                 return cached
-        kept = [
-            pair
-            for pair in self.pairs
-            if (pair.left.source in selected and pair.right.source in selected)
-            == within
-        ]
+        chosen = np.array(
+            [name in selected for name in self._source_names], dtype=bool
+        )
+        width = max(len(self._index_of), 1)
+        inside = (
+            chosen[self._property_source[self._keys // width]]
+            & chosen[self._property_source[self._keys % width]]
+        )
+        rows = np.flatnonzero(inside == within)
+        rows.setflags(write=False)
+        kept = [self.pairs[row] for row in rows.tolist()]
         with self._cache_lock:
             result = self._subset_cache.setdefault(cache_key, PairSet(kept))
+            if result.pairs is kept:
+                # The rows are known already: store gathers over this
+                # subset never walk its pairs through lookup_rows.
+                self._remember_rows(kept, rows)
         return result
 
     def training_sample(
@@ -184,7 +197,7 @@ class PairUniverse:
         Every config of a grid cell draws the same training sample (the
         rng is reseeded from ``rng_seed`` per draw), so the sample --
         like the subset it comes from -- is computed once and the shared
-        ``PairSet`` object lets the row/gather caches downstream hit.
+        ``PairSet`` object lets the row cache hit.
         The draw consumes a fresh generator exactly as the direct path
         does, so the sampled content is bit-identical.
         """
@@ -348,10 +361,14 @@ class PairUniverse:
         rows = self._require_rows(self.lookup_rows(pairs))
         rows.setflags(write=False)
         with self._cache_lock:
-            self._rows_cache[id(pairs)] = (pairs, rows)
-            if len(self._rows_cache) > self._rows_cache_size:
-                self._rows_cache.popitem(last=False)
+            self._remember_rows(pairs, rows)
         return rows
+
+    def _remember_rows(self, pairs, rows: np.ndarray) -> None:
+        """Cache ``rows`` for the ``pairs`` list; caller holds the lock."""
+        self._rows_cache[id(pairs)] = (pairs, rows)
+        if len(self._rows_cache) > self._rows_cache_size:
+            self._rows_cache.popitem(last=False)
 
 
 class PairFeatureStore:
@@ -359,10 +376,10 @@ class PairFeatureStore:
 
     The matrix is assembled once at construction (a thin gather over
     the pipeline's columnar stage outputs); every
-    ``features(pairs, config)`` call afterwards is a cached row gather
-    plus a column slice.  The store is read-only: the full matrix and
-    the cached gathers have their write flags cleared, so the views
-    handed to different grid cells cannot corrupt each other.
+    ``features(pairs, config)`` call afterwards is one gather of the
+    requested rows and the config's columns.  The store keeps no
+    per-request state, so concurrent readers share it without a lock;
+    the full matrix and every served matrix are read-only.
     """
 
     def __init__(
@@ -370,8 +387,6 @@ class PairFeatureStore:
         table: PropertyFeatureTable,
         universe: PairUniverse,
         *,
-        gather_cache_size: int = 64,
-        gather_cache_bytes: int = 1 << 30,
         matrix: np.ndarray | None = None,
     ) -> None:
         if table.dataset_fingerprint != universe.dataset_fingerprint:
@@ -390,17 +405,6 @@ class PairFeatureStore:
         if matrix is None:
             matrix = self._assemble(table, list(universe.pairs))
         self.matrix = matrix
-        # Gathers are the memory-heavy cache (full-width row submatrices).
-        # A grid touches repetitions+1 of them per train fraction, so the
-        # count cap sits above realistic repetition counts; the byte
-        # budget bounds worst-case memory at large dataset scales.
-        self._gather_cache: OrderedDict[bytes, np.ndarray] = OrderedDict()
-        self._gather_cache_size = gather_cache_size
-        self._gather_cache_bytes = gather_cache_bytes
-        self._gather_bytes = 0
-        # Serialises gather-cache bookkeeping so concurrent read-only
-        # requests (serve-layer handler threads) can share one store.
-        self._cache_lock = threading.Lock()
 
     def _assemble(
         self, table: PropertyFeatureTable, pairs: list[LabeledPair]
@@ -501,9 +505,6 @@ class PairFeatureStore:
         self.matrix = matrix
         self.universe = universe
         self.dataset_fingerprint = universe.dataset_fingerprint
-        with self._cache_lock:
-            self._gather_cache.clear()
-            self._gather_bytes = 0
         return new_pairs
 
     def with_source(self, addition: Dataset) -> tuple["PairFeatureStore", PairSet]:
@@ -518,49 +519,22 @@ class PairFeatureStore:
         its fingerprint-keyed row cache -- but nothing mutable.
         """
         table, universe, matrix, new_pairs = self._delta_parts(addition)
-        store = PairFeatureStore(
-            table,
-            universe,
-            gather_cache_size=self._gather_cache_size,
-            gather_cache_bytes=self._gather_cache_bytes,
-            matrix=matrix,
-        )
-        return store, new_pairs
-
-    def _gathered(self, rows: np.ndarray) -> np.ndarray:
-        key = rows.tobytes()
-        with self._cache_lock:
-            cached = self._gather_cache.get(key)
-            if cached is not None:
-                self._gather_cache.move_to_end(key)
-                return cached
-        gathered = self.matrix[rows]
-        gathered.setflags(write=False)
-        with self._cache_lock:
-            self._gather_cache[key] = gathered
-            self._gather_bytes += gathered.nbytes
-            while self._gather_cache and (
-                len(self._gather_cache) > self._gather_cache_size
-                or self._gather_bytes > self._gather_cache_bytes
-            ):
-                _, evicted = self._gather_cache.popitem(last=False)
-                self._gather_bytes -= evicted.nbytes
-        return gathered
+        return PairFeatureStore(table, universe, matrix=matrix), new_pairs
 
     def features(
         self,
         pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
         config: FeatureConfig,
     ) -> np.ndarray:
-        """Feature matrix for ``pairs`` under ``config``.
+        """Read-only feature matrix for ``pairs`` under ``config``.
 
-        Zero-copy whenever the config's blocks are adjacent in the full
-        schema (eight of the nine grid cells): the result is a column
-        view of the cached row gather.  Under a blocking policy a
-        request may include pairs the universe pruned (the incremental
-        clusterer scores arbitrary new-vs-existing links); those
-        requests are assembled directly from the staged pipeline, which
-        yields the same feature values as universe rows would.
+        One gather of the pairs' universe rows and the config's columns
+        (a slice for eight of the nine grid configs, an index array for
+        ``both/non_embedding``).  Under a blocking policy a request may
+        include pairs the universe pruned (the incremental clusterer
+        scores arbitrary new-vs-existing links); those requests are
+        assembled directly from the staged pipeline, which yields the
+        same feature values as universe rows would.
         """
         if isinstance(pairs, PairSet):
             pairs = pairs.pairs
@@ -573,4 +547,9 @@ class PairFeatureStore:
                 raise
             return pair_feature_matrix(self.table, list(pairs), config)
         columns = self.schema.active_columns(config)
-        return self._gathered(rows)[:, columns]
+        if isinstance(columns, slice):
+            served = self.matrix[rows, columns]
+        else:
+            served = self.matrix[np.ix_(rows, columns)]
+        served.setflags(write=False)
+        return served

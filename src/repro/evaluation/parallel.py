@@ -28,6 +28,12 @@ at that item's position in serial order; later completed items are
 discarded unjournaled, leaving exactly the journal prefix a serial kill
 would have left.
 
+Every repetition runs :func:`~repro.evaluation.runner._run_repetition`
+to the end in the worker that picked it up -- pair build, fit *and*
+score, exactly as the serial loop does -- so the parallel grid has one
+score path, the workers share the score phase, and the supervisor's
+``cell_timeout`` deadline covers scoring as it does every other phase.
+
 Workers keep per-process caches (matcher per cell, pair universe and
 feature store per dataset).  With ``share_features=True`` under the
 ``fork`` start method the parent prebuilds universes and stores before
@@ -38,17 +44,6 @@ full-width matrix, all read-only -- so children inherit schema +
 columns through copy-on-write pages rather than re-deriving ad-hoc
 matrices, and the construction cost is paid exactly once per grid.
 Under ``spawn`` each worker builds its own, at most once per dataset.
-
-Prebuilt stores also enable **two-stage scoring**: a worker whose store
-the parent holds runs pair build + fit only and ships back a
-:class:`~repro.evaluation.runner._PendingScore` (the fitted classifier,
-pre-pickled) instead of scoring.  The parent resolves pendings in
-serial order after the pool drains (:class:`_ScoreResolver`), replaying
-the deterministic test split against its own store's float32 gather --
-bit-identical features, so identical scores and journals.
-Scoring in the parent runs uncontended: workers scoring concurrently
-time-slice against each other and re-fault fresh feature upcasts per
-process, which is exactly the score-phase regression this removes.
 
 Failure model: the pool is run by
 :class:`~repro.evaluation.supervisor.PoolSupervisor` -- a dead worker
@@ -65,14 +60,12 @@ prefix rather than nothing.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from queue import Empty
-from time import perf_counter
 
 import numpy as np
 
@@ -85,23 +78,18 @@ from repro.evaluation.checkpoint import (
     RunJournal,
     run_key,
 )
-from repro.evaluation.metrics import evaluate_scores
 from repro.evaluation.runner import (
     ExperimentResult,
-    PhaseTimings,
     RetryPolicy,
     RunSettings,
     _apply_journal_entry,
     _apply_outcome,
     _journal_outcome,
     _Outcome,
-    _PendingScore,
     _run_repetition,
-    blocked_test_quality,
     probe_policy_embeddings,
 )
 from repro.evaluation.supervisor import PoolSupervisor, SupervisorPolicy
-from repro.nn.guards import assert_finite
 
 
 @dataclass(frozen=True)
@@ -133,7 +121,6 @@ def _init_worker_process(
     retry_policy,
     share_features,
     start_queue=None,
-    defer_scores=False,
     policy=None,
 ) -> None:
     """Pool initializer run *in the worker*: signals, then shared state.
@@ -154,7 +141,6 @@ def _init_worker_process(
         retry_policy,
         share_features,
         start_queue,
-        defer_scores,
         policy,
     )
 
@@ -165,10 +151,8 @@ def _init_worker(
     retry_policy,
     share_features,
     start_queue=None,
-    defer_scores=False,
     policy=None,
 ) -> None:
-    prebuilt_stores = dict(_PREBUILT.get("stores", ()))
     _STATE.clear()
     _STATE.update(
         factories=factories,
@@ -176,15 +160,10 @@ def _init_worker(
         retry_policy=retry_policy,
         share_features=share_features,
         start_queue=start_queue,
-        defer_scores=defer_scores,
         policy=policy,
-        # Keys whose store the *parent* also holds: only repetitions on
-        # one of these may defer their score phase (the parent must be
-        # able to gather the very same features).
-        prebuilt_stores=frozenset(prebuilt_stores),
         matchers={},
         universes=dict(_PREBUILT.get("universes", ())),
-        stores=prebuilt_stores,
+        stores=dict(_PREBUILT.get("stores", ())),
     )
 
 
@@ -294,19 +273,8 @@ def _execute_item(cell: GridCell, repetition: int):
     universe = (
         _worker_universe(cell.dataset_index) if _STATE["share_features"] else None
     )
-    matcher = _worker_matcher(cell)
-    defer_key = None
-    if _STATE.get("defer_scores"):
-        embeddings = getattr(matcher, "embeddings", None)
-        store = getattr(matcher, "store", None)
-        if embeddings is not None and store is not None:
-            key = (cell.dataset_index, id(embeddings))
-            # ids survive fork, so "same key + same object" proves the
-            # parent holds this very store and can score against it.
-            if key in _STATE["prebuilt_stores"] and store is _STATE["stores"].get(key):
-                defer_key = key
     return _run_repetition(
-        matcher,
+        _worker_matcher(cell),
         dataset,
         cell.settings,
         repetition,
@@ -314,7 +282,6 @@ def _execute_item(cell: GridCell, repetition: int):
         _STATE["retry_policy"],
         time.sleep,
         universe=universe,
-        defer_key=defer_key,
     )
 
 
@@ -419,7 +386,7 @@ def run_grid_parallel(
     ]
 
     drain = _SerialDrain(cells, results, keys, restored, journal)
-    outcomes: dict[tuple[int, int], object] = {}
+    outcomes: dict[tuple[int, int], _Outcome] = {}
     #: Blocked universes the parent holds (prebuilt or stats-only);
     #: reused for the per-result pair-recall/reduction annotation.
     parent_universes: dict[int, object] = {}
@@ -431,7 +398,6 @@ def run_grid_parallel(
         outcomes[item] = outcome
         drain.advance(outcomes)
 
-    defer_scores = False
     if pending:
         context = _pool_context()
         if share_features and context.get_start_method() == "fork":
@@ -442,17 +408,6 @@ def run_grid_parallel(
                 candidate_policy,
             )
             parent_universes.update(_PREBUILT["universes"])
-            # Two-stage execution: workers fit, the parent scores after
-            # the drain.  Only meaningful when there is a prebuilt store
-            # the parent can gather the same features from.
-            defer_scores = bool(_PREBUILT["stores"])
-            if defer_scores:
-                drain.resolver = _ScoreResolver(
-                    cells,
-                    datasets,
-                    _PREBUILT["universes"],
-                    _PREBUILT["stores"],
-                )
         stop = threading.Event()
         received_signum: int | None = None
 
@@ -490,7 +445,6 @@ def run_grid_parallel(
                     retry_policy,
                     share_features,
                     start_queue_box[0],
-                    defer_scores,
                     candidate_policy,
                 ),
             )
@@ -538,12 +492,8 @@ def run_grid_parallel(
                 pool_supervisor.run()
             except GridInterrupted as interrupted:
                 # Outcomes harvested during shutdown are already
-                # journaled by the progressive drain -- except deferred
-                # scores, whose training effort is preserved by scoring
-                # them now, before the prefix is sealed.  Attach the
-                # signal for the caller's exit code.
-                drain.enable_resolution()
-                drain.advance(outcomes)
+                # journaled by the progressive drain; attach the signal
+                # for the caller's exit code.
                 interrupted.signum = received_signum
                 raise
         finally:
@@ -553,7 +503,6 @@ def run_grid_parallel(
             for signum, previous in installed.items():
                 signal.signal(signum, previous)
 
-    drain.enable_resolution()
     drain.advance(outcomes)
     if candidate_policy is not None and not candidate_policy.is_null:
         # Annotate every cell with the candidate-generation quality of
@@ -576,78 +525,6 @@ def run_grid_parallel(
     return results
 
 
-class _ScoreResolver:
-    """Parent-side completion of deferred score phases.
-
-    Workers whose feature store was prebuilt by the parent ship back a
-    :class:`_PendingScore` -- training done, scoring not -- and the
-    parent finishes each one here, after the pool has drained, so the
-    score phase runs uncontended instead of time-slicing against
-    sibling workers.  The test split is replayed deterministically from
-    ``(seed, repetition)`` and features come from the same float32
-    store gather the worker would read (the classifier's float64
-    upcast is exact), so scores, qualities and journals match the
-    serial grid byte for byte.
-
-    The resolver keeps direct references to the prebuilt universes and
-    stores: resolution happens after ``_PREBUILT`` has been cleared.
-    """
-
-    def __init__(self, cells, datasets, universes, stores) -> None:
-        self._cells = cells
-        self._datasets = datasets
-        self._universes = dict(universes)
-        self._stores = dict(stores)
-
-    def resolve_pending(
-        self, cell_index: int, repetition: int, pending: _PendingScore
-    ) -> _Outcome:
-        from repro.core.config import FeatureConfig
-
-        cell = self._cells[cell_index]
-        timings = (
-            pending.timings if pending.timings is not None else PhaseTimings()
-        )
-        try:
-            dataset = self._datasets[cell.dataset_index]
-            rng = np.random.default_rng((cell.settings.seed, repetition))
-            split = split_sources(dataset, cell.settings.train_fraction, rng)
-            universe = self._universes[cell.dataset_index]
-            store = self._stores[pending.store_key]
-            config = FeatureConfig.from_label(pending.config_label)
-            classifier = pickle.loads(pending.classifier)
-            started = perf_counter()
-            test = universe.subset(list(split.train_sources), within=False)
-            timings.pair_build += perf_counter() - started
-            started = perf_counter()
-            features = store.features(test.pairs, config)
-            timings.feature_assembly += perf_counter() - started
-            started = perf_counter()
-            scores = classifier.match_scores(features)
-            timings.score += perf_counter() - started
-            assert_finite(scores, "similarity scores")
-            quality = evaluate_scores(scores, test.labels(), pending.threshold)
-            if universe.is_blocked:
-                quality = blocked_test_quality(
-                    quality, universe, list(split.train_sources)
-                )
-            return _Outcome(
-                status=STATUS_OK,
-                quality=quality,
-                degradation=pending.degradation,
-                attempts=pending.attempts,
-                timings=timings,
-            )
-        except Exception as error:  # noqa: BLE001 -- isolation boundary
-            return _Outcome(
-                status=STATUS_FAILED,
-                error_type=type(error).__name__,
-                error_message=str(error),
-                attempts=pending.attempts,
-                timings=timings,
-            )
-
-
 class _SerialDrain:
     """Incremental serial-order fold of restored entries and outcomes.
 
@@ -657,12 +534,6 @@ class _SerialDrain:
     the parent in exactly the order the serial runner would emit them,
     and stops at the first item that is neither restored nor completed.
     Progressive calls therefore never double-apply anything.
-
-    A :class:`_PendingScore` at the cursor stalls the drain while the
-    pool is still running (its scoring must wait for an idle parent);
-    once :meth:`enable_resolution` is called -- after the pool drains,
-    or while journaling the prefix of an interrupted run -- pendings
-    are resolved in serial order through the attached resolver.
     """
 
     def __init__(
@@ -683,14 +554,8 @@ class _SerialDrain:
             for repetition in range(cell.settings.repetitions)
         ]
         self._position = 0
-        self.resolver: _ScoreResolver | None = None
-        self._resolve = False
 
-    def enable_resolution(self) -> None:
-        """Allow pendings at the cursor to be scored (pool is drained)."""
-        self._resolve = True
-
-    def advance(self, outcomes: dict[tuple[int, int], object]) -> None:
+    def advance(self, outcomes: dict[tuple[int, int], _Outcome]) -> None:
         while self._position < len(self._slots):
             cell_index, repetition = self._slots[self._position]
             entry = self._restored[cell_index].get(repetition)
@@ -701,12 +566,6 @@ class _SerialDrain:
             outcome = outcomes.get((cell_index, repetition))
             if outcome is None:
                 return
-            if isinstance(outcome, _PendingScore):
-                if not self._resolve or self.resolver is None:
-                    return
-                outcome = self.resolver.resolve_pending(
-                    cell_index, repetition, outcome
-                )
             del outcomes[(cell_index, repetition)]
             _apply_outcome(self._results[cell_index], repetition, outcome)
             if self._journal is not None:

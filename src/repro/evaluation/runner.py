@@ -53,7 +53,6 @@ The grid is cache-aware and parallelisable:
 from __future__ import annotations
 
 import hashlib
-import pickle
 import time
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -314,49 +313,6 @@ class ExperimentResult:
 
 
 @dataclass(frozen=True)
-class _PendingScore:
-    """A repetition whose training finished but whose scoring is deferred.
-
-    Shipped from a pool worker to the parent instead of an
-    :class:`_Outcome` when the parallel grid runs with shared prebuilt
-    feature stores (see :mod:`repro.evaluation.parallel`): the worker
-    does the expensive pair build and fit, the parent replays the
-    deterministic test split against its own store and scores
-    uncontended after the pool drains.  ``classifier`` is the fitted
-    classifier, pre-pickled in the worker so an unpicklable one is
-    detected there (and scoring falls back in-worker) rather than
-    poisoning the result channel.
-    """
-
-    classifier: bytes
-    threshold: float
-    config_label: str
-    store_key: tuple
-    degradation: str | None
-    attempts: int
-    timings: PhaseTimings
-
-
-def _pending_score(matcher, store_key: tuple, attempts: int, timings: PhaseTimings):
-    """Build the deferred-score record, or ``None`` to score in-worker."""
-    try:
-        payload = pickle.dumps(matcher.classifier)
-        config_label = matcher.feature_config.label()
-        threshold = float(matcher.threshold)
-    except Exception:  # repro: noqa[REP005] deferral is an optimisation: anything unshippable scores in-worker instead
-        return None
-    return _PendingScore(
-        classifier=payload,
-        threshold=threshold,
-        config_label=config_label,
-        store_key=store_key,
-        degradation=getattr(matcher, "last_degradation", None),
-        attempts=attempts,
-        timings=timings,
-    )
-
-
-@dataclass(frozen=True)
 class _Outcome:
     """Internal: what one repetition produced after isolation/retries.
 
@@ -409,8 +365,7 @@ def _run_repetition(
     retry_policy: RetryPolicy,
     sleep,
     universe=None,
-    defer_key: tuple | None = None,
-) -> _Outcome | _PendingScore:
+) -> _Outcome:
     """One repetition under failure isolation and the retry policy.
 
     Only :class:`Exception` is caught: ``KeyboardInterrupt`` and other
@@ -422,11 +377,10 @@ def _run_repetition(
     of this dataset), pair sets are memoised filters of the one-time
     enumeration instead of fresh quadratic walks.
 
-    ``defer_key`` (the parent's shared-store key, set only by pool
-    workers whose store the parent also holds) switches supervised
-    store-backed repetitions to two-stage execution: fit here, return a
-    :class:`_PendingScore`, and let the parent run the score phase
-    uncontended.  Everything else scores inline as before.
+    Serial grids and pool workers both run this function to the end:
+    a repetition is fitted and scored in the same process, so the
+    parallel grid's ``--cell-timeout`` deadline covers the score phase
+    too.
     """
 
     shared = universe is not None and (
@@ -464,8 +418,8 @@ def _run_repetition(
                 candidates = pairs_for(within=True)
                 if shared:
                     # Same draw, memoised: every config of this grid
-                    # cell reuses one PairSet object, so the store's
-                    # row/gather caches hit across configs.
+                    # cell reuses one PairSet object, so the universe's
+                    # row cache hits across configs.
                     training = universe.training_sample(
                         candidates, settings.negative_ratio, sample_seed
                     )
@@ -494,10 +448,6 @@ def _run_repetition(
                 )
                 timings.feature_assembly += feature_share
                 timings.train += max(0.0, elapsed - feature_share)
-                if defer_key is not None and shared:
-                    pending = _pending_score(matcher, defer_key, attempt, timings)
-                    if pending is not None:
-                        return pending
             features_before = _matcher_feature_seconds(matcher)
             started = perf_counter()
             scores = matcher.score_pairs(dataset, test.pairs)

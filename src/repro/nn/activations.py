@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.layers import Layer, saved_for_backward
 
 
 class ReLU(Layer):
@@ -14,11 +14,13 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, 0.0)
+        mask = inputs > 0
+        if training:
+            self._mask = mask
+        return np.where(mask, inputs, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._mask
+        return grad_output * saved_for_backward(self._mask)
 
 
 class Sigmoid(Layer):
@@ -34,11 +36,12 @@ class Sigmoid(Layer):
         out[positive] = 1.0 / (1.0 + np.exp(-inputs[positive]))
         exp_x = np.exp(inputs[~positive])
         out[~positive] = exp_x / (1.0 + exp_x)
-        self._outputs = out
+        if training:
+            self._outputs = out
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        out = self._outputs
+        out = saved_for_backward(self._outputs)
         return grad_output * out * (1.0 - out)
 
 
@@ -49,8 +52,10 @@ class Tanh(Layer):
         self._outputs: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        self._outputs = np.tanh(inputs)
-        return self._outputs
+        outputs = np.tanh(inputs)
+        if training:
+            self._outputs = outputs
+        return outputs
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._outputs**2)
+        return grad_output * (1.0 - saved_for_backward(self._outputs) ** 2)

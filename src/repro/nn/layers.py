@@ -17,7 +17,12 @@ class Layer:
     """
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        """Compute the layer output, caching whatever backward needs."""
+        """Compute the layer output.
+
+        Only ``training=True`` keeps what :meth:`backward` needs; an
+        inference forward pass leaves the layer's state untouched, so a
+        scored matrix is never pinned by the network that scored it.
+        """
         raise NotImplementedError
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -31,6 +36,13 @@ class Layer:
     def gradients(self) -> list[np.ndarray]:
         """Gradient arrays aligned with :meth:`parameters`."""
         return []
+
+
+def saved_for_backward(state: np.ndarray | None) -> np.ndarray:
+    """The array a training forward kept for :meth:`Layer.backward`."""
+    if state is None:
+        raise DimensionError("backward called before a training forward")
+    return state
 
 
 class Dense(Layer):
@@ -70,13 +82,12 @@ class Dense(Layer):
                 f"Dense({self.in_features}->{self.out_features}) got input "
                 f"shape {inputs.shape}"
             )
-        self._inputs = inputs
+        if training:
+            self._inputs = inputs
         return inputs @ self.weights + self.bias
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._inputs is None:
-            raise DimensionError("backward called before forward")
-        self.grad_weights[...] = self._inputs.T @ grad_output
+        self.grad_weights[...] = saved_for_backward(self._inputs).T @ grad_output
         self.grad_bias[...] = grad_output.sum(axis=0)
         return grad_output @ self.weights.T
 

@@ -1,5 +1,7 @@
 """Tests for the LEAPME classifier and end-to-end matcher."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,14 @@ class TestLeapmeClassifier:
         features, labels = _separable(rng)
         classifier = LeapmeClassifier(FAST).fit(features, labels)
         assert classifier.match_scores(np.zeros((0, 6))).shape == (0,)
+
+    def test_scoring_leaves_the_classifier_unchanged_in_size(self, rng):
+        features, labels = _separable(rng)
+        classifier = LeapmeClassifier(FAST).fit(features, labels)
+        before = len(pickle.dumps(classifier))
+        classifier.match_scores(rng.standard_normal((10_000, 6)))
+        # Inference pins nothing: no scored matrix stays in the layers.
+        assert len(pickle.dumps(classifier)) == before
 
     def test_paper_defaults(self):
         config = LeapmeConfig()

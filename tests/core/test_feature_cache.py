@@ -3,13 +3,16 @@
 Every matrix the store serves must equal what the direct
 ``pair_feature_matrix`` path produces, for every config of the 3x3
 grid; the pair universe must reproduce ``build_pairs`` for every
-``(sources, within)`` request; and the zero-copy claim is checked with
-``np.shares_memory``, not assumed.
+``(sources, within)`` request, with the rows of the subset known
+without a per-pair lookup.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.blocking import CandidatePolicy
 from repro.core import (
     FeatureConfig,
     LeapmeMatcher,
@@ -18,7 +21,7 @@ from repro.core import (
     PropertyFeatureTable,
     pair_feature_matrix,
 )
-from repro.core.config import FeatureKinds, FeatureScope
+from repro.core.config import FeatureKinds
 from repro.core.pipeline import FeatureSchema
 from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.errors import ConfigurationError
@@ -46,6 +49,33 @@ class TestPairUniverse:
             expected = build_pairs(tiny_headphones, selected, within=within)
             actual = universe.subset(selected, within=within)
             assert actual.pairs == expected.pairs
+
+    @given(data=st.data(), within=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_subset_is_build_pairs_with_known_rows(
+        self, tiny_headphones, data, within
+    ):
+        sources = tiny_headphones.sources()
+        selected = data.draw(
+            st.lists(st.sampled_from(sources), unique=True, max_size=len(sources))
+        )
+        universe = PairUniverse(tiny_headphones)
+        subset = universe.subset(selected, within=within)
+        assert subset.pairs == build_pairs(
+            tiny_headphones, selected, within=within
+        ).pairs
+        expected = universe.lookup_rows(subset.pairs)
+        calls = []
+        lookup = PairUniverse.lookup_rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                PairUniverse,
+                "lookup_rows",
+                lambda self, pairs: calls.append(1) or lookup(self, pairs),
+            )
+            rows = universe.rows_of(subset.pairs)
+        assert calls == []
+        np.testing.assert_array_equal(rows, expected)
 
     def test_subset_rejects_unknown_sources(self, tiny_headphones):
         universe = PairUniverse(tiny_headphones)
@@ -114,16 +144,24 @@ class TestPairFeatureStore:
         direct = pair_feature_matrix(table, training.pairs, config)
         np.testing.assert_array_equal(store.features(training, config), direct)
 
-    def test_contiguous_configs_are_zero_copy_views(self, store_fixture):
-        _, universe, store = store_fixture
-        pairs = universe.subset()
-        gathered = store._gathered(universe.rows_of(pairs.pairs))
+    @pytest.mark.parametrize("policy", ["null", "minhash"])
+    def test_features_are_the_config_columns_of_the_pair_rows(
+        self, tiny_headphones, tiny_embeddings, policy
+    ):
+        universe = PairUniverse(
+            tiny_headphones, CandidatePolicy.from_label(policy)
+        )
+        store = PairFeatureStore(
+            PropertyFeatureTable(tiny_headphones, tiny_embeddings), universe
+        )
+        sources = tiny_headphones.sources()
+        pairs = universe.subset(sources[: len(sources) // 2], within=False)
+        rows = universe.rows_of(pairs.pairs)
         for config in FeatureConfig.grid():
-            served = store.features(pairs, config)
-            contiguous = isinstance(
-                store.schema.active_columns(config), slice
+            np.testing.assert_array_equal(
+                store.features(pairs, config),
+                store.matrix[rows][:, store.schema.active_columns(config)],
             )
-            assert np.shares_memory(served, gathered) == contiguous
 
     def test_only_split_scope_non_embedding_needs_a_copy(self, store_fixture):
         _, _, store = store_fixture
@@ -139,20 +177,6 @@ class TestPairFeatureStore:
         served = store.features(universe.subset(), FeatureConfig())
         with pytest.raises(ValueError):
             served[0, 0] = 1.0
-
-    def test_gather_is_cached_across_configs(self, store_fixture):
-        _, universe, store = store_fixture
-        pairs = universe.subset()
-        store._gather_cache.clear()
-        for config in FeatureConfig.grid():
-            store.features(pairs, config)
-        # All nine configs share one row gather of the full matrix.
-        assert len(store._gather_cache) == 1
-        (gathered,) = store._gather_cache.values()
-        served = store.features(
-            pairs, FeatureConfig(scope=FeatureScope.INSTANCES)
-        )
-        assert np.shares_memory(served, gathered)
 
     def test_store_refuses_mismatched_table_and_universe(
         self, tiny_headphones, tiny_cameras, tiny_embeddings

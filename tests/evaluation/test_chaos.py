@@ -18,6 +18,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.core import LeapmeConfig, LeapmeMatcher
 from repro.core.api import Matcher
 from repro.errors import GridInterrupted
 from repro.evaluation import (
@@ -26,7 +27,8 @@ from repro.evaluation import (
     SupervisorPolicy,
 )
 from repro.evaluation.checkpoint import REASON_WORKER_CRASH, STATUS_FAILED
-from repro.testing import FaultPlan, FaultyMatcher
+from repro.nn.schedule import TrainingSchedule
+from repro.testing import FaultPlan, FaultyMatcher, SimulatedKill
 from repro.text.normalize import token_set
 
 FAST = dict(backoff_base=0.01, backoff_cap=0.05, watchdog_interval=0.02)
@@ -72,6 +74,23 @@ def _sigterm_factory(state_dir, repetition):
     return FaultyMatcher(
         NameEqMatcher(),
         FaultPlan.sigterm_parent(repetition, state_dir=state_dir),
+    )
+
+
+class KilledLeapmeMatcher(LeapmeMatcher):
+    """A store-backed LEAPME matcher whose process dies at repetition 3."""
+
+    def notify_repetition(self, repetition, attempt):
+        if repetition == 3:
+            raise SimulatedKill(f"killed at repetition {repetition}")
+
+
+def _killed_leapme_factory(embeddings):
+    return KilledLeapmeMatcher(
+        embeddings,
+        config=LeapmeConfig(
+            hidden_sizes=(8,), schedule=TrainingSchedule.constant(2, 1e-3)
+        ),
     )
 
 
@@ -221,3 +240,32 @@ class TestSignalChaos:
         assert _summaries(resumed) == _summaries(clean_results)
         assert resumed[0].resumed_repetitions == len(journaled)
         assert journal.path.read_bytes() == clean_bytes
+
+
+class TestSimulatedKillChaos:
+    def test_kill_in_store_backed_leapme_grid_journals_the_serial_prefix(
+        self, tiny_headphones, tiny_embeddings, tmp_path
+    ):
+        factory = functools.partial(_killed_leapme_factory, tiny_embeddings)
+        grid = dict(train_fractions=[0.5], repetitions=5, seed=7)
+        written = {}
+        for workers in (1, 2):
+            journal = RunJournal(tmp_path / f"workers-{workers}.jsonl")
+            with pytest.raises(SimulatedKill):
+                ExperimentRunner({"leapme": factory}).run(
+                    [tiny_headphones],
+                    journal=journal,
+                    workers=workers,
+                    # A grace long enough for the sibling still fitting
+                    # repetition 2 to finish: the prefix must not depend
+                    # on scheduling.
+                    supervisor=SupervisorPolicy(shutdown_grace=30.0),
+                    **grid,
+                )
+            # A run that journals nothing leaves no file at all.
+            written[workers] = (
+                journal.path.read_bytes() if journal.path.exists() else b""
+            )
+        # The header plus repetitions 0-2, byte for byte as serial.
+        assert len(written[1].splitlines()) == 4
+        assert written[2] == written[1]

@@ -218,7 +218,7 @@ class TestParallelDeterminism:
 
 class TestParallelLeapme:
     def test_leapme_grid_parallel_and_store_match_serial(
-        self, tiny_headphones, tiny_embeddings
+        self, tiny_headphones, tiny_embeddings, tmp_path
     ):
         config = LeapmeConfig(
             hidden_sizes=(8,), schedule=TrainingSchedule.constant(2, 1e-3)
@@ -232,8 +232,18 @@ class TestParallelLeapme:
         baseline = runner.run(
             [tiny_headphones], share_features=False, **kwargs
         )
-        shared = runner.run([tiny_headphones], **kwargs)
-        parallel = runner.run([tiny_headphones], workers=2, **kwargs)
+        serial_journal = RunJournal(tmp_path / "serial.jsonl")
+        parallel_journal = RunJournal(tmp_path / "parallel.jsonl")
+        shared = runner.run(
+            [tiny_headphones], journal=serial_journal, **kwargs
+        )
+        parallel = runner.run(
+            [tiny_headphones], journal=parallel_journal, workers=2, **kwargs
+        )
         assert _summaries(shared) == _summaries(baseline)
         assert _summaries(parallel) == _summaries(baseline)
         assert shared[0].f1 == baseline[0].f1
+        assert (
+            parallel_journal.path.read_bytes()
+            == serial_journal.path.read_bytes()
+        )

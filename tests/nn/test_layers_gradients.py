@@ -16,7 +16,7 @@ def finite_difference_check(layer, inputs, epsilon=1e-6):
     the output is all-ones, which backward() turns into input and
     parameter gradients.
     """
-    outputs = layer.forward(inputs, training=False)
+    outputs = layer.forward(inputs, training=True)
     grad_inputs = layer.backward(np.ones_like(outputs))
     # Parameter gradients.
     for param, grad in zip(layer.parameters(), layer.gradients()):
@@ -113,6 +113,29 @@ class TestActivationValues:
         assert np.allclose(
             layer.forward(np.array([[1.0]])), -layer.forward(np.array([[-1.0]]))
         )
+
+
+@pytest.mark.parametrize(
+    "make_layer",
+    [lambda: Dense(4, 4), ReLU, Sigmoid, Tanh],
+    ids=["Dense", "ReLU", "Sigmoid", "Tanh"],
+)
+class TestInferenceKeepsNoState:
+    def test_backward_after_inference_forward_raises(self, make_layer, rng):
+        layer = make_layer()
+        out = layer.forward(rng.standard_normal((3, 4)), training=False)
+        with pytest.raises(DimensionError):
+            layer.backward(np.ones_like(out))
+
+    def test_inference_forward_keeps_the_training_state(self, make_layer, rng):
+        layer = make_layer()
+        out = layer.forward(rng.standard_normal((3, 4)), training=True)
+        before = [layer.backward(np.ones_like(out))]
+        before += [grad.copy() for grad in layer.gradients()]
+        layer.forward(rng.standard_normal((50, 4)), training=False)
+        after = [layer.backward(np.ones_like(out)), *layer.gradients()]
+        for expected, actual in zip(before, after, strict=True):
+            np.testing.assert_array_equal(actual, expected)
 
 
 class TestDropout:
