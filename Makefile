@@ -1,6 +1,6 @@
 # Developer convenience targets.
 
-.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench-smoke bench-trace bench bench-features bench-kernel bench-blocking bench-suite bench-tiny bench-paper examples lines
+.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench-smoke bench-trace bench-train bench bench-features bench-kernel bench-blocking bench-suite bench-tiny bench-paper examples lines
 
 install:
 	pip install -e . || python setup.py develop
@@ -67,6 +67,12 @@ bench-smoke:
 # worker) of the cameras grid.
 bench-trace:
 	python3 bench/run.py --workload grid_engine --trace 1
+
+# One traced grid_table2 run: the training-layer counterpart of
+# bench-trace.  The paper's 128-64-2 network under the 10+5+5 schedule
+# makes LeapmeClassifier.fit most of the workers' busy time.
+bench-train:
+	python3 bench/run.py --workload grid_table2 --trace 1
 
 # Evaluation-engine benchmark: serial legacy grid vs shared feature
 # store + process-pool executor.  Writes BENCH_grid.json.

@@ -15,7 +15,7 @@ from repro.core import LeapmeClassifier, LeapmeConfig
 from repro.baselines.lsh import MinHasher
 from repro.embeddings import CorpusGenerator, SynonymLexicon, build_cooccurrence
 from repro.embeddings.glove_like import train_glove_like
-from repro.nn.schedule import TrainingSchedule
+from repro.nn.schedule import TrainingSchedule, paper_schedule
 from repro.text.similarity import name_distance_vector
 
 NAMES = [
@@ -64,6 +64,40 @@ def test_bench_network_training(benchmark):
 
     classifier = benchmark.pedantic(run, rounds=1, iterations=1)
     assert (classifier.predict(features) == labels).mean() > 0.9
+
+
+#: A headphones cell at the paper's 80%/20% split: training and test rows
+#: by the 165 feature columns of the full configuration.
+PAPER_CELL_TRAIN, PAPER_CELL_TEST, PAPER_CELL_COLUMNS = 564, 6_936, 165
+
+
+def _paper_cell_classifier():
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((PAPER_CELL_TRAIN, PAPER_CELL_COLUMNS))
+    labels = (features[:, 0] - features[:, 1] > 0).astype(int)
+    return LeapmeClassifier(LeapmeConfig(schedule=paper_schedule())), features, labels
+
+
+def test_bench_paper_cell_training(benchmark):
+    """The paper's network and 10+5+5-epoch schedule on 564 x 165."""
+    classifier, features, labels = _paper_cell_classifier()
+    fitted = benchmark.pedantic(
+        lambda: classifier.fit(features, labels), rounds=3, iterations=1
+    )
+    assert fitted.history.epochs == 20
+    assert (fitted.predict(features) == labels).mean() > 0.9
+
+
+def test_bench_paper_cell_scoring(benchmark):
+    """``match_scores`` of a trained paper network over 6,936 x 165 rows."""
+    classifier, features, labels = _paper_cell_classifier()
+    classifier.fit(features, labels)
+    test_rows = np.random.default_rng(1).standard_normal(
+        (PAPER_CELL_TEST, PAPER_CELL_COLUMNS)
+    )
+    scores = benchmark(lambda: classifier.match_scores(test_rows))
+    assert scores.shape == (PAPER_CELL_TEST,)
+    assert np.isfinite(scores).all()
 
 
 def test_bench_minhash_signatures(benchmark):

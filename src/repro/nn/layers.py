@@ -37,6 +37,23 @@ class Layer:
         """Gradient arrays aligned with :meth:`parameters`."""
         return []
 
+    def _bind(self, parameters: list[np.ndarray], gradients: list[np.ndarray]) -> None:
+        """Re-bind :meth:`parameters` / :meth:`gradients` to same-shaped views.
+
+        :meth:`Sequential.fit` calls this with views into its flat
+        parameter and gradient vectors (values already copied in).
+        """
+        if parameters or gradients:
+            raise NotImplementedError(f"{type(self).__name__} cannot re-bind parameters")
+
+    def _backward_gradients(self, grad_output: np.ndarray) -> None:
+        """The last backward call of a training step: fill :meth:`gradients`.
+
+        Nothing reads this layer's input gradient, so layers may skip
+        computing it and drop what the training forward saved.
+        """
+        self.backward(grad_output)
+
 
 def saved_for_backward(state: np.ndarray | None) -> np.ndarray:
     """The array a training forward kept for :meth:`Layer.backward`."""
@@ -84,18 +101,33 @@ class Dense(Layer):
             )
         if training:
             self._inputs = inputs
-        return inputs @ self.weights + self.bias
+        outputs = inputs @ self.weights
+        outputs += self.bias
+        return outputs
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        self.grad_weights[...] = saved_for_backward(self._inputs).T @ grad_output
-        self.grad_bias[...] = grad_output.sum(axis=0)
+        self._fill_gradients(grad_output)
         return grad_output @ self.weights.T
+
+    def _fill_gradients(self, grad_output: np.ndarray) -> None:
+        np.matmul(saved_for_backward(self._inputs).T, grad_output, out=self.grad_weights)
+        grad_output.sum(axis=0, out=self.grad_bias)
+
+    def _backward_gradients(self, grad_output: np.ndarray) -> None:
+        # The saved input may be a view of the whole epoch matrix; a
+        # trained network must not pin it.
+        self._fill_gradients(grad_output)
+        self._inputs = None
 
     def parameters(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
 
     def gradients(self) -> list[np.ndarray]:
         return [self.grad_weights, self.grad_bias]
+
+    def _bind(self, parameters: list[np.ndarray], gradients: list[np.ndarray]) -> None:
+        self.weights, self.bias = parameters
+        self.grad_weights, self.grad_bias = gradients
 
 
 class Dropout(Layer):

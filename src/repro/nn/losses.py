@@ -19,6 +19,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def check_labels(labels: np.ndarray, logits_shape: tuple[int, ...]) -> None:
+    """Raise :class:`DimensionError` unless ``labels`` index the logits' classes.
+
+    ``labels`` must be one integer per row of a 2-D ``logits_shape``,
+    each in ``[0, classes)``.
+    """
+    if len(logits_shape) != 2:
+        raise DimensionError(f"logits must be 2-D, got shape {logits_shape}")
+    if labels.shape != (logits_shape[0],):
+        raise DimensionError(
+            f"labels shape {labels.shape} incompatible with logits {logits_shape}"
+        )
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits_shape[1]:
+        raise DimensionError("labels out of range for the given logits")
+
+
 class SoftmaxCrossEntropy:
     """Fused softmax + categorical cross-entropy over integer labels.
 
@@ -34,14 +50,11 @@ class SoftmaxCrossEntropy:
         """Mean cross-entropy of ``logits`` (n, classes) vs labels (n,)."""
         logits = np.asarray(logits, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
-        if logits.ndim != 2:
-            raise DimensionError(f"logits must be 2-D, got shape {logits.shape}")
-        if labels.shape != (logits.shape[0],):
-            raise DimensionError(
-                f"labels shape {labels.shape} incompatible with logits {logits.shape}"
-            )
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
-            raise DimensionError("labels out of range for the given logits")
+        check_labels(labels, logits.shape)
+        return self._forward(logits, labels)
+
+    def _forward(self, logits: np.ndarray, labels: np.ndarray) -> float:
+        """:meth:`forward` for arguments the caller has already checked."""
         self._probs = softmax(logits)
         self._labels = labels
         picked = self._probs[np.arange(len(labels)), labels]

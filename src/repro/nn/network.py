@@ -14,7 +14,7 @@ import numpy as np
 from repro.errors import ConfigurationError, NotFittedError
 from repro.nn.guards import assert_finite, check_loss
 from repro.nn.layers import Layer
-from repro.nn.losses import SoftmaxCrossEntropy, softmax
+from repro.nn.losses import SoftmaxCrossEntropy, check_labels, softmax
 from repro.nn.optimizers import Adam, Optimizer
 from repro.nn.schedule import TrainingSchedule
 
@@ -29,6 +29,31 @@ class TrainingHistory:
     @property
     def epochs(self) -> int:
         return len(self.losses)
+
+
+def _bind_flat(layers: list[Layer]) -> tuple[np.ndarray, np.ndarray]:
+    """One parameter vector and one gradient vector for a training run.
+
+    Copies every layer's parameters, in layer order, into a fresh flat
+    vector and re-binds each layer's parameter and gradient arrays as
+    reshaped views into it and into a matching zero gradient vector, so
+    an optimiser step is a few ufunc calls over the whole network.
+    Nothing is kept on the network: a pickled or copied network holds
+    plain per-layer arrays and is re-bound by its next :meth:`fit`.
+    """
+    parameters = [param for layer in layers for param in layer.parameters()]
+    flat = np.concatenate([param.ravel() for param in parameters] or [np.zeros(0)])
+    grads = np.zeros_like(flat)
+    offset = 0
+    for layer in layers:
+        param_views, grad_views = [], []
+        for param in layer.parameters():
+            stop = offset + param.size
+            param_views.append(flat[offset:stop].reshape(param.shape))
+            grad_views.append(grads[offset:stop].reshape(param.shape))
+            offset = stop
+        layer._bind(param_views, grad_views)
+    return flat, grads
 
 
 class Sequential:
@@ -80,6 +105,11 @@ class Sequential:
     ) -> TrainingHistory:
         """Train with mini-batch gradient descent under a phase schedule.
 
+        Each step runs over one flat parameter vector and one gradient
+        vector (see :func:`_bind_flat`): the layers' arrays are views into
+        them for the rest of this call, and every update is bit-identical
+        to the per-array formulas.
+
         Parameters
         ----------
         inputs, labels:
@@ -92,7 +122,9 @@ class Sequential:
         batch_size:
             Mini-batch size (the paper uses 32).
         optimizer:
-            Defaults to :class:`Adam`, Keras's conventional choice.
+            Defaults to :class:`Adam`, Keras's conventional choice.  It is
+            stepped with ``[flat_parameters]``; a reused optimiser keeps
+            its state only for a network with the same parameter count.
         rng:
             Source of shuffling randomness; pass a seeded generator for
             reproducible training.
@@ -101,10 +133,13 @@ class Sequential:
         ------
         NumericError
             If ``inputs`` contains NaN/Inf values.
+        DimensionError
+            If a label is not a class of the network's output; raised
+            before any weight changes.
         TrainingDivergedError
             If any epoch's mean loss becomes non-finite.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
         assert_finite(inputs, "training inputs")
         labels = np.asarray(labels, dtype=np.int64)
         if inputs.ndim != 2:
@@ -117,23 +152,38 @@ class Sequential:
             raise ConfigurationError("cannot fit on an empty training set")
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+        n = len(inputs)
+        # Every label is checked before the first step changes a weight.
+        check_labels(labels, (n, self.forward(inputs[:1]).shape[1]))
         optimizer = optimizer if optimizer is not None else Adam()
         rng = rng if rng is not None else np.random.default_rng(0)
+        parameters, gradients = _bind_flat(self.layers)
+        # The lowest trainable layer needs no input gradient, and the
+        # layers below it need no backward at all.
+        trainable = [index for index, layer in enumerate(self.layers) if layer.parameters()]
+        lowest = self.layers[trainable[0]] if trainable else None
+        above = self.layers[trainable[0] + 1 :][::-1] if trainable else []
+        batches = -(-n // batch_size)
         history = TrainingHistory()
-        n = len(inputs)
         for learning_rate in schedule.epoch_rates():
             optimizer.learning_rate = learning_rate
-            order = rng.permutation(n) if shuffle else np.arange(n)
+            if shuffle:
+                order = rng.permutation(n)
+                epoch_inputs, epoch_labels = inputs[order], labels[order]
+            else:
+                epoch_inputs, epoch_labels = inputs, labels
             epoch_loss = 0.0
-            batches = 0
             for start in range(0, n, batch_size):
-                batch = order[start : start + batch_size]
-                logits = self.forward(inputs[batch], training=True)
-                loss = self._loss.forward(logits, labels[batch])
-                self.backward(self._loss.backward())
-                optimizer.step(self.parameters(), self.gradients())
+                stop = start + batch_size
+                logits = self.forward(epoch_inputs[start:stop], training=True)
+                loss = self._loss._forward(logits, epoch_labels[start:stop])
+                grad = self._loss.backward()
+                for layer in above:
+                    grad = layer.backward(grad)
+                if lowest is not None:
+                    lowest._backward_gradients(grad)
+                optimizer.step([parameters], [gradients])
                 epoch_loss += loss
-                batches += 1
             history.losses.append(check_loss(epoch_loss / batches, len(history.losses)))
             history.learning_rates.append(learning_rate)
         self._fitted = True

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, DimensionError, NotFittedError
 from repro.nn.activations import ReLU
 from repro.nn.layers import Dense
 from repro.nn.metrics import accuracy, confusion_counts
@@ -55,6 +55,58 @@ class TestOptimizers:
         optimizer.step([big, small], [np.array([100.0]), np.array([1e-3])])
         assert big[0] == pytest.approx(-0.1, rel=1e-3)
         assert small[0] == pytest.approx(-0.1, rel=1e-3)
+
+
+def _first_move(optimizer, fresh):
+    """Step twice; where the second step moves a zero array at position 0."""
+    first = np.zeros(3)
+    optimizer.step([first], [np.array([1.0, -2.0, 0.5])])
+    if fresh == "after-del":
+        del first
+        second = np.zeros(3)  # may reuse the freed array's id
+    elif fresh == "while-alive":
+        second = np.zeros(3)
+    else:
+        second = first
+        second[...] = 0.0
+    optimizer.step([second], [np.array([0.3, 0.3, -4.0])])
+    return second
+
+
+class TestPositionalState:
+    """Optimiser state belongs to list positions, not to array identities."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Adam(learning_rate=0.1), lambda: SGD(0.1, momentum=0.9)],
+        ids=["adam", "sgd-momentum"],
+    )
+    def test_state_does_not_depend_on_array_identity(self, make):
+        moves = [_first_move(make(), fresh) for fresh in ("same", "while-alive", "after-del")]
+        assert np.array_equal(moves[0], moves[1])
+        assert np.array_equal(moves[0], moves[2])
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Adam(learning_rate=0.1), lambda: SGD(0.1, momentum=0.9)],
+        ids=["adam", "sgd-momentum"],
+    )
+    @pytest.mark.parametrize(
+        "shapes", [[(3,)], [(2, 2), (3,)], [(2,), (4,)]], ids=["one", "reshaped", "two"]
+    )
+    def test_step_with_other_shapes_raises(self, make, shapes):
+        optimizer = make()
+        optimizer.step([np.zeros((2, 2)), np.zeros(4)], [np.ones((2, 2)), np.ones(4)])
+        arrays = [np.zeros(shape) for shape in shapes]
+        with pytest.raises(ConfigurationError, match="positional"):
+            optimizer.step(arrays, [np.ones(shape) for shape in shapes])
+
+    def test_state_is_allocated_once(self):
+        optimizer = Adam()
+        x = np.zeros(5)
+        optimizer.step([x], [np.ones(5)])
+        state = [buffer for buffers in optimizer._state for buffer in buffers]
+        optimizer.step([x], [np.ones(5)])
+        after = [buffer for buffers in optimizer._state for buffer in buffers]
+        assert all(a is b for a, b in zip(state, after, strict=True))
 
 
 class TestSchedule:
@@ -143,7 +195,7 @@ class TestSequential:
                 rng=np.random.default_rng(1),
             )
             results.append(network.predict_proba(inputs))
-        assert np.allclose(results[0], results[1])
+        assert np.array_equal(results[0], results[1])
 
     def test_history_records_schedule(self, rng):
         inputs, labels = _toy_problem(rng)
@@ -161,6 +213,23 @@ class TestSequential:
             network.fit(np.zeros((2, 4)), np.zeros(3), schedule)
         with pytest.raises(ConfigurationError):
             network.fit(np.zeros((2, 4)), np.zeros(2), schedule, batch_size=0)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_bad_label_fails_before_any_update(self, rng, bad):
+        inputs, labels = _toy_problem(rng, n=100)
+        labels[-1] = bad
+        network = _paper_network(rng)
+        before = [p.copy() for p in network.parameters()]
+        with pytest.raises(DimensionError, match="out of range"):
+            network.fit(inputs, labels, TrainingSchedule.constant(2, 1e-2), rng=rng)
+        for param, saved in zip(network.parameters(), before, strict=True):
+            assert param.tobytes() == saved.tobytes()
+
+    def test_labels_must_be_one_per_row(self, rng):
+        inputs, labels = _toy_problem(rng, n=40)
+        network = _paper_network(rng)
+        with pytest.raises(DimensionError, match="incompatible"):
+            network.fit(inputs, labels[:, None], TrainingSchedule.constant(1, 1e-2))
 
     def test_num_parameters(self, rng):
         network = _paper_network(rng)
