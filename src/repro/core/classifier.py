@@ -22,13 +22,18 @@ import numpy as np
 
 from repro.core.classical import ClassicalPairClassifier
 from repro.core.config import LeapmeConfig
-from repro.errors import DataError, NotFittedError, TrainingDivergedError
+from repro.errors import (
+    DataError,
+    DimensionError,
+    NotFittedError,
+    TrainingDivergedError,
+)
 from repro.ml.logistic import LogisticRegression
 from repro.ml.scaling import StandardScaler
 from repro.nn.activations import ReLU
 from repro.nn.guards import assert_finite
 from repro.nn.layers import Dense
-from repro.nn.network import Sequential, TrainingHistory
+from repro.nn.network import ROW_BLOCK, Sequential, TrainingHistory, row_blocks
 from repro.nn.optimizers import Adam
 
 #: Degradation labels recorded by :class:`ResilientClassifier`.
@@ -51,6 +56,10 @@ class FittedState:
 
 class LeapmeClassifier:
     """Binary pair classifier producing a match probability per pair."""
+
+    #: :meth:`match_scores` runs in row blocks, so feeding it one block at
+    #: a time scores exactly like one call (``LeapmeMatcher.score_pairs``).
+    scores_in_blocks = True
 
     def __init__(self, config: LeapmeConfig | None = None) -> None:
         self.config = config if config is not None else LeapmeConfig()
@@ -112,18 +121,37 @@ class LeapmeClassifier:
         self._scaler = state.scaler
         return self
 
-    def _transform(self, features: np.ndarray) -> np.ndarray:
-        if self._scaler is not None:
-            return self._scaler.transform(features)
-        return np.asarray(features, dtype=np.float64)
-
     def match_scores(self, features: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities -- the paper's similarity scores."""
+        """Positive-class probabilities -- the paper's similarity scores.
+
+        Rows are scaled and scored in :func:`~repro.nn.network.row_blocks`
+        through one float64 scratch block, so no float64 copy of the
+        whole matrix is made.  The scores equal scoring the whole scaled
+        matrix at once for every size the equivalence test pins (DESIGN
+        §17).
+
+        Raises :class:`~repro.errors.DimensionError` unless ``features``
+        is 2-D with the fitted number of columns.
+        """
         if self._network is None:
             raise NotFittedError("LeapmeClassifier is not fitted")
-        if len(features) == 0:
-            return np.zeros(0)
-        return self._network.predict_proba(self._transform(features))[:, 1]
+        features = np.asarray(features)
+        width = self._network.layers[0].in_features
+        if features.ndim != 2 or features.shape[1] != width:
+            raise DimensionError(
+                f"expected a 2-D matrix of {width} feature columns, "
+                f"got shape {features.shape}"
+            )
+        scores = np.empty(len(features))
+        scratch = np.empty((min(len(features), ROW_BLOCK + 1), width))
+        for start, stop in row_blocks(len(features)):
+            block = scratch[: stop - start]
+            if self._scaler is not None:
+                self._scaler.transform(features[start:stop], out=block)
+            else:
+                block[...] = features[start:stop]
+            scores[start:stop] = self._network.predict_proba(block)[:, 1]
+        return scores
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Hard match decisions at the configured threshold."""
@@ -230,6 +258,15 @@ class ResilientClassifier:
                 "it holds no serialisable network state"
             )
         return accessor()
+
+    @property
+    def scores_in_blocks(self) -> bool:
+        """Whether the trained rung scores in row blocks.
+
+        The classical rung does not: its logistic head is one product
+        over the whole matrix, whose rounding depends on the row count.
+        """
+        return getattr(self._delegate, "scores_in_blocks", False)
 
     def match_scores(self, features: np.ndarray) -> np.ndarray:
         """Positive-class probabilities from whichever rung trained."""

@@ -376,8 +376,8 @@ class PairFeatureStore:
 
     The matrix is assembled once at construction (a thin gather over
     the pipeline's columnar stage outputs); every
-    ``features(pairs, config)`` call afterwards is one gather of the
-    requested rows and the config's columns.  The store keeps no
+    ``features(pairs, config)`` call afterwards is one :meth:`gather` of
+    the requested rows and the config's columns.  The store keeps no
     per-request state, so concurrent readers share it without a lock;
     the full matrix and every served matrix are read-only.
     """
@@ -521,31 +521,30 @@ class PairFeatureStore:
         table, universe, matrix, new_pairs = self._delta_parts(addition)
         return PairFeatureStore(table, universe, matrix=matrix), new_pairs
 
-    def features(
-        self,
-        pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
-        config: FeatureConfig,
-    ) -> np.ndarray:
-        """Read-only feature matrix for ``pairs`` under ``config``.
+    def rows_of(
+        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
+    ) -> np.ndarray | None:
+        """Universe rows of ``pairs``, or ``None`` when they need the direct route.
 
-        One gather of the pairs' universe rows and the config's columns
-        (a slice for eight of the nine grid configs, an index array for
-        ``both/non_embedding``).  Under a blocking policy a request may
-        include pairs the universe pruned (the incremental clusterer
-        scores arbitrary new-vs-existing links); those requests are
-        assembled directly from the staged pipeline, which yields the
-        same feature values as universe rows would.
+        Under a blocking policy a request may include pairs the universe
+        pruned (the incremental clusterer scores arbitrary
+        new-vs-existing links); those have no row, and :meth:`features`
+        assembles them from the staged pipeline instead.
         """
-        if isinstance(pairs, PairSet):
-            pairs = pairs.pairs
-        if not pairs:
-            return np.zeros((0, self.schema.width(config)), dtype=FEATURE_DTYPE)
         try:
-            rows = self.universe.rows_of(pairs)
+            return self.universe.rows_of(pairs)
         except ConfigurationError:
             if not self.universe.is_blocked:
                 raise
-            return pair_feature_matrix(self.table, list(pairs), config)
+            return None
+
+    def gather(self, rows: np.ndarray, config: FeatureConfig) -> np.ndarray:
+        """Read-only feature matrix of universe ``rows`` under ``config``.
+
+        One gather of the rows and the config's columns (a slice for
+        eight of the nine grid configs, an index array for
+        ``both/non_embedding``).
+        """
         columns = self.schema.active_columns(config)
         if isinstance(columns, slice):
             served = self.matrix[rows, columns]
@@ -553,3 +552,21 @@ class PairFeatureStore:
             served = self.matrix[np.ix_(rows, columns)]
         served.setflags(write=False)
         return served
+
+    def features(
+        self,
+        pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
+        config: FeatureConfig,
+    ) -> np.ndarray:
+        """Read-only feature matrix for ``pairs`` under ``config``.
+
+        :meth:`rows_of` then :meth:`gather`; pairs a blocked universe
+        pruned are assembled directly from the staged pipeline, which
+        yields the same feature values as universe rows would.
+        """
+        if isinstance(pairs, PairSet):
+            pairs = pairs.pairs
+        rows = self.rows_of(pairs)
+        if rows is None:
+            return pair_feature_matrix(self.table, list(pairs), config)
+        return self.gather(rows, config)

@@ -22,6 +22,7 @@ from repro.data.model import Dataset
 from repro.data.pairs import LabeledPair, PairSet
 from repro.embeddings.base import WordEmbeddings
 from repro.errors import ConfigurationError, NotFittedError
+from repro.nn.network import row_blocks
 
 
 class LeapmeMatcher(Matcher):
@@ -197,11 +198,34 @@ class LeapmeMatcher(Matcher):
         self.last_degradation = getattr(self._classifier, "degradation", None)
 
     def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
-        """Positive-class probabilities for candidate pairs."""
+        """Positive-class probabilities for candidate pairs.
+
+        On a store-backed dataset, a classifier that scores in row
+        blocks gets one :func:`~repro.nn.network.row_blocks` block at a
+        time, gathered straight from the store matrix: the pairs' rows
+        are resolved once and no whole-set feature matrix is built.
+        Gathers count toward :attr:`feature_seconds`.
+        """
         if self._classifier is None:
             raise NotFittedError("LeapmeMatcher must be fitted before scoring")
-        features = self._features(dataset, pairs)
-        return self._classifier.match_scores(features)
+        started = perf_counter()
+        rows = None
+        if (
+            getattr(self._classifier, "scores_in_blocks", False)
+            and self._store is not None
+            and self._store.serves(dataset)
+        ):
+            rows = self._store.rows_of(pairs)
+        self.feature_seconds += perf_counter() - started
+        if rows is None:
+            return self._classifier.match_scores(self._features(dataset, pairs))
+        scores = np.empty(len(rows))
+        for start, stop in row_blocks(len(rows)):
+            started = perf_counter()
+            block = self._store.gather(rows[start:stop], self.feature_config)
+            self.feature_seconds += perf_counter() - started
+            scores[start:stop] = self._classifier.match_scores(block)
+        return scores
 
     def predict(
         self, dataset: Dataset, pairs: list[LabeledPair]

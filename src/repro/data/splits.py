@@ -31,6 +31,18 @@ class SourceSplit:
             raise ConfigurationError(f"sources in both halves: {sorted(overlap)}")
 
 
+def train_source_count(n_sources: int, train_fraction: float) -> int:
+    """How many of ``n_sources`` sources :func:`split_sources` trains on.
+
+    The fraction is rounded, then clamped: training needs two sources to
+    form any cross-source pair, and testing needs at least one held-out
+    source.  Two fractions can therefore train on the same number of
+    sources (0.1 and 0.2 of 10 sources both give 2).
+    """
+    n_train = int(round(train_fraction * n_sources))
+    return max(2, min(n_train, n_sources - 1)) if n_sources > 2 else 1
+
+
 def split_sources(
     dataset: Dataset,
     train_fraction: float,
@@ -54,10 +66,7 @@ def split_sources(
         raise ConfigurationError(
             f"dataset {dataset.name!r} has {len(sources)} source(s); need >= 2"
         )
-    n_train = int(round(train_fraction * len(sources)))
-    # Training needs two sources to form any cross-source pair; testing
-    # needs at least one held-out source.
-    n_train = max(2, min(n_train, len(sources) - 1)) if len(sources) > 2 else 1
+    n_train = train_source_count(len(sources), train_fraction)
     order = rng.permutation(len(sources))
     train = tuple(sorted(sources[int(i)] for i in order[:n_train]))
     test = tuple(sorted(sources[int(i)] for i in order[n_train:]))

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -62,7 +63,7 @@ import numpy as np
 from repro.core.api import Matcher
 from repro.data.model import Dataset
 from repro.data.pairs import build_pairs, sample_training_pairs
-from repro.data.splits import repeated_source_splits
+from repro.data.splits import repeated_source_splits, train_source_count
 from repro.errors import ConfigurationError
 from repro.evaluation.checkpoint import (
     QUARANTINE_REASONS,
@@ -624,6 +625,33 @@ def evaluate_matcher(
     return result
 
 
+def _warn_collapsing_fractions(
+    datasets: list[Dataset], train_fractions: tuple[float, ...] | list[float]
+) -> None:
+    """Warn when two fractions train on the same number of sources.
+
+    :func:`~repro.data.splits.split_sources` rounds and clamps the
+    training-source count, so on a 10-source dataset 0.1 and 0.2 both
+    train on 2 sources: under one seed their repetitions draw the same
+    splits, and the grid runs one experiment twice.
+    """
+    for dataset in datasets:
+        n_sources = len(dataset.sources())
+        seen: dict[int, float] = {}
+        for fraction in train_fractions:
+            n_train = train_source_count(n_sources, fraction)
+            if n_train in seen:
+                warnings.warn(
+                    f"dataset {dataset.name!r}: train fractions {seen[n_train]} "
+                    f"and {fraction} both train on {n_train} of {n_sources} "
+                    "sources, so their cells repeat the same splits",
+                    UserWarning,
+                    stacklevel=3,
+                )
+            else:
+                seen[n_train] = fraction
+
+
 class ExperimentRunner:
     """Sweep matchers across datasets and training fractions.
 
@@ -680,6 +708,7 @@ class ExperimentRunner:
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        _warn_collapsing_fractions(datasets, train_fractions)
         blocked = policy is not None and not policy.is_null
         if blocked and not share_features:
             raise ConfigurationError(

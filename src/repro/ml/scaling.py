@@ -27,15 +27,21 @@ class StandardScaler:
         self.scale_ = scale
         return self
 
-    def transform(self, inputs: np.ndarray) -> np.ndarray:
-        """Apply the learned scaling."""
+    def transform(
+        self, inputs: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Apply the learned scaling, into ``out`` when given.
+
+        ``out`` is a float64 array of the inputs' shape; passing one
+        lets a caller scale block after block through a single scratch
+        buffer.
+        """
         if self.mean_ is None or self.scale_ is None:
             raise NotFittedError("StandardScaler is not fitted")
-        # Subtract into a fresh float64 array, then divide in place: one
-        # output allocation instead of two (these matrices reach tens of
-        # MB).  Float32 inputs upcast exactly inside the ufunc, so they
-        # need no converted copy first.
-        scaled = np.subtract(np.asarray(inputs), self.mean_, dtype=np.float64)
+        # Subtract into a float64 array, then divide in place: one
+        # output allocation at most.  Float32 inputs upcast exactly
+        # inside the ufunc, so they need no converted copy first.
+        scaled = np.subtract(np.asarray(inputs), self.mean_, out=out, dtype=np.float64)
         scaled /= self.scale_
         return scaled
 

@@ -9,7 +9,8 @@ A compact numpy implementation of exactly what LEAPME's classifier needs:
 * :mod:`repro.nn.optimizers` -- SGD (with momentum) and Adam.
 * :mod:`repro.nn.schedule` -- the paper's phased learning-rate schedule
   (10 epochs at 1e-3, 5 at 1e-4, 5 at 1e-5).
-* :mod:`repro.nn.network` -- :class:`Sequential` with mini-batch training.
+* :mod:`repro.nn.network` -- :class:`Sequential` with mini-batch training,
+  and :func:`row_blocks`, the row blocks inference runs in.
 * :mod:`repro.nn.metrics` -- accuracy and confusion counts.
 
 Gradients are verified against finite differences in the test suite.
@@ -19,7 +20,7 @@ from repro.nn.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers import Dense, Dropout
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
-from repro.nn.network import Sequential
+from repro.nn.network import ROW_BLOCK, Sequential, row_blocks
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.schedule import TrainingPhase, TrainingSchedule, paper_schedule
 
@@ -33,6 +34,8 @@ __all__ = [
     "SGD",
     "Adam",
     "Sequential",
+    "ROW_BLOCK",
+    "row_blocks",
     "TrainingPhase",
     "TrainingSchedule",
     "paper_schedule",

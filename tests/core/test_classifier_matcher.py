@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.data.splits import split_sources
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, DimensionError, NotFittedError
 from repro.evaluation.metrics import evaluate_scores
 from repro.nn.schedule import TrainingSchedule
 
@@ -53,6 +53,18 @@ class TestLeapmeClassifier:
         features, labels = _separable(rng)
         classifier = LeapmeClassifier(FAST).fit(features, labels)
         assert classifier.match_scores(np.zeros((0, 6))).shape == (0,)
+
+    def test_wrong_width_is_a_dimension_error(self, rng):
+        features, labels = _separable(rng)
+        classifier = LeapmeClassifier(FAST).fit(features, labels)
+        with pytest.raises(DimensionError, match="6 feature columns"):
+            classifier.match_scores(np.zeros((3, 5)))
+
+    def test_one_dimensional_request_is_a_dimension_error(self, rng):
+        features, labels = _separable(rng)
+        classifier = LeapmeClassifier(FAST).fit(features, labels)
+        with pytest.raises(DimensionError, match=r"shape \(6,\)"):
+            classifier.match_scores(features[0])
 
     def test_scoring_leaves_the_classifier_unchanged_in_size(self, rng):
         features, labels = _separable(rng)

@@ -1,10 +1,14 @@
 """Edge-case tests for the experiment runner."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 from repro.core.api import Matcher
 from repro.data.model import Dataset, PropertyInstance
-from repro.evaluation import RunSettings, evaluate_matcher
+from repro.datasets import load_dataset
+from repro.evaluation import ExperimentRunner, RunSettings, evaluate_matcher
 
 
 class NeverCalledMatcher(Matcher):
@@ -85,3 +89,27 @@ class TestConstantMatchers:
         assert quality.precision == 1.0
         assert quality.recall == 1.0
         assert quality.f1 == 1.0
+
+
+class TestCollapsingFractions:
+    """Fractions that round to one training-source count repeat a cell."""
+
+    @pytest.fixture(scope="class")
+    def headphones(self):
+        dataset = load_dataset("headphones", scale="small", seed=0)
+        assert len(dataset.sources()) == 10
+        return dataset
+
+    def _run(self, dataset, fractions):
+        runner = ExperimentRunner({"constant": lambda: ConstantMatcher(0.5)})
+        return runner.run([dataset], train_fractions=fractions, repetitions=1)
+
+    def test_fractions_with_one_source_count_warn(self, headphones):
+        with pytest.warns(UserWarning, match=r"'headphones'.*0\.1 and 0\.2"):
+            self._run(headphones, (0.1, 0.2))
+
+    def test_distinct_source_counts_do_not_warn(self, headphones):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            results = self._run(headphones, (0.2, 0.8))
+        assert len(results) == 2

@@ -24,6 +24,7 @@ MODULE_NAMES = [
     "repro.text.normalize",
     "repro.embeddings.hashing",
     "repro.datasets.naming",
+    "repro.nn.network",
 ]
 
 
