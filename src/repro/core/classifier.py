@@ -57,10 +57,6 @@ class FittedState:
 class LeapmeClassifier:
     """Binary pair classifier producing a match probability per pair."""
 
-    #: :meth:`match_scores` runs in row blocks, so feeding it one block at
-    #: a time scores exactly like one call (``LeapmeMatcher.score_pairs``).
-    scores_in_blocks = True
-
     def __init__(self, config: LeapmeConfig | None = None) -> None:
         self.config = config if config is not None else LeapmeConfig()
         self._network: Sequential | None = None
@@ -258,15 +254,6 @@ class ResilientClassifier:
                 "it holds no serialisable network state"
             )
         return accessor()
-
-    @property
-    def scores_in_blocks(self) -> bool:
-        """Whether the trained rung scores in row blocks.
-
-        The classical rung does not: its logistic head is one product
-        over the whole matrix, whose rounding depends on the row count.
-        """
-        return getattr(self._delegate, "scores_in_blocks", False)
 
     def match_scores(self, features: np.ndarray) -> np.ndarray:
         """Positive-class probabilities from whichever rung trained."""

@@ -200,25 +200,27 @@ class LeapmeMatcher(Matcher):
     def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
         """Positive-class probabilities for candidate pairs.
 
-        On a store-backed dataset, a classifier that scores in row
-        blocks gets one :func:`~repro.nn.network.row_blocks` block at a
-        time, gathered straight from the store matrix: the pairs' rows
-        are resolved once and no whole-set feature matrix is built.
-        Gathers count toward :attr:`feature_seconds`.
+        On a store-backed dataset the pairs' rows are resolved once, and
+        the classifier gets one :func:`~repro.nn.network.row_blocks`
+        block at a time, gathered straight from the store matrix: no
+        whole-set feature matrix is built.  Pairs a blocked universe
+        pruned have no rows; they are assembled from the staged
+        pipeline and scored in one call.  Row lookup and gathers count
+        toward :attr:`feature_seconds`.
         """
         if self._classifier is None:
             raise NotFittedError("LeapmeMatcher must be fitted before scoring")
-        started = perf_counter()
-        rows = None
-        if (
-            getattr(self._classifier, "scores_in_blocks", False)
-            and self._store is not None
-            and self._store.serves(dataset)
-        ):
-            rows = self._store.rows_of(pairs)
-        self.feature_seconds += perf_counter() - started
-        if rows is None:
+        if self._store is None or not self._store.serves(dataset):
             return self._classifier.match_scores(self._features(dataset, pairs))
+        started = perf_counter()
+        rows = self._store.rows_of(pairs)
+        if rows is None:
+            features = pair_feature_matrix(
+                self._store.table, list(pairs), self.feature_config
+            )
+            self.feature_seconds += perf_counter() - started
+            return self._classifier.match_scores(features)
+        self.feature_seconds += perf_counter() - started
         scores = np.empty(len(rows))
         for start, stop in row_blocks(len(rows)):
             started = perf_counter()

@@ -20,7 +20,7 @@ from repro.nn.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers import Dense, Dropout
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
-from repro.nn.network import ROW_BLOCK, Sequential, row_blocks
+from repro.nn.network import Sequential
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.schedule import TrainingPhase, TrainingSchedule, paper_schedule
 
@@ -34,8 +34,6 @@ __all__ = [
     "SGD",
     "Adam",
     "Sequential",
-    "ROW_BLOCK",
-    "row_blocks",
     "TrainingPhase",
     "TrainingSchedule",
     "paper_schedule",

@@ -1,12 +1,16 @@
 """Blocked scoring must score exactly like the whole matrix at once.
 
-``LeapmeMatcher.score_pairs`` gathers each :func:`repro.nn.row_blocks`
-block straight from the feature store, and ``match_scores`` scales it
-into one float64 scratch block.  The whole-matrix formula,
+``LeapmeMatcher.score_pairs`` gathers each
+:func:`repro.nn.network.row_blocks` block straight from the feature
+store, and ``match_scores`` scales it into one float64 scratch block.
+For a network the whole-matrix formula,
 ``network.predict_proba(scaler.transform(store.features(pairs,
 config)))[:, 1]``, is the oracle: every score must be bit-identical to
 it, for every grid config and for sizes on both sides of each block
 boundary.  BLAS does not promise this (DESIGN §17), so it is pinned here.
+The classical fallback rung's oracle is its own ``match_scores`` over the
+same blocks: its logistic head rounds by row count past OpenBLAS's
+small-matrix cutoff, so only blocks are comparable.
 """
 
 import tracemalloc
@@ -14,13 +18,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, LeapmeConfig, LeapmeMatcher
 from repro.core.classifier import LeapmeClassifier, ResilientClassifier
-from repro.core.feature_cache import PairFeatureStore
+from repro.core.feature_cache import PairFeatureStore, PairUniverse
+from repro.core.pair_features import pair_feature_matrix
+from repro.data.pairs import build_pairs
 from repro.data.splits import split_sources
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.evaluation import RunSettings, evaluate_matcher
-from repro.nn import ROW_BLOCK
+from repro.nn.network import ROW_BLOCK, row_blocks
 from repro.nn.schedule import TrainingSchedule
 from repro.testing.faults import AlwaysDivergingClassifier
 
@@ -49,10 +56,18 @@ CLASSIFIERS = {
 
 
 def _whole_matrix_scores(classifier, features: np.ndarray) -> np.ndarray:
-    """The score formula before blocking: one pass over the whole matrix."""
+    """The score formula before blocking: one pass over the whole matrix.
+
+    The classical rung has no network; its scores are taken block by
+    block, the way ``score_pairs`` feeds it.
+    """
     if isinstance(classifier, ResilientClassifier):
-        # The classical rung scores whole matrices itself.
-        return classifier.match_scores(features)
+        return np.concatenate(
+            [
+                classifier.match_scores(features[start:stop])
+                for start, stop in row_blocks(len(features))
+            ]
+        )
     state = classifier.fitted_state()
     if state.scaler is None:
         return state.network.predict_proba(np.asarray(features, dtype=np.float64))[:, 1]
@@ -131,6 +146,34 @@ def test_scoring_time_splits_into_gather_and_forward(headphones):
     assert result.timings.score > 0.0
 
 
+def test_pruned_pairs_are_looked_up_once(monkeypatch):
+    """Pairs a blocked universe pruned take the direct route in one lookup."""
+    dataset = load_dataset("headphones", scale="tiny", seed=0)
+    embeddings = build_domain_embeddings("headphones", scale="tiny")
+    store = PairFeatureStore.build(
+        dataset, embeddings, policy=CandidatePolicy.from_label("minhash")
+    )
+    matcher = LeapmeMatcher(embeddings, config=LIGHT)
+    matcher.attach_store(store)
+    training, _ = _cell(dataset, store.universe, 0.8)
+    matcher.fit(dataset, training)
+    pairs = build_pairs(dataset).pairs
+    kept = {pair.key for pair in store.universe.pairs}
+    assert any(pair.key not in kept for pair in pairs)
+    lookups = []
+    original = PairUniverse.lookup_rows
+
+    def counted(self, requested):
+        lookups.append(len(requested))
+        return original(self, requested)
+
+    monkeypatch.setattr(PairUniverse, "lookup_rows", counted)
+    scores = matcher.score_pairs(dataset, pairs)
+    assert lookups == [len(pairs)]
+    direct = pair_feature_matrix(store.table, pairs, FeatureConfig())
+    assert np.array_equal(scores, matcher.classifier.match_scores(direct))
+
+
 @pytest.fixture(scope="module")
 def cameras():
     """Cameras at the small scale: 75,478 pairs by 165 columns."""
@@ -161,7 +204,8 @@ def test_engine_cell_scoring_never_holds_a_whole_matrix(cameras):
     assert peak < whole_bytes / 10, f"peak {peak} B of a {whole_bytes} B matrix"
 
 
-def test_paper_network_past_the_small_matrix_cutoff(cameras):
+@pytest.mark.parametrize("config", FeatureConfig.grid(), ids=FeatureConfig.label)
+def test_paper_network_past_the_small_matrix_cutoff(cameras, config):
     """Where whole-matrix scoring changed BLAS kernels, blocks do not.
 
     With more than 7,812 rows the paper network's 64 -> 2 head passes
@@ -171,13 +215,11 @@ def test_paper_network_past_the_small_matrix_cutoff(cameras):
     decision flips.
     """
     dataset, embeddings, store = cameras
-    matcher = LeapmeMatcher(embeddings, config=PAPER)
+    matcher = LeapmeMatcher(embeddings, config=PAPER, feature_config=config)
     matcher.attach_store(store)
     training, test = _cell(dataset, store.universe, 0.2)
     matcher.fit(dataset, training)
     blocked = matcher.score_pairs(dataset, test.pairs)
-    whole = _whole_matrix_scores(
-        matcher.classifier, store.features(test, FeatureConfig())
-    )
+    whole = _whole_matrix_scores(matcher.classifier, store.features(test, config))
     np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
     assert np.array_equal(blocked >= 0.5, whole >= 0.5)

@@ -2,7 +2,7 @@
 
 ``/match`` and in-universe ``/predict`` read one memoised score vector
 per :class:`~repro.serve.registry.TenantState`, computed lazily by the
-first read.  These tests count the network's forward passes, pin the
+first read.  These tests count the scoring passes, pin the
 lookup against direct scoring byte for byte, and time keep-alive
 requests to catch the delayed-ACK stall.
 """
@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.core.classifier import LeapmeClassifier
+from repro.core.matcher import LeapmeMatcher
 from repro.data.pairs import LabeledPair
 from repro.serve import TenantRegistry
 
@@ -28,15 +29,18 @@ from tests.serve.conftest import (
 
 @pytest.fixture()
 def forward_passes(monkeypatch):
-    """Counts ``LeapmeClassifier.match_scores`` calls (reset by the test)."""
+    """Counts ``LeapmeMatcher.score_pairs`` calls (reset by the test).
+
+    One call scores a snapshot however many row blocks it spans.
+    """
     calls = []
-    original = LeapmeClassifier.match_scores
+    original = LeapmeMatcher.score_pairs
 
-    def counted(self, features):
-        calls.append(len(features))
-        return original(self, features)
+    def counted(self, dataset, pairs):
+        calls.append(len(pairs))
+        return original(self, dataset, pairs)
 
-    monkeypatch.setattr(LeapmeClassifier, "match_scores", counted)
+    monkeypatch.setattr(LeapmeMatcher, "score_pairs", counted)
     return calls
 
 
