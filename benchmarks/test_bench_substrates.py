@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import LeapmeClassifier, LeapmeConfig, LeapmeMatcher, PairFeatureStore
 from repro.baselines.lsh import MinHasher
+from repro.core.pipeline import clear_distance_memo
 from repro.data.splits import repeated_source_splits
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.embeddings import CorpusGenerator, SynonymLexicon, build_cooccurrence
@@ -125,6 +126,26 @@ def test_bench_engine_cell_scoring(benchmark):
     scores = benchmark(lambda: matcher.score_pairs(dataset, test.pairs))
     assert scores.shape == (len(test),)
     assert np.isfinite(scores).all()
+
+
+def test_bench_store_build(benchmark):
+    """A cold shared-store build on cameras: universe, table, full matrix.
+
+    The grid engine's parent-side work before its pool forks: 75,478
+    pairs by 165 columns, every property row and name distance computed
+    afresh (new pipeline, empty distance memo) each round.
+    """
+    dataset = load_dataset("cameras", scale="small", seed=0)
+    embeddings = build_domain_embeddings("cameras", scale="small")
+    store = benchmark.pedantic(
+        lambda: PairFeatureStore.build(dataset, embeddings),
+        setup=clear_distance_memo,
+        rounds=3,
+        iterations=1,
+    )
+    clear_distance_memo()
+    assert store.matrix.shape == (len(store.universe), store.schema.total_width)
+    assert store.pipeline.stage_calls["name_distance.cache_hit"] == 0
 
 
 def test_bench_minhash_signatures(benchmark):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -104,16 +105,6 @@ class PairUniverse:
                 blocker if blocker is not None else self.policy.resolve(embeddings)
             )
             index_pairs = self._blocker.candidate_index_pairs(dataset, properties)
-        width = len(properties)
-        pairs: list[LabeledPair] = []
-        keys: list[int] = []
-        for i, j in index_pairs:
-            left, right = properties[i], properties[j]
-            pairs.append(LabeledPair(left, right, dataset.is_match(left, right)))
-            keys.append(i * width + j)
-        self.pairs: tuple[LabeledPair, ...] = tuple(pairs)
-        self._keys = np.array(keys, dtype=np.int64)
-        self._keys.setflags(write=False)
         self._index_of: dict[PropertyRef, int] = {
             ref: index for index, ref in enumerate(properties)
         }
@@ -124,6 +115,33 @@ class PairUniverse:
         self._source_names = [properties[start].source for start, _ in bounds]
         self._property_source = np.repeat(
             np.arange(len(bounds), dtype=np.intp), self._block_sizes
+        )
+        ends = np.fromiter(chain.from_iterable(index_pairs), dtype=np.int64)
+        ends = ends.reshape(-1, 2)
+        left, right = ends[:, 0], ends[:, 1]
+        self._keys = left * len(properties) + right
+        self._keys.setflags(write=False)
+        # Dataset.is_match over index arrays: both ends aligned to the
+        # same reference property, in two different sources.
+        reference_ids: dict[str, int] = {}
+        reference = np.array(
+            [
+                -1
+                if (aligned := dataset.reference_of(ref)) is None
+                else reference_ids.setdefault(aligned, len(reference_ids))
+                for ref in properties
+            ],
+            dtype=np.int64,
+        )
+        labels = (
+            (reference[left] >= 0)
+            & (reference[left] == reference[right])
+            & (self._property_source[left] != self._property_source[right])
+        )
+        refs = np.empty(len(properties), dtype=object)
+        refs[:] = properties
+        self.pairs: tuple[LabeledPair, ...] = tuple(
+            map(LabeledPair, refs[left].tolist(), refs[right].tolist(), labels.tolist())
         )
         self._stats_cache: dict | None = None
         self._subset_cache: dict[tuple[frozenset[str], bool], PairSet] = {}
@@ -149,6 +167,16 @@ class PairUniverse:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def ends(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Property indices ``(left, right)`` of universe ``rows`` (default all).
+
+        Indices address ``dataset.properties()`` -- and so the rows of
+        any :class:`PropertyFeatureTable` built from the same dataset.
+        """
+        keys = self._keys if rows is None else self._keys[rows]
+        width = max(len(self._index_of), 1)
+        return keys // width, keys % width
+
     def subset(
         self, sources: list[str] | None = None, *, within: bool = True
     ) -> PairSet:
@@ -170,10 +198,9 @@ class PairUniverse:
         chosen = np.array(
             [name in selected for name in self._source_names], dtype=bool
         )
-        width = max(len(self._index_of), 1)
+        left, right = self.ends()
         inside = (
-            chosen[self._property_source[self._keys // width]]
-            & chosen[self._property_source[self._keys % width]]
+            chosen[self._property_source[left]] & chosen[self._property_source[right]]
         )
         rows = np.flatnonzero(inside == within)
         rows.setflags(write=False)
@@ -321,9 +348,9 @@ class PairUniverse:
             [self._index_of.get(ref, -1) for ref in previous._index_of],
             dtype=np.int64,
         )
-        old_width = max(len(previous._index_of), 1)
-        left = remap[previous._keys // old_width]
-        right = remap[previous._keys % old_width]
+        old_left, old_right = previous.ends()
+        left = remap[old_left]
+        right = remap[old_right]
         present = np.flatnonzero((left >= 0) & (right >= 0))
         hits = _positions_in(
             left[present] * len(self._index_of) + right[present], self._keys
@@ -403,17 +430,17 @@ class PairFeatureStore:
         # plus freshly featurized new ones and it is already
         # bit-identical to what _assemble would produce.
         if matrix is None:
-            matrix = self._assemble(table, list(universe.pairs))
+            matrix = self._assemble(table, *universe.ends())
         self.matrix = matrix
 
     def _assemble(
-        self, table: PropertyFeatureTable, pairs: list[LabeledPair]
+        self, table: PropertyFeatureTable, left: np.ndarray, right: np.ndarray
     ) -> np.ndarray:
-        """Full-width float32 rows for ``pairs``, via the pipeline."""
+        """Full-width float32 rows joining table rows ``left`` and ``right``."""
         pipeline = table.pipeline
         started = perf_counter()
         distance_before = pipeline.stage_seconds.get("name_distance", 0.0)
-        matrix = pipeline.pair_matrix(table, pairs, FeatureConfig())
+        matrix = pipeline.pair_matrix(table, left, right, FeatureConfig())
         matrix.setflags(write=False)
         self.timings["name_distances"] = self.timings.get(
             "name_distances", 0.0
@@ -486,7 +513,7 @@ class PairFeatureStore:
         new_rows = np.flatnonzero(~kept)
         new_pairs = [universe.pairs[row] for row in new_rows]
         if new_pairs:
-            matrix[new_rows] = self._assemble(table, new_pairs)
+            matrix[new_rows] = self._assemble(table, *universe.ends(new_rows))
         matrix.setflags(write=False)
         return table, universe, matrix, PairSet(new_pairs)
 

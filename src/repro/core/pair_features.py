@@ -35,6 +35,7 @@ from repro.core.pipeline import (
     FeatureSchema,
     name_distance_block,
     name_distances,
+    split_pairs,
 )
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import PropertyRef
@@ -63,8 +64,11 @@ def pair_feature_matrix(
     """Assemble the pair feature matrix ``(n_pairs, n_features)``.
 
     ``pairs`` may be :class:`LabeledPair` objects or plain
-    ``(left, right)`` tuples.  The matrix is float32
-    (:data:`~repro.core.pipeline.FEATURE_DTYPE`), assembled from the
-    table's cached columnar stage outputs.
+    ``(left, right)`` tuples; both sides resolve to table rows once.
+    The matrix is float32 (:data:`~repro.core.pipeline.FEATURE_DTYPE`),
+    assembled from the table's cached columnar stage outputs.
     """
-    return table.pipeline.pair_matrix(table, pairs, config)
+    lefts, rights = split_pairs(pairs)
+    return table.pipeline.pair_matrix(
+        table, table.rows_of(lefts), table.rows_of(rights), config
+    )

@@ -41,6 +41,7 @@ shipped to worker processes via fork COW without side effects.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -58,7 +59,7 @@ from repro.data.model import Dataset, PropertyRef
 from repro.data.pairs import LabeledPair
 from repro.embeddings.base import WordEmbeddings
 from repro.errors import ConfigurationError, DataError
-from repro.text.batch import name_distance_rows
+from repro.text.batch import name_distance_rows, unique_lowered_pairs
 from repro.text.similarity import PAIR_DISTANCE_NAMES, name_distance_vector
 
 #: Storage dtype of all stage outputs and assembled pair matrices.
@@ -164,48 +165,90 @@ def name_distance_block(
 ) -> np.ndarray:
     """Distance vectors for many name pairs, ``(n_pairs, 8)``.
 
-    Cache-aware: pairs already memoised are served from the cache and
-    only the missing unique pairs go through the batched kernel.  Pass
-    ``out`` to fill a preallocated block (its dtype wins over ``dtype``).
-    ``counters``, when given, has ``"cache_hit"`` incremented by the
-    number of rows served from the memo and ``"computed"`` by the rows
-    that needed the kernel -- the split the pipeline surfaces as
-    ``stage_calls`` so incremental work avoidance is assertable.
+    Cache-aware: each distinct canonical pair is probed once, pairs
+    already memoised are served from the cache and only the missing
+    ones go through the batched kernel.  Pass ``out`` to fill a
+    preallocated block (its dtype wins over ``dtype``).  ``counters``,
+    when given, has ``"cache_hit"`` incremented by the number of rows
+    served from the memo and ``"computed"`` by the rows that needed the
+    kernel -- the split the pipeline surfaces as ``stage_calls`` so
+    incremental work avoidance is assertable.
     """
     n = len(name_pairs)
     block = out if out is not None else np.empty((n, NUM_NAME_DISTANCES), dtype=dtype)
+    keys, inverse = unique_lowered_pairs(name_pairs)
+    _scatter_distances(keys, inverse, block, counters)
+    return block
+
+
+def name_id_distance_block(
+    names: list[str],
+    left_ids: np.ndarray,
+    right_ids: np.ndarray,
+    out: np.ndarray,
+    counters: dict | None = None,
+) -> np.ndarray:
+    """:func:`name_distance_block` over name ids instead of name strings.
+
+    ``names`` are distinct lowercased names in sorted order, so the
+    smaller id of a pair is its canonical first name.  One ``np.unique``
+    over the pair codes finds the distinct name pairs; they are probed
+    and computed in first-occurrence order, exactly as the string API
+    would, then scattered back to every pair.
+    """
+    width = len(names)
+    codes = np.minimum(left_ids, right_ids) * width + np.maximum(left_ids, right_ids)
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    keys = [
+        (names[code // width], names[code % width]) for code in distinct[order].tolist()
+    ]
+    _scatter_distances(keys, rank[inverse], out, counters)
+    return out
+
+
+def _scatter_distances(
+    keys: list[tuple[str, str]],
+    inverse: np.ndarray,
+    block: np.ndarray,
+    counters: dict | None,
+) -> None:
+    """Fill ``block[i]`` with the distance row of ``keys[inverse[i]]``.
+
+    ``keys`` are distinct canonical name pairs in first-occurrence
+    order.  Each is probed in the memo once; the misses go through the
+    batched kernel in one call and are memoised (and recorded to the
+    persistent cache) in that order -- the order a per-pair walk would
+    insert them, so FIFO eviction and the saved cache are unchanged.
+    """
+    rows = np.empty((len(keys), NUM_NAME_DISTANCES))
+    hit = np.ones(len(keys), dtype=bool)
     missing: list[tuple[str, str]] = []
-    seen_missing: dict[tuple[str, str], int] = {}
-    gather: list[tuple[int, int]] = []  # (output row, missing index)
-    for i, (a, b) in enumerate(name_pairs):
-        key = _canonical_name_pair(a, b)
-        cached = _DISTANCE_CACHE.get(key)
-        if cached is not None:
-            block[i] = cached
-            continue
-        slot = seen_missing.get(key)
-        if slot is None:
-            slot = seen_missing[key] = len(missing)
+    get = _DISTANCE_CACHE.get
+    for position, key in enumerate(keys):
+        cached = get(key)
+        if cached is None:
+            hit[position] = False
             missing.append(key)
-        gather.append((i, slot))
-    if counters is not None:
-        counters["cache_hit"] = counters.get("cache_hit", 0) + (n - len(gather))
-        counters["computed"] = counters.get("computed", 0) + len(gather)
+        else:
+            rows[position] = cached
     if missing:
-        # Keys are already canonical, so the dedup pass inside
-        # name_distance_matrix would be a no-op: call the row kernel.
         computed = name_distance_rows(missing)
         computed.setflags(write=False)
         # Cached entries are row views sharing the kernel's base array:
         # no per-row copies, and the read-only base protects them all.
-        for key, row in zip(missing, computed):
-            _DISTANCE_CACHE[key] = row
+        _DISTANCE_CACHE.update(zip(missing, computed))
         if _PERSISTENT_DISTANCES is not None:
             _PERSISTENT_DISTANCES.record(missing, computed)
         _evict_distance_overflow()
-        index = np.array(gather, dtype=np.int64)
-        block[index[:, 0]] = computed[index[:, 1]]
-    return block
+        rows[~hit] = computed
+    block[...] = rows[inverse]
+    if counters is not None:
+        hits = int(np.count_nonzero(hit[inverse]))
+        counters["cache_hit"] = counters.get("cache_hit", 0) + hits
+        counters["computed"] = counters.get("computed", 0) + len(inverse) - hits
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +261,40 @@ class StageContext:
 
     Deliberately narrow -- stages receive no file handles, no evaluation
     machinery -- so they remain pure functions of dataset content
-    (enforced by lint rule REP009).
+    (enforced by lint rule REP009).  One context serves one
+    :meth:`FeaturePipeline.property_columns` call, so ``values`` -- the
+    instance stages' per-value rows -- lives exactly as long as that
+    call and never grows in a long-lived process.
     """
 
-    __slots__ = ("dataset", "embeddings", "record")
+    __slots__ = ("dataset", "embeddings", "calls", "values")
 
-    def __init__(self, dataset: Dataset, embeddings: WordEmbeddings, record) -> None:
+    def __init__(self, dataset: Dataset, embeddings: WordEmbeddings) -> None:
         self.dataset = dataset
         self.embeddings = embeddings
-        #: ``record(stage_name, n)`` -- credit ``n`` computed units to a stage.
-        self.record = record
+        #: Computed units per stage in this call, folded into
+        #: :attr:`FeaturePipeline.stage_calls` when the call ends.
+        self.calls: Counter = Counter()
+        #: ``{stage_name: {value: row}}`` -- instance rows featurized so far.
+        self.values: dict[str, dict[str, np.ndarray]] = {}
+
+    def value_rows(self, stage_name: str, values: list[str], featurize) -> np.ndarray:
+        """``featurize(values)``, featurizing each distinct value once per call.
+
+        Values already featurized for ``stage_name`` in this call are
+        served from ``values``; only the rest go through ``featurize``
+        (in first-occurrence order) and are credited to the stage.  The
+        rows are the ones ``featurize`` would return for the full list,
+        stacked in the same order.
+        """
+        if not values:
+            return featurize(values)
+        memo = self.values.setdefault(stage_name, {})
+        fresh = [value for value in dict.fromkeys(values) if value not in memo]
+        if fresh:
+            self.calls[stage_name] += len(fresh)
+            memo.update(zip(fresh, featurize(fresh)))
+        return np.stack([memo[value] for value in values])
 
 
 @dataclass(frozen=True)
@@ -328,8 +395,7 @@ class InstanceMetaStage(FeatureStage):
         return NUM_META_FEATURES
 
     def matrix(self, context: StageContext, values: list[str]) -> np.ndarray:
-        context.record(self.name, len(values))
-        return instance_meta_matrix(values)
+        return context.value_rows(self.name, values, instance_meta_matrix)
 
 
 class InstanceEmbeddingStage(FeatureStage):
@@ -342,8 +408,11 @@ class InstanceEmbeddingStage(FeatureStage):
         return dimension
 
     def matrix(self, context: StageContext, values: list[str]) -> np.ndarray:
-        context.record(self.name, len(values))
-        return instance_embedding_matrix(values, context.embeddings)
+        return context.value_rows(
+            self.name,
+            values,
+            lambda fresh: instance_embedding_matrix(fresh, context.embeddings),
+        )
 
 
 class PropertyAggregateStage(FeatureStage):
@@ -717,11 +786,15 @@ class FeaturePipeline:
     genuinely new rows, which is what makes
     :meth:`repro.core.feature_cache.PairFeatureStore.add_source` cheap.
 
-    ``stage_calls`` counts computed units per stage (instance values
-    featurized, property rows computed, pair rows assembled);
-    ``stage_seconds`` accumulates wall-clock per stage.  Both exist so
-    incremental behaviour is assertable and benchmarkable rather than
-    assumed.
+    ``stage_calls`` counts computed units per stage: property rows
+    computed, pair rows assembled, and -- for the instance stages --
+    the *distinct* values featurized, since a value shared by several
+    new properties of one :meth:`property_columns` call is featurized
+    once (cameras: 3,578 distinct of 9,520 values).  ``stage_seconds``
+    accumulates wall-clock per stage.  Both exist so incremental
+    behaviour is assertable and benchmarkable rather than assumed.
+    Each call counts into its own scratch and folds it in once, under a
+    lock, so concurrent request threads never mix their splits.
     """
 
     def __init__(self, embeddings: WordEmbeddings) -> None:
@@ -729,21 +802,20 @@ class FeaturePipeline:
         self.schema = FeatureSchema(embeddings.dimension)
         self.stage_calls: Counter = Counter()
         self.stage_seconds: dict[str, float] = {}
-        #: Scratch hit/miss split filled by ``name_distance_block`` and
-        #: folded into ``stage_calls`` as ``name_distance.computed`` /
-        #: ``name_distance.cache_hit``.
-        self._distance_counters: dict[str, int] = {}
+        self._totals_lock = threading.Lock()
         self._rows: dict[str, dict[str, np.ndarray]] = {
             stage.name: {} for stage in stages_at("property")
         }
 
-    def _record_calls(self, stage_name: str, n: int) -> None:
-        self.stage_calls[stage_name] += n
-
-    def _record_seconds(self, stage_name: str, seconds: float) -> None:
-        self.stage_seconds[stage_name] = (
-            self.stage_seconds.get(stage_name, 0.0) + seconds
-        )
+    def _fold(self, calls: dict[str, int], seconds: dict[str, float]) -> None:
+        """Add one call's counts and timings to the running totals."""
+        with self._totals_lock:
+            for stage_name, count in calls.items():
+                self.stage_calls[stage_name] += count
+            for stage_name, spent in seconds.items():
+                self.stage_seconds[stage_name] = (
+                    self.stage_seconds.get(stage_name, 0.0) + spent
+                )
 
     def property_columns(self, dataset: Dataset) -> dict[str, np.ndarray]:
         """Columnar float32 stage outputs for all properties of a dataset.
@@ -754,7 +826,8 @@ class FeaturePipeline:
         compute.
         """
         refs = dataset.properties()
-        context = StageContext(dataset, self.embeddings, self._record_calls)
+        context = StageContext(dataset, self.embeddings)
+        seconds: dict[str, float] = {}
         columns: dict[str, np.ndarray] = {}
         for stage in stages_at("property"):
             started = perf_counter()
@@ -767,7 +840,7 @@ class FeaturePipeline:
                 key = stage.cache_key(dataset, ref)
                 row = cache.get(key)
                 if row is None:
-                    self.stage_calls[stage.name] += 1
+                    context.calls[stage.name] += 1
                     row = np.asarray(
                         stage.compute(context, ref), dtype=FEATURE_DTYPE
                     )
@@ -776,56 +849,60 @@ class FeaturePipeline:
                 out[i] = row
             out.setflags(write=False)
             columns[stage.name] = out
-            self._record_seconds(stage.name, perf_counter() - started)
+            seconds[stage.name] = perf_counter() - started
+        self._fold(context.calls, seconds)
         return columns
 
-    def pair_matrix(self, table, pairs, config: FeatureConfig) -> np.ndarray:
+    def pair_matrix(
+        self,
+        table,
+        left_rows: np.ndarray,
+        right_rows: np.ndarray,
+        config: FeatureConfig,
+    ) -> np.ndarray:
         """Assemble a config's pair matrix from a table's stage columns.
 
-        ``table`` is any object exposing ``rows_of(refs)`` and
-        ``stage_columns(stage_name)`` (in practice a
-        :class:`~repro.core.property_features.PropertyFeatureTable`).
+        Pair ``k`` joins table rows ``left_rows[k]`` and
+        ``right_rows[k]``.  ``table`` is any object exposing
+        ``stage_columns(stage_name)``, ``names`` (its distinct lowercased
+        property names, sorted) and ``name_ids`` (each row's index into
+        ``names``) -- in practice a
+        :class:`~repro.core.property_features.PropertyFeatureTable`.
         The result is float32 with ``schema.width(config)`` columns.
         """
         active = self.schema.active_blocks(config)
-        lefts, rights = split_pairs(pairs)
-        n = len(lefts)
+        n = len(left_rows)
         matrix = np.empty((n, self.schema.width(config)), dtype=FEATURE_DTYPE)
         if n == 0:
             return matrix
-        left_rows: np.ndarray | None = None
-        right_rows: np.ndarray | None = None
-        counted: set[str] = set()
+        calls: dict[str, int] = {}
+        seconds: dict[str, float] = {}
+        distance_counts: dict[str, int] = {}
         offset = 0
         for block in active:
             target = matrix[:, offset : offset + block.width]
             offset += block.width
             started = perf_counter()
             if block.source is not None:
-                if left_rows is None:
-                    left_rows = table.rows_of(lefts)
-                    right_rows = table.rows_of(rights)
                 source = table.stage_columns(block.source)[:, block.source_columns]
                 np.abs(source[left_rows] - source[right_rows], out=target)
+                # Rows assembled, once per stage however many blocks.
+                calls[block.stage] = n
             else:  # name distances
-                name_distance_block(
-                    [
-                        (left.name, right.name)
-                        for left, right in zip(lefts, rights)
-                    ],
-                    out=target,
-                    counters=self._distance_counters,
+                name_id_distance_block(
+                    table.names,
+                    table.name_ids[left_rows],
+                    table.name_ids[right_rows],
+                    target,
+                    counters=distance_counts,
                 )
-            self._record_seconds(block.stage, perf_counter() - started)
-            if block.stage not in counted:
-                counted.add(block.stage)
-                if block.source is not None:
-                    self.stage_calls[block.stage] += n
-                else:
-                    # The name-distance stage splits its row count by
-                    # memo state so incremental work avoidance (warm
-                    # add_source, persistent cache) is assertable.
-                    for kind, count in self._distance_counters.items():
-                        self.stage_calls[f"{block.stage}.{kind}"] += count
-                    self._distance_counters.clear()
+                # The name-distance stage splits its row count by memo
+                # state so incremental work avoidance (warm add_source,
+                # persistent cache) is assertable.
+                for kind, count in distance_counts.items():
+                    calls[f"{block.stage}.{kind}"] = count
+            seconds[block.stage] = (
+                seconds.get(block.stage, 0.0) + perf_counter() - started
+            )
+        self._fold(calls, seconds)
         return matrix

@@ -41,6 +41,12 @@ class PropertyFeatureTable:
         ``(n_properties, d)`` -- averaged instance embeddings (ditto).
     name_embedding:
         ``(n_properties, d)`` -- name embeddings.
+    names:
+        Distinct lowercased property names, sorted -- the name-distance
+        memo's canonical key order.
+    name_ids:
+        ``(n_properties,)`` -- index of each row's lowercased name in
+        ``names``, so pair assembly deduplicates name pairs as integers.
 
     All matrices are read-only float32 stage outputs.
     """
@@ -64,6 +70,11 @@ class PropertyFeatureTable:
         self._row_of: dict[PropertyRef, int] = {
             ref: i for i, ref in enumerate(self.refs)
         }
+        lowered = [ref.name.lower() for ref in self.refs]
+        self.names: list[str] = sorted(set(lowered))
+        name_id = {name: i for i, name in enumerate(self.names)}
+        self.name_ids = np.array([name_id[name] for name in lowered], dtype=np.int64)
+        self.name_ids.setflags(write=False)
         self._columns = pipeline.property_columns(dataset)
         aggregate = self._columns["property_aggregate"]
         self.meta = aggregate[:, :NUM_META_FEATURES]

@@ -17,8 +17,10 @@ Three probes, deliberately decoupled from the HTTP plumbing so tests
 ``statz``
     Operational counters: admission queue depth and shed/expired
     totals, per-tenant status with featurization ``stage_calls``
-    (including the ``name_distance.cache_hit`` split from PR 7), and
-    quarantine state.  Diagnostics only -- no determinism contract.
+    (including the ``name_distance.computed`` / ``cache_hit`` split),
+    and quarantine state.  ``instance_meta`` / ``instance_embedding``
+    count the *distinct* values featurized per table build, not every
+    instance.  Diagnostics only -- no determinism contract.
 """
 
 from __future__ import annotations
