@@ -9,10 +9,14 @@ from __future__ import annotations
 
 from conftest import bench_dataset, bench_embeddings, run_once
 
-from repro.core import FeatureConfig, PropertyFeatureTable, pair_feature_matrix
+from repro.core import (
+    FeatureConfig,
+    PairFeatureStore,
+    PairUniverse,
+    PropertyFeatureTable,
+)
 from repro.core.instance_features import NUM_META_FEATURES, instance_meta_matrix
-from repro.core.pair_features import NUM_NAME_DISTANCES, feature_block_names
-from repro.data.pairs import build_pairs
+from repro.core.pipeline import NUM_NAME_DISTANCES, FeatureSchema
 
 
 def test_bench_instance_features(benchmark):
@@ -49,19 +53,19 @@ def test_bench_property_table(benchmark):
 def test_bench_pair_features(benchmark):
     """Cost of assembling the pair feature matrix for all candidate pairs.
 
-    Also asserts the paper's pair-feature count at 300 dimensions:
+    Times a full-universe :class:`PairFeatureStore` build over a
+    prebuilt property table and pair universe.  Also asserts the paper's pair-feature count at 300 dimensions:
     row 7 is the 629-d property difference, rows 8-15 add 8 string
     distances, totalling 637.
     """
-    assert len(feature_block_names(FeatureConfig(), dimension=300)) == 637
+    assert len(FeatureSchema(300).column_names(FeatureConfig())) == 637
     assert NUM_NAME_DISTANCES == 8
     dataset = bench_dataset("headphones")
     embeddings = bench_embeddings("headphones")
     table = PropertyFeatureTable(dataset, embeddings)
-    pairs = build_pairs(dataset).pairs
-    config = FeatureConfig()
+    universe = PairUniverse(dataset)
 
-    matrix = run_once(benchmark, lambda: pair_feature_matrix(table, pairs, config))
-    assert matrix.shape[0] == len(pairs)
-    benchmark.extra_info["n_pairs"] = len(pairs)
-    benchmark.extra_info["n_features"] = matrix.shape[1]
+    store = run_once(benchmark, lambda: PairFeatureStore(table, universe))
+    assert store.matrix.shape[0] == len(universe)
+    benchmark.extra_info["n_pairs"] = len(universe)
+    benchmark.extra_info["n_features"] = store.matrix.shape[1]

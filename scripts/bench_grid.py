@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.core import FeatureConfig, LeapmeConfig, LeapmeMatcher
 from repro.core.feature_cache import PairFeatureStore, PairUniverse
-from repro.core.pair_features import name_distance_block
+from repro.core.pipeline import name_distance_block
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.evaluation import ExperimentRunner, PhaseTimings
 from repro.ioutils import atomic_write_text

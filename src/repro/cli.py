@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.blocking import CandidatePolicy
-from repro.core import FeatureConfig, LeapmeMatcher
+from repro.core import FeatureConfig, LeapmeMatcher, PairUniverse
 from repro.core.api import Matcher
 from repro.core.pipeline import (
     disable_persistent_distances,
@@ -195,11 +195,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         prepare = None
         if not policy.is_null:
             # Blocked evaluation shares one pruned universe across all
-            # repetitions; the store attaches lazily so fully resumed
-            # runs build nothing.
-            store = matcher.build_feature_store(dataset)
-            universe = store.universe
-            prepare = lambda: matcher.attach_store(store)  # noqa: E731
+            # repetitions (its blocking stats go in the report); the
+            # store is built lazily so fully resumed runs featurize
+            # nothing.
+            universe = PairUniverse(dataset, policy, embeddings=embeddings)
+            prepare = lambda: matcher.attach_store(  # noqa: E731
+                matcher.build_feature_store(dataset, universe)
+            )
         result = evaluate_matcher(
             matcher,
             dataset,
@@ -446,15 +448,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
     if args.add_source is not None:
         return _match_with_added_source(args, dataset, matcher)
     rng = np.random.default_rng(args.seed)
-    store = None
-    if not policy.is_null:
-        # Under a blocking policy every pair set -- training slices and
-        # test slices alike -- comes from the pruned candidate universe,
-        # which is built exactly once here.  The null path below keeps
-        # the seed's direct build_pairs enumeration byte for byte.
-        store = matcher.build_feature_store(dataset)
-        matcher.attach_store(store)
     matcher.prepare(dataset)
+    # A LEAPME matcher's store enumerated the candidate universe once:
+    # every pair set -- training slices and test slices alike -- is a
+    # subset of it (element-identical to build_pairs under the null
+    # policy, the pruned candidates under a blocking one).  The other
+    # systems enumerate with build_pairs.
+    store = matcher.store if isinstance(matcher, LeapmeMatcher) else None
     if matcher.is_supervised:
         train_sources = (
             args.train_sources.split(",") if args.train_sources else dataset.sources()
@@ -484,7 +484,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         test = build_pairs(dataset)
     scores = matcher.score_pairs(dataset, test.pairs)
     kept = _write_matches(args.out, test.pairs, scores, args.threshold)
-    if store is not None:
+    if store is not None and store.universe.is_blocked:
         stats = store.universe.blocking_stats()
         print(
             f"blocking {stats['policy']}: {stats['candidates']} of "
@@ -546,9 +546,8 @@ def _match_with_added_source(
             )
     try:
         rng = np.random.default_rng(args.seed)
-        store = matcher.build_feature_store(dataset)
-        matcher.attach_store(store)
         matcher.prepare(dataset)
+        store = matcher.store
         # Blocked stores train on the pruned candidate universe (the
         # same pairs the increment will enumerate); the null policy
         # keeps the direct full-cross-product path.

@@ -13,9 +13,10 @@ Algorithm 1 as follows:
   registry of :class:`FeatureStage` nodes, the :class:`FeatureSchema`
   column geometry and the columnar float32 :class:`FeaturePipeline`
   with fingerprint-keyed per-property row caching.
-* :mod:`repro.core.pair_features` -- ``ppFeatures`` (rows 7-15): the
-  difference of property feature vectors plus eight name string
-  distances, filtered by the active :class:`FeatureConfig`.
+* :mod:`repro.core.feature_cache` -- ``ppFeatures`` (rows 7-15): the
+  :class:`PairFeatureStore` of every candidate pair's difference of
+  property feature vectors plus eight name string distances, served
+  filtered by the active :class:`FeatureConfig`.
 * :mod:`repro.core.classifier` -- ``trainClassifier``: the dense network
   (128 -> 64 -> 2 softmax) with the paper's phased learning-rate schedule.
 * :mod:`repro.core.matcher` -- the end-to-end :class:`LeapmeMatcher`
@@ -50,10 +51,6 @@ from repro.core.instance_features import (
 )
 from repro.core.feature_cache import PairFeatureStore, PairUniverse
 from repro.core.matcher import LeapmeMatcher
-from repro.core.pair_features import (
-    feature_block_names,
-    pair_feature_matrix,
-)
 from repro.core.persistence import load_matcher, save_matcher
 from repro.core.pipeline import (
     FEATURE_DTYPE,
@@ -83,8 +80,6 @@ __all__ = [
     "SchemaBlock",
     "PairFeatureStore",
     "PairUniverse",
-    "feature_block_names",
-    "pair_feature_matrix",
     "LeapmeClassifier",
     "ResilientClassifier",
     "FittedState",

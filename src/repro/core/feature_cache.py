@@ -32,15 +32,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from itertools import chain
-from time import perf_counter
 
 import numpy as np
 
 from repro.blocking.blockers import Blocker
 from repro.blocking.policy import CandidatePolicy
 from repro.core.config import FeatureConfig
-from repro.core.pair_features import pair_feature_matrix
-from repro.core.pipeline import FEATURE_DTYPE
+from repro.core.pipeline import FEATURE_DTYPE, split_pairs
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset, PropertyRef
 from repro.data.pairs import (
@@ -364,6 +362,18 @@ class PairUniverse:
         """Universe row of an (unordered) pair."""
         return int(self._require_rows(self.lookup_rows([pair]))[0])
 
+    def are_cross_source(
+        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
+    ) -> bool:
+        """Whether every pair joins two of the dataset's properties in two sources."""
+        get = self._index_of.get
+        source = self._property_source
+        for left, right in zip(*split_pairs(pairs)):
+            i, j = get(left, -1), get(right, -1)
+            if i < 0 or j < 0 or source[i] == source[j]:
+                return False
+        return True
+
     def _require_rows(self, rows: np.ndarray) -> np.ndarray:
         if (rows < 0).any():
             raise ConfigurationError(
@@ -424,31 +434,16 @@ class PairFeatureStore:
         self.universe = universe
         self.dataset_fingerprint = universe.dataset_fingerprint
         self.schema = table.pipeline.schema
-        self.timings: dict[str, float] = {}
         # A prebuilt matrix is the delta-construction path
         # (with_source): the caller assembled it from copied old rows
         # plus freshly featurized new ones and it is already
-        # bit-identical to what _assemble would produce.
+        # bit-identical to a full assembly.
         if matrix is None:
-            matrix = self._assemble(table, *universe.ends())
+            matrix = table.pipeline.pair_matrix(
+                table, *universe.ends(), FeatureConfig()
+            )
+            matrix.setflags(write=False)
         self.matrix = matrix
-
-    def _assemble(
-        self, table: PropertyFeatureTable, left: np.ndarray, right: np.ndarray
-    ) -> np.ndarray:
-        """Full-width float32 rows joining table rows ``left`` and ``right``."""
-        pipeline = table.pipeline
-        started = perf_counter()
-        distance_before = pipeline.stage_seconds.get("name_distance", 0.0)
-        matrix = pipeline.pair_matrix(table, left, right, FeatureConfig())
-        matrix.setflags(write=False)
-        self.timings["name_distances"] = self.timings.get(
-            "name_distances", 0.0
-        ) + (pipeline.stage_seconds.get("name_distance", 0.0) - distance_before)
-        self.timings["build"] = self.timings.get("build", 0.0) + (
-            perf_counter() - started
-        )
-        return matrix
 
     @property
     def pipeline(self):
@@ -513,7 +508,9 @@ class PairFeatureStore:
         new_rows = np.flatnonzero(~kept)
         new_pairs = [universe.pairs[row] for row in new_rows]
         if new_pairs:
-            matrix[new_rows] = self._assemble(table, *universe.ends(new_rows))
+            matrix[new_rows] = table.pipeline.pair_matrix(
+                table, *universe.ends(new_rows), FeatureConfig()
+            )
         matrix.setflags(write=False)
         return table, universe, matrix, PairSet(new_pairs)
 
@@ -551,19 +548,22 @@ class PairFeatureStore:
     def rows_of(
         self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
     ) -> np.ndarray | None:
-        """Universe rows of ``pairs``, or ``None`` when they need the direct route.
+        """Universe rows of ``pairs``, or ``None`` when some were pruned.
 
         Under a blocking policy a request may include pairs the universe
         pruned (the incremental clusterer scores arbitrary
-        new-vs-existing links); those have no row, and :meth:`features`
-        assembles them from the staged pipeline instead.
+        new-vs-existing links); those have no row, and :meth:`assemble`
+        featurizes the request instead.  Every pair must still join two
+        of the dataset's properties in different sources: anything else
+        raises the universe's :class:`ConfigurationError`, on every
+        policy.
         """
         try:
             return self.universe.rows_of(pairs)
         except ConfigurationError:
-            if not self.universe.is_blocked:
-                raise
-            return None
+            if self.universe.is_blocked and self.universe.are_cross_source(pairs):
+                return None
+            raise
 
     def gather(self, rows: np.ndarray, config: FeatureConfig) -> np.ndarray:
         """Read-only feature matrix of universe ``rows`` under ``config``.
@@ -580,6 +580,24 @@ class PairFeatureStore:
         served.setflags(write=False)
         return served
 
+    def assemble(
+        self,
+        pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]],
+        config: FeatureConfig,
+    ) -> np.ndarray:
+        """Read-only feature matrix of ``pairs`` from one pipeline call.
+
+        The route for requests :meth:`rows_of` found pruned pairs in:
+        the store's table assembles every pair of the request, with the
+        same feature values universe rows hold.
+        """
+        lefts, rights = split_pairs(pairs)
+        matrix = self.pipeline.pair_matrix(
+            self.table, self.table.rows_of(lefts), self.table.rows_of(rights), config
+        )
+        matrix.setflags(write=False)
+        return matrix
+
     def features(
         self,
         pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
@@ -587,13 +605,12 @@ class PairFeatureStore:
     ) -> np.ndarray:
         """Read-only feature matrix for ``pairs`` under ``config``.
 
-        :meth:`rows_of` then :meth:`gather`; pairs a blocked universe
-        pruned are assembled directly from the staged pipeline, which
-        yields the same feature values as universe rows would.
+        :meth:`rows_of` then :meth:`gather`, or :meth:`assemble` when a
+        blocked universe pruned some of the pairs.
         """
         if isinstance(pairs, PairSet):
             pairs = pairs.pairs
         rows = self.rows_of(pairs)
         if rows is None:
-            return pair_feature_matrix(self.table, list(pairs), config)
+            return self.assemble(pairs, config)
         return self.gather(rows, config)

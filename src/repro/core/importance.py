@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.matcher import LeapmeMatcher
-from repro.core.pair_features import pair_feature_matrix
 from repro.data.model import Dataset
 from repro.data.pairs import PairSet
 from repro.metrics import evaluate_scores
@@ -52,8 +51,8 @@ def permutation_importance(
     """
     classifier = matcher.classifier  # raises NotFittedError when unfitted
     rng = rng if rng is not None else np.random.default_rng(0)
-    table = matcher._ensure_table(dataset)
-    features = pair_feature_matrix(table, pairs.pairs, matcher.feature_config)
+    matcher.prepare(dataset)
+    features = matcher.store.features(pairs, matcher.feature_config)
     labels = pairs.labels()
     baseline = evaluate_scores(
         classifier.match_scores(features), labels, matcher.threshold

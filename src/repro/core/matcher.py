@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.api import Matcher
 from repro.core.classifier import LeapmeClassifier, ResilientClassifier
 from repro.core.config import FeatureConfig, LeapmeConfig
-from repro.core.pair_features import pair_feature_matrix
 from repro.core.pipeline import FeaturePipeline, FeatureSchema
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset
@@ -86,8 +85,6 @@ class LeapmeMatcher(Matcher):
         #: The staged featurization pipeline; its per-property row cache
         #: is shared by every table/store this matcher builds.
         self.pipeline = FeaturePipeline(embeddings)
-        self._table: PropertyFeatureTable | None = None
-        self._table_key: str | None = None
         self._store = None
         self._classifier: LeapmeClassifier | None = None
         #: Degradation label of the most recent fit (None when the
@@ -98,17 +95,16 @@ class LeapmeMatcher(Matcher):
         self.feature_seconds: float = 0.0
 
     def prepare(self, dataset: Dataset) -> None:
-        """Compute the property feature table (Algorithm 1 steps 1-4).
+        """Build and attach ``dataset``'s feature store (Algorithm 1 steps 1-4).
 
-        A no-op when an attached :class:`PairFeatureStore` already
-        serves this dataset: the store embeds the same table content.
+        A no-op when the attached :class:`PairFeatureStore` already
+        serves this dataset.  Stores are keyed on the content
+        fingerprint, not the bare name: two different datasets that
+        happen to share a name never share a store.  ``fit`` and
+        ``score_pairs`` prepare on demand.
         """
-        if self._store is not None and self._store.serves(dataset):
-            return
-        self._table = PropertyFeatureTable(
-            dataset, self.embeddings, pipeline=self.pipeline
-        )
-        self._table_key = self._table.dataset_fingerprint
+        if self._store is None or not self._store.serves(dataset):
+            self._store = self.build_feature_store(dataset)
 
     @property
     def schema(self) -> FeatureSchema:
@@ -122,16 +118,16 @@ class LeapmeMatcher(Matcher):
 
     @property
     def store(self) -> object | None:
-        """The attached :class:`PairFeatureStore`, if any."""
+        """The attached :class:`PairFeatureStore` (``None`` before prepare)."""
         return self._store
 
     def attach_store(self, store) -> None:
         """Share a precomputed :class:`PairFeatureStore`.
 
-        While attached, ``fit``/``score_pairs`` on the store's dataset
-        take column slices of the shared full feature matrix instead of
-        assembling per-config matrices; other datasets fall back to the
-        direct path.  Pass ``None`` to detach.
+        ``fit`` and ``score_pairs`` on the store's dataset read column
+        slices of the shared full feature matrix; any other dataset
+        gets its own store, built by :meth:`prepare`.  Pass ``None`` to
+        detach.
         """
         self._store = store
 
@@ -148,8 +144,6 @@ class LeapmeMatcher(Matcher):
         """
         clone = copy.copy(self)
         clone._store = store
-        clone._table = store.table
-        clone._table_key = store.dataset_fingerprint
         return clone
 
     def build_feature_store(self, dataset: Dataset, universe=None):
@@ -166,32 +160,15 @@ class LeapmeMatcher(Matcher):
             universe = PairUniverse(
                 dataset, self.candidate_policy, embeddings=self.embeddings
             )
-        return PairFeatureStore(self._ensure_table(dataset), universe)
-
-    def _ensure_table(self, dataset: Dataset) -> PropertyFeatureTable:
-        # Keyed on the content fingerprint, not the bare name: two
-        # different datasets that happen to share a name must not reuse
-        # each other's cached feature table.
-        if self._table is None or self._table_key != dataset.fingerprint():
-            self._table = PropertyFeatureTable(
-                dataset, self.embeddings, pipeline=self.pipeline
-            )
-            self._table_key = self._table.dataset_fingerprint
-        return self._table
-
-    def _features(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
-        started = perf_counter()
-        try:
-            if self._store is not None and self._store.serves(dataset):
-                return self._store.features(pairs, self.feature_config)
-            table = self._ensure_table(dataset)
-            return pair_feature_matrix(table, pairs, self.feature_config)
-        finally:
-            self.feature_seconds += perf_counter() - started
+        table = PropertyFeatureTable(dataset, self.embeddings, pipeline=self.pipeline)
+        return PairFeatureStore(table, universe)
 
     def fit(self, dataset: Dataset, training_pairs: PairSet) -> None:
         """Train the classifier on labelled pairs (Algorithm 1 step 5)."""
-        features = self._features(dataset, training_pairs.pairs)
+        self.prepare(dataset)
+        started = perf_counter()
+        features = self._store.features(training_pairs.pairs, self.feature_config)
+        self.feature_seconds += perf_counter() - started
         labels = training_pairs.labels()
         self._classifier = self._classifier_factory()
         self._classifier.fit(features, labels)
@@ -200,31 +177,29 @@ class LeapmeMatcher(Matcher):
     def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
         """Positive-class probabilities for candidate pairs.
 
-        On a store-backed dataset the pairs' rows are resolved once, and
-        the classifier gets one :func:`~repro.nn.network.row_blocks`
-        block at a time, gathered straight from the store matrix: no
-        whole-set feature matrix is built.  Pairs a blocked universe
-        pruned have no rows; they are assembled from the staged
-        pipeline and scored in one call.  Row lookup and gathers count
-        toward :attr:`feature_seconds`.
+        The pairs' store rows are resolved once, and the classifier gets
+        one :func:`~repro.nn.network.row_blocks` block at a time,
+        gathered straight from the store matrix: no whole-set feature
+        matrix is built.  When a blocked universe pruned some of the
+        pairs, the store assembles the whole request in one pipeline
+        call, scored in one call.  Row lookup and gathers count toward
+        :attr:`feature_seconds`.
         """
         if self._classifier is None:
             raise NotFittedError("LeapmeMatcher must be fitted before scoring")
-        if self._store is None or not self._store.serves(dataset):
-            return self._classifier.match_scores(self._features(dataset, pairs))
+        self.prepare(dataset)
+        store = self._store
         started = perf_counter()
-        rows = self._store.rows_of(pairs)
+        rows = store.rows_of(pairs)
         if rows is None:
-            features = pair_feature_matrix(
-                self._store.table, list(pairs), self.feature_config
-            )
+            features = store.assemble(pairs, self.feature_config)
             self.feature_seconds += perf_counter() - started
             return self._classifier.match_scores(features)
         self.feature_seconds += perf_counter() - started
         scores = np.empty(len(rows))
         for start, stop in row_blocks(len(rows)):
             started = perf_counter()
-            block = self._store.gather(rows[start:stop], self.feature_config)
+            block = store.gather(rows[start:stop], self.feature_config)
             self.feature_seconds += perf_counter() - started
             scores[start:stop] = self._classifier.match_scores(block)
         return scores
@@ -245,8 +220,8 @@ class LeapmeMatcher(Matcher):
         """
         if self._store is None:
             raise ConfigurationError(
-                "attach a feature store (build_feature_store + attach_store) "
-                "before adding sources incrementally"
+                "prepare the matcher on its base dataset before adding "
+                "sources incrementally"
             )
         return self._store.add_source(addition)
 

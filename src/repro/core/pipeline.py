@@ -70,8 +70,8 @@ NUM_NAME_DISTANCES = len(PAIR_DISTANCE_NAMES)
 
 
 # ---------------------------------------------------------------------------
-# Memoised name distances (moved here from pair_features so every layer --
-# stores, direct assembly, benchmarks -- shares one cache).
+# Memoised name distances (one cache shared by every layer: stores,
+# pruned-pair assembly, benchmarks).
 # ---------------------------------------------------------------------------
 
 #: Memoised distance vectors keyed on the (lowercased, sorted) name pair.
@@ -586,7 +586,7 @@ class FeatureSchema:
     """Column-block geometry of the full pair-feature matrix.
 
     Derived from the stage registry, so column order and block widths
-    have exactly one definition; ``feature_block_names``, the feature
+    have exactly one definition; :meth:`column_names`, the feature
     store, permutation importance and persisted bundles all read from
     here.  Every :class:`FeatureConfig` selects whole blocks, so a
     config's matrix is ``full_matrix[:, schema.active_columns(config)]``

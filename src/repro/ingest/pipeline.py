@@ -136,9 +136,6 @@ class IngestPipeline:
                     "an unsupervised system"
                 )
             return
-        if isinstance(self.matcher, LeapmeMatcher):
-            store = self.matcher.build_feature_store(base)
-            self.matcher.attach_store(store)
         self.matcher.prepare(base)
         if self.matcher.is_supervised:
             rng = np.random.default_rng(self.seed)
@@ -198,10 +195,7 @@ class IngestPipeline:
                 raise DataError(
                     f"sources already present in dataset: {sorted(overlap)}"
                 )
-            if (
-                isinstance(self.matcher, LeapmeMatcher)
-                and self.matcher.store is not None
-            ):
+            if isinstance(self.matcher, LeapmeMatcher):
                 new_pairs = self.matcher.add_source(addition)
                 merged = self.matcher.store.universe.dataset
             else:

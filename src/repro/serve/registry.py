@@ -407,11 +407,8 @@ class TenantRegistry:
         else:
             embeddings = fallback_embeddings(dataset)
         matcher = build_system_matcher(spec.system, embeddings, spec.policy())
-        store = None
-        if isinstance(matcher, LeapmeMatcher):
-            store = matcher.build_feature_store(dataset)
-            matcher.attach_store(store)
         matcher.prepare(dataset)
+        store = matcher.store if isinstance(matcher, LeapmeMatcher) else None
         if matcher.is_supervised:
             rng = np.random.default_rng(spec.seed)
             # Under a blocking policy the tenant trains on the pruned
@@ -497,7 +494,7 @@ class TenantRegistry:
                 f"sources already present in tenant dataset: {sorted(overlap)}"
             )
         matcher = state.matcher
-        if isinstance(matcher, LeapmeMatcher) and matcher.store is not None:
+        if isinstance(matcher, LeapmeMatcher):
             new_store, new_pairs = matcher.store.with_source(addition)
             new_matcher = matcher.with_store(new_store)
             merged = new_store.universe.dataset

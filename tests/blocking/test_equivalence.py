@@ -17,13 +17,10 @@ import numpy as np
 import pytest
 
 from repro.blocking import CandidatePolicy
-from repro.core import (
-    FeatureConfig,
-    PairFeatureStore,
-    PairUniverse,
-    pair_feature_matrix,
-)
+from repro.core import FeatureConfig, PairFeatureStore, PairUniverse
 from repro.data.pairs import build_pairs
+
+from tests.conftest import direct_pair_matrix
 
 MINHASH = CandidatePolicy.from_label("minhash")
 
@@ -68,7 +65,7 @@ class TestNullPolicyIsSeed:
             tiny_headphones, tiny_embeddings, policy=CandidatePolicy.null()
         )
         pairs = list(store.universe.pairs)[:60]
-        direct = pair_feature_matrix(store.table, pairs, config)
+        direct = direct_pair_matrix(store.table, pairs, config)
         served = store.features(pairs, config)
         assert served.tobytes() == direct.tobytes()
 

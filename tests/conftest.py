@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.pipeline import split_pairs
 from repro.datasets import build_domain_embeddings, load_dataset
 
 TEST_TIMEOUT_SECONDS = float(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
@@ -45,6 +46,19 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def direct_pair_matrix(table, pairs, config):
+    """``pairs``' feature matrix from one pipeline call on ``table``.
+
+    The direct side of the store equivalence tests: the table rows of
+    each pair's ends go straight to ``FeaturePipeline.pair_matrix``,
+    with no pair universe or store in between.
+    """
+    lefts, rights = split_pairs(pairs)
+    return table.pipeline.pair_matrix(
+        table, table.rows_of(lefts), table.rows_of(rights), config
+    )
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, LeapmeConfig, LeapmeMatcher
 from repro.core.classifier import LeapmeClassifier, ResilientClassifier
 from repro.core.feature_cache import PairFeatureStore, PairUniverse
-from repro.core.pair_features import pair_feature_matrix
 from repro.data.pairs import build_pairs
 from repro.data.splits import split_sources
 from repro.datasets import build_domain_embeddings, load_dataset
@@ -30,6 +29,8 @@ from repro.evaluation import RunSettings, evaluate_matcher
 from repro.nn.network import ROW_BLOCK, row_blocks
 from repro.nn.schedule import TrainingSchedule
 from repro.testing.faults import AlwaysDivergingClassifier
+
+from tests.conftest import direct_pair_matrix
 
 #: Sizes around each block boundary, including a merged 1-row tail.
 SIZES = (
@@ -170,7 +171,7 @@ def test_pruned_pairs_are_looked_up_once(monkeypatch):
     monkeypatch.setattr(PairUniverse, "lookup_rows", counted)
     scores = matcher.score_pairs(dataset, pairs)
     assert lookups == [len(pairs)]
-    direct = pair_feature_matrix(store.table, pairs, FeatureConfig())
+    direct = direct_pair_matrix(store.table, pairs, FeatureConfig())
     assert np.array_equal(scores, matcher.classifier.match_scores(direct))
 
 

@@ -152,9 +152,10 @@ class TestLeapmeMatcher:
     def test_prepare_is_idempotent(self, tiny_headphones, tiny_embeddings):
         matcher = LeapmeMatcher(tiny_embeddings)
         matcher.prepare(tiny_headphones)
-        table = matcher._table
-        matcher._ensure_table(tiny_headphones)
-        assert matcher._table is table
+        store = matcher.store
+        assert store.serves(tiny_headphones)
+        matcher.prepare(tiny_headphones)
+        assert matcher.store is store
 
     def test_classifier_property_guard(self, tiny_embeddings):
         with pytest.raises(NotFittedError):

@@ -1,7 +1,7 @@
 """The shared feature store must be invisible except for speed.
 
-Every matrix the store serves must equal what the direct
-``pair_feature_matrix`` path produces, for every config of the 3x3
+Every matrix the store serves must equal what one direct
+``FeaturePipeline.pair_matrix`` call produces, for every config of the 3x3
 grid; the pair universe must reproduce ``build_pairs`` for every
 ``(sources, within)`` request, with the rows of the subset known
 without a per-pair lookup.
@@ -19,12 +19,13 @@ from repro.core import (
     PairFeatureStore,
     PairUniverse,
     PropertyFeatureTable,
-    pair_feature_matrix,
 )
 from repro.core.config import FeatureKinds
 from repro.core.pipeline import FeatureSchema
 from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.errors import ConfigurationError
+
+from tests.conftest import direct_pair_matrix
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +131,7 @@ class TestPairFeatureStore:
     ):
         table, universe, store = store_fixture
         pairs = universe.subset()
-        direct = pair_feature_matrix(table, pairs.pairs, config)
+        direct = direct_pair_matrix(table, pairs.pairs, config)
         served = store.features(pairs, config)
         np.testing.assert_array_equal(served, direct)
 
@@ -141,7 +142,7 @@ class TestPairFeatureStore:
             candidates, rng=np.random.default_rng(5)
         )
         config = FeatureConfig()
-        direct = pair_feature_matrix(table, training.pairs, config)
+        direct = direct_pair_matrix(table, training.pairs, config)
         np.testing.assert_array_equal(store.features(training, config), direct)
 
     @pytest.mark.parametrize("policy", ["null", "minhash"])
@@ -226,6 +227,7 @@ class TestMatcherIntegration:
         pairs = build_pairs(tiny_headphones)
         training = sample_training_pairs(pairs, rng=np.random.default_rng(1))
         matcher.fit(tiny_headphones, training)  # must not raise
+        assert matcher.store.serves(tiny_headphones)
         scores = matcher.score_pairs(tiny_headphones, pairs.pairs)
         assert scores.shape == (len(pairs),)
 

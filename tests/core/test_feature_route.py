@@ -1,0 +1,136 @@
+"""One featurization route: a LEAPME matcher reads features from its store.
+
+``prepare`` builds the matcher's :class:`PairFeatureStore` once; after
+that, training, scoring universe pairs and permutation importance are
+gathers from the store matrix -- no pipeline call and no new property
+table.  Only pairs a blocked universe pruned are assembled again, and
+only when they are cross-source pairs of the store's own dataset: any
+other pair is rejected the same way under every candidate policy.
+"""
+
+import numpy as np
+import pytest
+
+from repro.blocking import CandidatePolicy
+from repro.core import (
+    FeatureConfig,
+    LeapmeConfig,
+    LeapmeMatcher,
+    PairFeatureStore,
+    PropertyFeatureTable,
+    permutation_importance,
+)
+from repro.core.pipeline import FeaturePipeline
+from repro.data.model import PropertyRef
+from repro.data.pairs import LabeledPair
+from repro.errors import ConfigurationError
+from repro.nn.schedule import TrainingSchedule
+
+LIGHT = LeapmeConfig(hidden_sizes=(8,), schedule=TrainingSchedule.constant(1, 1e-3))
+
+POLICIES = ("null", "minhash")
+
+
+@pytest.fixture()
+def featurization_calls(monkeypatch):
+    """Counts ``pair_matrix`` calls and ``PropertyFeatureTable`` builds."""
+    calls = {"pair_matrix": 0, "table": 0}
+    pair_matrix = FeaturePipeline.pair_matrix
+    table_init = PropertyFeatureTable.__init__
+
+    def counted_pair_matrix(self, *args, **kwargs):
+        calls["pair_matrix"] += 1
+        return pair_matrix(self, *args, **kwargs)
+
+    def counted_table_init(self, *args, **kwargs):
+        calls["table"] += 1
+        table_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FeaturePipeline, "pair_matrix", counted_pair_matrix)
+    monkeypatch.setattr(PropertyFeatureTable, "__init__", counted_table_init)
+    return calls
+
+
+def _same_source_pair(dataset) -> LabeledPair:
+    source = dataset.sources()[0]
+    left, right = [ref for ref in dataset.properties() if ref.source == source][:2]
+    return LabeledPair(left, right, False)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_prepared_matcher_only_gathers(
+    tiny_headphones, tiny_embeddings, featurization_calls, policy
+):
+    matcher = LeapmeMatcher(
+        tiny_embeddings,
+        config=LIGHT,
+        candidate_policy=CandidatePolicy.from_label(policy),
+    )
+    matcher.prepare(tiny_headphones)
+    universe = matcher.store.universe
+    featurization_calls.update(pair_matrix=0, table=0)
+
+    training = universe.training_sample(universe.subset(), 2.0, (0, 1))
+    matcher.fit(tiny_headphones, training)
+    scores = matcher.score_pairs(tiny_headphones, list(universe.pairs))
+    importances = permutation_importance(
+        matcher, tiny_headphones, universe.subset(), repeats=1
+    )
+
+    assert scores.shape == (len(universe),)
+    assert importances
+    assert featurization_calls == {"pair_matrix": 0, "table": 0}
+
+
+def test_fit_without_prepare_builds_the_store(tiny_headphones, tiny_embeddings):
+    matcher = LeapmeMatcher(tiny_embeddings, config=LIGHT)
+    assert matcher.store is None
+    store = PairFeatureStore.build(tiny_headphones, tiny_embeddings)
+    training = store.universe.training_sample(store.universe.subset(), 2.0, (0, 2))
+    matcher.fit(tiny_headphones, training)
+    assert matcher.store.serves(tiny_headphones)
+    assert np.array_equal(
+        matcher.store.matrix.view(np.uint32), store.matrix.view(np.uint32)
+    )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_same_source_pairs_are_rejected_by_the_store(
+    tiny_headphones, tiny_embeddings, policy
+):
+    store = PairFeatureStore.build(
+        tiny_headphones, tiny_embeddings, policy=CandidatePolicy.from_label(policy)
+    )
+    with pytest.raises(ConfigurationError, match="cross-source universe"):
+        store.features([_same_source_pair(tiny_headphones)], FeatureConfig())
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_foreign_pairs_are_rejected_by_the_store(
+    tiny_headphones, tiny_embeddings, policy
+):
+    store = PairFeatureStore.build(
+        tiny_headphones, tiny_embeddings, policy=CandidatePolicy.from_label(policy)
+    )
+    known = tiny_headphones.properties()[0]
+    foreign = (known, PropertyRef("elsewhere", "weight"))
+    with pytest.raises(ConfigurationError, match="cross-source universe"):
+        store.features([foreign], FeatureConfig())
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_same_source_pairs_are_rejected_by_score_pairs(
+    tiny_headphones, tiny_embeddings, policy
+):
+    matcher = LeapmeMatcher(
+        tiny_embeddings,
+        config=LIGHT,
+        candidate_policy=CandidatePolicy.from_label(policy),
+    )
+    matcher.prepare(tiny_headphones)
+    universe = matcher.store.universe
+    matcher.fit(
+        tiny_headphones, universe.training_sample(universe.subset(), 2.0, (0, 3))
+    )
+    with pytest.raises(ConfigurationError, match="cross-source universe"):
+        matcher.score_pairs(tiny_headphones, [_same_source_pair(tiny_headphones)])

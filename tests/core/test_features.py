@@ -9,17 +9,14 @@ from repro.core.instance_features import (
     instance_meta_features,
     instance_meta_matrix,
 )
-from repro.core.pair_features import (
-    NUM_NAME_DISTANCES,
-    feature_block_names,
-    name_distances,
-    pair_feature_matrix,
-)
+from repro.core.pipeline import NUM_NAME_DISTANCES, FeatureSchema, name_distances
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset, PropertyInstance, PropertyRef
 from repro.data.pairs import LabeledPair
 from repro.embeddings.hashing import hash_embeddings
 from repro.errors import ConfigurationError, DataError
+
+from tests.conftest import direct_pair_matrix
 
 
 class TestInstanceMetaFeatures:
@@ -115,7 +112,7 @@ class TestPairFeatureMatrix:
 
     def test_full_config_width(self, table):
         config = FeatureConfig()
-        matrix = pair_feature_matrix(table, self._pairs(), config)
+        matrix = direct_pair_matrix(table, self._pairs(), config)
         # 29 meta + 8 inst-emb + 8 name-emb + 8 distances
         assert matrix.shape == (2, 29 + 8 + 8 + 8)
 
@@ -135,38 +132,38 @@ class TestPairFeatureMatrix:
     )
     def test_nine_config_widths(self, table, scope, kinds, width):
         config = FeatureConfig(scope, kinds)
-        matrix = pair_feature_matrix(table, self._pairs(), config)
+        matrix = direct_pair_matrix(table, self._pairs(), config)
         assert matrix.shape == (2, width)
-        assert len(feature_block_names(config, 8)) == width
+        assert len(FeatureSchema(8).column_names(config)) == width
 
     def test_paper_dimensions_at_300(self):
         # With 300-d embeddings the paper's counts are reproduced:
         # property vector = 329 + 300 = 629; pair vector = 629 + 8 = 637.
         config = FeatureConfig()
-        names = feature_block_names(config, 300)
+        names = FeatureSchema(300).column_names(config)
         assert len(names) == 29 + 300 + 300 + 8 == 637
 
     def test_symmetric_in_pair_order(self, table):
         config = FeatureConfig()
-        forward = pair_feature_matrix(table, self._pairs(), config)
+        forward = direct_pair_matrix(table, self._pairs(), config)
         flipped = [
             LabeledPair(pair.right, pair.left, pair.label) for pair in self._pairs()
         ]
-        backward = pair_feature_matrix(table, flipped, config)
+        backward = direct_pair_matrix(table, flipped, config)
         assert np.allclose(forward, backward)
 
     def test_accepts_plain_tuples(self, table):
         config = FeatureConfig(FeatureScope.NAMES, FeatureKinds.NON_EMBEDDING)
         pairs = [(PropertyRef("s1", "resolution"), PropertyRef("s2", "weight"))]
-        assert pair_feature_matrix(table, pairs, config).shape == (1, 8)
+        assert direct_pair_matrix(table, pairs, config).shape == (1, 8)
 
     def test_empty_pairs(self, table):
-        matrix = pair_feature_matrix(table, [], FeatureConfig())
+        matrix = direct_pair_matrix(table, [], FeatureConfig())
         assert matrix.shape == (0, 53)
 
     def test_matching_pair_smaller_distance_block(self, table):
         config = FeatureConfig(FeatureScope.NAMES, FeatureKinds.NON_EMBEDDING)
-        same = pair_feature_matrix(
+        same = direct_pair_matrix(
             table,
             [(PropertyRef("s1", "resolution"), PropertyRef("s2", "megapixels"))],
             config,

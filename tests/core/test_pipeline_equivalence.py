@@ -22,12 +22,13 @@ from repro.core import (
     PairFeatureStore,
     PairUniverse,
     PropertyFeatureTable,
-    pair_feature_matrix,
 )
 from repro.core.instance_features import NUM_META_FEATURES, instance_meta_matrix
 from repro.core.pipeline import FeaturePipeline, FeatureSchema, name_distance_block
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.text.similarity import name_distance_vector
+
+from tests.conftest import direct_pair_matrix
 
 #: Tolerance of the float32 policy: per-row math is float64 (identical
 #: to the seed), cast once on entry to the column store, so pipeline and
@@ -102,14 +103,14 @@ class TestNineConfigEquivalence:
         _, embeddings, table, universe, _, reference = domain_fixture
         pairs = list(universe.pairs)[:60]
         schema = FeatureSchema(embeddings.dimension)
-        got = pair_feature_matrix(table, pairs, config)
+        got = direct_pair_matrix(table, pairs, config)
         want = reference_pair_matrix(schema, config, reference, pairs)
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
     def test_schema_dimension_is_matrix_width(self, domain_fixture, config):
         _, embeddings, table, universe, _, _ = domain_fixture
         pairs = list(universe.pairs)[:10]
-        matrix = pair_feature_matrix(table, pairs, config)
+        matrix = direct_pair_matrix(table, pairs, config)
         resolved = FeatureSchema(embeddings.dimension).resolve(config)
         assert resolved.dimension == matrix.shape[1]
 
@@ -117,13 +118,13 @@ class TestNineConfigEquivalence:
         _, _, table, universe, store, _ = domain_fixture
         pairs = list(universe.pairs)[:60]
         served = store.features(pairs, config)
-        direct = pair_feature_matrix(table, pairs, config)
+        direct = direct_pair_matrix(table, pairs, config)
         np.testing.assert_array_equal(served, direct)
 
     def test_matrices_are_float32(self, domain_fixture, config):
         _, _, table, universe, store, _ = domain_fixture
         pairs = list(universe.pairs)[:10]
-        assert pair_feature_matrix(table, pairs, config).dtype == np.float32
+        assert direct_pair_matrix(table, pairs, config).dtype == np.float32
         assert store.features(pairs, config).dtype == np.float32
 
 

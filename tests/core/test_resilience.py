@@ -149,11 +149,14 @@ class TestTableCacheFingerprint:
         )
         matcher = LeapmeMatcher(tiny_embeddings, config=CONFIG)
         matcher.prepare(first)
-        table_first = matcher._ensure_table(first)
-        table_second = matcher._ensure_table(second)
-        assert table_second is not table_first
-        # And the cache still caches: same dataset, same table object.
-        assert matcher._ensure_table(second) is table_second
+        store_first = matcher.store
+        matcher.prepare(second)
+        store_second = matcher.store
+        assert store_second is not store_first
+        assert store_second.serves(second) and not store_second.serves(first)
+        # And the store still caches: same dataset, same store object.
+        matcher.prepare(second)
+        assert matcher.store is store_second
 
     def test_fingerprint_distinguishes_content(self):
         first = _named_dataset("x", [("a", "p", "1"), ("b", "p", "2")])

@@ -13,13 +13,10 @@ import threading
 
 import pytest
 
-from repro.core import (
-    FeatureConfig,
-    PairUniverse,
-    PropertyFeatureTable,
-    pair_feature_matrix,
-)
+from repro.core import FeatureConfig, PairUniverse, PropertyFeatureTable
 from repro.core.pipeline import FeaturePipeline, clear_distance_memo
+
+from tests.conftest import direct_pair_matrix
 
 
 @pytest.fixture(autouse=True)
@@ -82,7 +79,7 @@ class TestConcurrentDistanceCounters:
                 for _ in range(rounds):
                     for start in range(0, len(chunk), 4):
                         batch = chunk[start : start + 4]
-                        pair_feature_matrix(table, batch, FeatureConfig())
+                        direct_pair_matrix(table, batch, FeatureConfig())
             except Exception as error:  # surfaced below
                 errors.append(error)
 

@@ -17,6 +17,7 @@ import pytest
 from repro.core.classifier import LeapmeClassifier
 from repro.core.matcher import LeapmeMatcher
 from repro.data.pairs import LabeledPair
+from repro.errors import ConfigurationError
 from repro.serve import TenantRegistry
 
 from tests.serve.conftest import (
@@ -197,6 +198,16 @@ class TestPredictLookup:
         registry.predict_payload("t1", pruned)
         # Only the pruned pairs are scored; no universe pass is needed.
         assert forward_passes == [len(pruned)]
+
+
+    @pytest.mark.parametrize("blocking", [None, "minhash"])
+    def test_same_source_pairs_are_rejected_on_every_policy(
+        self, tmp_path, blocking
+    ):
+        registry = make_registry(tmp_path)
+        registry.create(make_spec(tmp_path, system="leapme", blocking=blocking))
+        with pytest.raises(ConfigurationError, match="cross-source universe"):
+            registry.predict_payload("t1", [["srcA", "weight", "srcA", "color"]])
 
 
 class TestTransport:

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from repro.cli import main
+from repro.core.pipeline import FeaturePipeline
 
 
 class TestGenerate:
@@ -98,6 +99,38 @@ class TestEvaluate:
         assert "2 resumed" in resumed_out
         # Resuming re-ran nothing, so no new repetition lines appeared.
         assert len(journal.read_text().strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("blocking", [None, "minhash"])
+    def test_fully_resumed_run_featurizes_nothing(
+        self, tmp_path, capsys, monkeypatch, blocking
+    ):
+        argv = [
+            "evaluate",
+            "--dataset", "headphones",
+            "--scale", "tiny",
+            "--system", "leapme",
+            "--train-fraction", "0.6",
+            "--repetitions", "1",
+            "--journal", str(tmp_path / "run.jsonl"),
+        ]
+        if blocking is not None:
+            argv += ["--blocking", blocking]
+        assert main(argv) == 0
+        first_out = capsys.readouterr().out
+        calls = []
+        pair_matrix = FeaturePipeline.pair_matrix
+
+        def counted(self, table, left_rows, right_rows, config):
+            calls.append(len(left_rows))
+            return pair_matrix(self, table, left_rows, right_rows, config)
+
+        monkeypatch.setattr(FeaturePipeline, "pair_matrix", counted)
+        assert main(argv + ["--resume"]) == 0
+        resumed_out = capsys.readouterr().out
+        assert "1 resumed" in resumed_out
+        assert calls == []
+        # The blocked report still carries the universe's blocking stats.
+        assert ("recall" in resumed_out) == ("recall" in first_out)
 
     def test_resume_without_journal_rejected(self, capsys):
         code = main(
