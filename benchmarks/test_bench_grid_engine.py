@@ -1,8 +1,8 @@
-"""Evaluation engine: cache-aware parallel grid vs the legacy serial path.
+"""Evaluation engine: the process-pool grid vs the serial grid.
 
-Runs the 9-config feature grid once through the engine (shared pair-
-feature store + process-pool executor) and once through the legacy
-serial path, asserts the aggregates are identical, and reports the
+Runs the 9-config feature grid once on two worker processes and once
+serially (``workers=1``), both over one shared pair universe and
+feature store, asserts the aggregates are identical, and reports the
 wall-clock ratio.  ``scripts/bench_grid.py`` (``make bench``) is the
 standalone driver with knobs; this module keeps the comparison in the
 benchmark suite so regressions show up alongside the paper tables.
@@ -74,15 +74,11 @@ def test_bench_grid_engine(benchmark):
 
     engine_results = run_once(
         benchmark,
-        lambda: runner.run(
-            [dataset], workers=2, share_features=True, **kwargs
-        ),
+        lambda: runner.run([dataset], workers=2, **kwargs),
     )
 
     started = perf_counter()
-    serial_results = runner.run(
-        [dataset], workers=1, share_features=False, **kwargs
-    )
+    serial_results = runner.run([dataset], workers=1, **kwargs)
     serial_seconds = perf_counter() - started
 
     assert _aggregates(engine_results) == _aggregates(serial_results)

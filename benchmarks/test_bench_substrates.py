@@ -14,6 +14,7 @@ import pytest
 from repro.core import LeapmeClassifier, LeapmeConfig, LeapmeMatcher, PairFeatureStore
 from repro.baselines.lsh import MinHasher
 from repro.core.pipeline import clear_distance_memo
+from repro.data.pairs import sample_training_pairs
 from repro.data.splits import repeated_source_splits
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.embeddings import CorpusGenerator, SynonymLexicon, build_cooccurrence
@@ -115,7 +116,9 @@ def test_bench_engine_cell_scoring(benchmark):
     split = next(repeated_source_splits(dataset, 0.2, repetitions=1, seed=0))
     train = list(split.train_sources)
     universe = store.universe
-    training = universe.training_sample(universe.subset(train, within=True), 2.0, (0, 0))
+    training = sample_training_pairs(
+        universe.subset(train, within=True), 2.0, np.random.default_rng([0, 0])
+    )
     test = universe.subset(train, within=False)
     matcher = LeapmeMatcher(
         embeddings,

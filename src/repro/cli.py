@@ -46,7 +46,7 @@ from repro.core.pipeline import (
 from repro.data.csvio import load_dataset_csv, save_dataset_csv
 from repro.data.io import save_dataset_json
 from repro.data.model import Dataset
-from repro.data.pairs import build_pairs, sample_training_pairs
+from repro.data.pairs import PairSet, build_pairs, sample_training_pairs
 from repro.data.stats import dataset_stats
 from repro.datasets import DATASET_NAMES, build_domain_embeddings, load_dataset
 from repro.embeddings.hashing import hash_embeddings
@@ -455,15 +455,17 @@ def _cmd_match(args: argparse.Namespace) -> int:
     # policy, the pruned candidates under a blocking one).  The other
     # systems enumerate with build_pairs.
     store = matcher.store if isinstance(matcher, LeapmeMatcher) else None
+
+    def pairs_for(sources=None, within=True):
+        if store is not None:
+            return store.universe.subset(sources, within=within)
+        return build_pairs(dataset, sources, within=within)
+
     if matcher.is_supervised:
         train_sources = (
             args.train_sources.split(",") if args.train_sources else dataset.sources()
         )
-        if store is not None:
-            candidates = store.universe.subset(train_sources, within=True)
-        else:
-            candidates = build_pairs(dataset, train_sources, within=True)
-        training = sample_training_pairs(candidates, rng=rng)
+        training = sample_training_pairs(pairs_for(train_sources), rng=rng)
         if not training.positives():
             raise ReproError(
                 "no positive training pairs in the chosen sources; "
@@ -472,18 +474,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
         matcher.fit(dataset, training)
         if set(train_sources) == set(dataset.sources()):
             # Integration mode: trained on everything, score everything.
-            test = (
-                store.universe.subset() if store is not None
-                else build_pairs(dataset)
-            )
-        elif store is not None:
-            test = store.universe.subset(train_sources, within=False)
+            test = pairs_for()
         else:
-            test = build_pairs(dataset, train_sources, within=False)
+            test = pairs_for(train_sources, within=False)
     else:
-        test = build_pairs(dataset)
-    scores = matcher.score_pairs(dataset, test.pairs)
-    kept = _write_matches(args.out, test.pairs, scores, args.threshold)
+        test = pairs_for()
+    scores = matcher.score_pairs(dataset, test)
+    kept = _write_matches(args.out, test, scores, args.threshold)
     if store is not None and store.universe.is_blocked:
         stats = store.universe.blocking_stats()
         print(
@@ -493,13 +490,13 @@ def _cmd_match(args: argparse.Namespace) -> int:
             f"pair recall {stats['pair_recall']:.2%})",
             file=sys.stderr,
         )
-    print(f"{kept} matches (of {len(test.pairs)} candidate pairs) written to {args.out}")
+    print(f"{kept} matches (of {len(test)} candidate pairs) written to {args.out}")
     return 0
 
 
-def _write_matches(out: str, pairs, scores, threshold: float) -> int:
+def _write_matches(out: str, pairs: PairSet, scores, threshold: float) -> int:
     """Write scored pairs above ``threshold`` as a matches CSV; count kept."""
-    kept = 0
+    kept = np.flatnonzero(scores >= threshold)
     # Atomic: a crash mid-write must not leave a truncated matches file
     # that looks complete (REP002).
     with atomic_open_text(out, newline="") as handle:
@@ -507,14 +504,11 @@ def _write_matches(out: str, pairs, scores, threshold: float) -> int:
         writer.writerow(
             ["left_source", "left_property", "right_source", "right_property", "score"]
         )
-        for pair, score in zip(pairs, scores):
-            if score >= threshold:
-                writer.writerow(
-                    [pair.left.source, pair.left.name,
-                     pair.right.source, pair.right.name, f"{score:.4f}"]
-                )
-                kept += 1
-    return kept
+        for left, right, score in zip(*pairs.sides(kept), scores[kept]):
+            writer.writerow(
+                [left.source, left.name, right.source, right.name, f"{score:.4f}"]
+            )
+    return len(kept)
 
 
 def _match_with_added_source(
@@ -548,15 +542,10 @@ def _match_with_added_source(
         rng = np.random.default_rng(args.seed)
         matcher.prepare(dataset)
         store = matcher.store
-        # Blocked stores train on the pruned candidate universe (the
-        # same pairs the increment will enumerate); the null policy
-        # keeps the direct full-cross-product path.
-        candidates = (
-            store.universe.subset()
-            if store.universe.is_blocked
-            else build_pairs(dataset)
-        )
-        training = sample_training_pairs(candidates, rng=rng)
+        # The store's universe holds the pairs the increment extends:
+        # the pruned candidates under a blocking policy, every
+        # cross-source pair under the null one.
+        training = sample_training_pairs(store.universe.subset(), rng=rng)
         if not training.positives():
             raise ReproError(
                 "no positive training pairs in the base dataset; "
@@ -571,11 +560,11 @@ def _match_with_added_source(
             for stage, count in matcher.pipeline.stage_calls.items()
             if count - calls_before.get(stage, 0)
         }
-        scores = matcher.score_pairs(combined, new_pairs.pairs)
+        scores = matcher.score_pairs(combined, new_pairs)
     finally:
         flush_persistent_distances()
         disable_persistent_distances()
-    kept = _write_matches(args.out, new_pairs.pairs, scores, args.threshold)
+    kept = _write_matches(args.out, new_pairs, scores, args.threshold)
     if store.universe.is_blocked:
         stats = store.universe.blocking_stats()
         print(
@@ -588,11 +577,11 @@ def _match_with_added_source(
     print(
         f"added {len(addition.sources())} source(s): "
         f"{len(addition.properties())} new properties, "
-        f"{len(new_pairs.pairs)} new candidate pairs"
+        f"{len(new_pairs)} new candidate pairs"
     )
     print("stage calls for the increment: "
           + ", ".join(f"{stage}={count}" for stage, count in sorted(delta.items())))
-    print(f"{kept} matches (of {len(new_pairs.pairs)} new pairs) written to {args.out}")
+    print(f"{kept} matches (of {len(new_pairs)} new pairs) written to {args.out}")
     return 0
 
 

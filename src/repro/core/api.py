@@ -21,7 +21,9 @@ class Matcher(ABC):
 
     Lifecycle: :meth:`prepare` is called once per dataset (feature
     precomputation), :meth:`fit` once per training split (a no-op for
-    unsupervised matchers) and :meth:`score_pairs` on any pair list.
+    unsupervised matchers) and :meth:`score_pairs` on any pair list or
+    :class:`PairSet`.  Pair arguments are only sized with ``len()``
+    and iterated.
     """
 
     #: Display name used in result tables.
@@ -50,10 +52,14 @@ class Matcher(ABC):
         """Learn from labelled pairs; default is a no-op (unsupervised)."""
 
     @abstractmethod
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
+    def score_pairs(
+        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
+    ) -> np.ndarray:
         """Similarity scores in [0, 1], aligned with ``pairs``."""
 
-    def match(self, dataset: Dataset, pairs: list[LabeledPair]) -> SimilarityGraph:
+    def match(
+        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
+    ) -> SimilarityGraph:
         """Score pairs and collect them into a similarity graph."""
         scores = self.score_pairs(dataset, pairs)
         graph = SimilarityGraph()

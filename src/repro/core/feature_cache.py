@@ -12,8 +12,8 @@ repetitions.  The seed implementation recomputed, per grid cell:
 
 This module hoists both.  :class:`PairUniverse` enumerates all
 cross-source pairs of a dataset exactly once and serves every
-``(sources, within)`` subset with one vectorised mask over that
-enumeration -- the result is element-identical to ``build_pairs``.
+``(sources, within)`` subset as the rows one vectorised mask selects
+from that enumeration -- element-identical to ``build_pairs``.
 :class:`PairFeatureStore` is a thin gather over the staged pipeline's
 outputs: the full-width float32 matrix over the universe is assembled
 once from the cached per-property stage columns, then any (pair set,
@@ -29,8 +29,6 @@ are copied from the existing matrix.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from itertools import chain
 
 import numpy as np
@@ -45,7 +43,6 @@ from repro.data.pairs import (
     LabeledPair,
     PairSet,
     cross_source_index_pairs,
-    sample_training_pairs,
     source_block_bounds,
 )
 from repro.errors import ConfigurationError
@@ -65,8 +62,8 @@ class PairUniverse:
     Candidate generation is policy-driven: under the default ``null``
     :class:`~repro.blocking.policy.CandidatePolicy` the universe holds
     every cross-source pair and ``subset`` reproduces
-    :func:`repro.data.pairs.build_pairs` exactly (same pair objects,
-    same order).  Under a blocking policy only the blocker's candidates
+    :func:`repro.data.pairs.build_pairs` exactly (same pairs, same
+    order).  Under a blocking policy only the blocker's candidates
     are enumerated -- the full cross product is never materialised --
     and every downstream consumer (subsets, feature stores, scoring)
     automatically operates on the pruned universe.  Pair identity is
@@ -75,6 +72,11 @@ class PairUniverse:
     ``i * len(properties) + j`` is ``_keys[r]``, and because every
     policy enumerates ``(i, j)`` lexicographically the key array is
     sorted, so row lookup is one ``searchsorted``.
+
+    The universe holds arrays only: the keys, a label per row and the
+    sorted property refs.  Pair sets are row arrays over it
+    (:meth:`subset`), and :class:`LabeledPair` objects are built only
+    for the rows a caller asks for (:meth:`pairs_at`).
     """
 
     def __init__(
@@ -136,34 +138,14 @@ class PairUniverse:
             & (reference[left] == reference[right])
             & (self._property_source[left] != self._property_source[right])
         )
-        refs = np.empty(len(properties), dtype=object)
-        refs[:] = properties
-        self.pairs: tuple[LabeledPair, ...] = tuple(
-            map(LabeledPair, refs[left].tolist(), refs[right].tolist(), labels.tolist())
-        )
-        self._stats_cache: dict | None = None
-        self._subset_cache: dict[tuple[frozenset[str], bool], PairSet] = {}
-        # lookup_rows is a per-pair Python loop; the same (memoised) pair
-        # list recurs for every config of a grid cell, so cache the row
-        # arrays by list identity (subsets enter with the rows their
-        # mask selected).  Entries hold a strong reference to
-        # the list, which keeps the id stable while cached.  Sizing: a
-        # grid touches repetitions+1 entries per train fraction, and the
-        # entries are small (index arrays / pair lists), so the caps sit
-        # well above any realistic repetition count.
-        self._rows_cache: OrderedDict[int, tuple[object, np.ndarray]] = OrderedDict()
-        self._rows_cache_size = 256
-        self._sample_cache: OrderedDict[tuple, tuple[object, PairSet]] = OrderedDict()
-        self._sample_cache_size = 256
-        # The memo dicts above are mutated on lookup (LRU move_to_end /
-        # eviction), so concurrent read-only *requests* -- the serve
-        # layer's thread-per-connection handlers all gathering from one
-        # warm store -- must serialise cache access.  The lock guards
-        # only the bookkeeping; the enumeration itself is immutable.
-        self._cache_lock = threading.Lock()
+        #: Ground truth of each row, read-only.
+        self.labels = labels
+        self.labels.setflags(write=False)
+        self._refs = np.empty(len(properties), dtype=object)
+        self._refs[:] = properties
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._keys)
 
     def ends(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Property indices ``(left, right)`` of universe ``rows`` (default all).
@@ -175,24 +157,30 @@ class PairUniverse:
         width = max(len(self._index_of), 1)
         return keys // width, keys % width
 
-    def subset(
-        self, sources: list[str] | None = None, *, within: bool = True
-    ) -> PairSet:
-        """The ``build_pairs(dataset, sources, within=...)`` pair set."""
+    def sides(self, rows: np.ndarray) -> tuple[list[PropertyRef], list[PropertyRef]]:
+        """Left and right property refs of universe ``rows``."""
+        left, right = self.ends(rows)
+        return self._refs[left].tolist(), self._refs[right].tolist()
+
+    def pairs_at(self, rows: np.ndarray) -> list[LabeledPair]:
+        """The :class:`LabeledPair` objects of universe ``rows``, built now."""
+        return list(map(LabeledPair, *self.sides(rows), self.labels[rows].tolist()))
+
+    @property
+    def pairs(self) -> list[LabeledPair]:
+        """Every candidate pair as an object, built afresh on each access."""
+        return self.pairs_at(np.arange(len(self)))
+
+    def _selected(self, sources: list[str] | None) -> set[str]:
         if sources is None:
-            selected = self._all_sources
-        else:
-            unknown = set(sources) - self._all_sources
-            if unknown:
-                raise ConfigurationError(f"unknown sources: {sorted(unknown)}")
-            selected = set(sources)
-        # The same split recurs across the nine configs of a grid cell;
-        # memoise so the mask runs once per (sources, within).
-        cache_key = (frozenset(selected), within)
-        with self._cache_lock:
-            cached = self._subset_cache.get(cache_key)
-            if cached is not None:
-                return cached
+            return self._all_sources
+        unknown = set(sources) - self._all_sources
+        if unknown:
+            raise ConfigurationError(f"unknown sources: {sorted(unknown)}")
+        return set(sources)
+
+    def _rows_in(self, sources: list[str] | None, within: bool) -> np.ndarray:
+        selected = self._selected(sources)
         chosen = np.array(
             [name in selected for name in self._source_names], dtype=bool
         )
@@ -200,46 +188,17 @@ class PairUniverse:
         inside = (
             chosen[self._property_source[left]] & chosen[self._property_source[right]]
         )
-        rows = np.flatnonzero(inside == within)
-        rows.setflags(write=False)
-        kept = [self.pairs[row] for row in rows.tolist()]
-        with self._cache_lock:
-            result = self._subset_cache.setdefault(cache_key, PairSet(kept))
-            if result.pairs is kept:
-                # The rows are known already: store gathers over this
-                # subset never walk its pairs through lookup_rows.
-                self._remember_rows(kept, rows)
-        return result
+        return np.flatnonzero(inside == within)
 
-    def training_sample(
-        self,
-        candidates: PairSet,
-        negative_ratio: float,
-        rng_seed: tuple[int, ...],
+    def subset(
+        self, sources: list[str] | None = None, *, within: bool = True
     ) -> PairSet:
-        """Memoised :func:`sample_training_pairs` over a memoised subset.
+        """The ``build_pairs(dataset, sources, within=...)`` pair set.
 
-        Every config of a grid cell draws the same training sample (the
-        rng is reseeded from ``rng_seed`` per draw), so the sample --
-        like the subset it comes from -- is computed once and the shared
-        ``PairSet`` object lets the row cache hit.
-        The draw consumes a fresh generator exactly as the direct path
-        does, so the sampled content is bit-identical.
+        A fresh universe-backed :class:`PairSet` on every call: one
+        vectorised mask over the rows, no pair objects.
         """
-        key = (id(candidates), float(negative_ratio), tuple(rng_seed))
-        with self._cache_lock:
-            cached = self._sample_cache.get(key)
-            if cached is not None and cached[0] is candidates:
-                self._sample_cache.move_to_end(key)
-                return cached[1]
-        sample = sample_training_pairs(
-            candidates, negative_ratio, np.random.default_rng(list(rng_seed))
-        )
-        with self._cache_lock:
-            self._sample_cache[key] = (candidates, sample)
-            if len(self._sample_cache) > self._sample_cache_size:
-                self._sample_cache.popitem(last=False)
-        return sample
+        return PairSet.of_rows(self, self._rows_in(sources, within))
 
     @property
     def is_blocked(self) -> bool:
@@ -262,23 +221,17 @@ class PairUniverse:
         pair; ``reduction_ratio`` is the fraction of the cross product
         pruned.  The null policy reports 1.0 / 0.0 by construction.
         """
-        if self._stats_cache is None:
-            total = self.total_cross_pairs()
-            candidates = len(self.pairs)
-            true_total = len(self.dataset.matching_pairs())
-            kept_true = sum(1 for pair in self.pairs if pair.label)
-            self._stats_cache = {
-                "policy": self.policy.label,
-                "candidates": candidates,
-                "total_pairs": total,
-                "reduction_ratio": (
-                    1.0 - candidates / total if total else 0.0
-                ),
-                "pair_recall": (
-                    kept_true / true_total if true_total else 1.0
-                ),
-            }
-        return dict(self._stats_cache)
+        total = self.total_cross_pairs()
+        candidates = len(self)
+        true_total = len(self.dataset.matching_pairs())
+        kept_true = int(self.labels.sum())
+        return {
+            "policy": self.policy.label,
+            "candidates": candidates,
+            "total_pairs": total,
+            "reduction_ratio": 1.0 - candidates / total if total else 0.0,
+            "pair_recall": kept_true / true_total if true_total else 1.0,
+        }
 
     def missed_true_pairs(
         self, sources: list[str] | None = None, *, within: bool = True
@@ -291,22 +244,14 @@ class PairUniverse:
         """
         if not self.is_blocked:
             return 0
-        if sources is None:
-            selected = self._all_sources
-        else:
-            unknown = set(sources) - self._all_sources
-            if unknown:
-                raise ConfigurationError(f"unknown sources: {sorted(unknown)}")
-            selected = set(sources)
+        selected = self._selected(sources)
         slice_true = 0
         for key in self.dataset.matching_pairs():
             left, right = tuple(key)
             both_inside = left.source in selected and right.source in selected
             if within == both_inside:
                 slice_true += 1
-        kept_true = sum(
-            1 for pair in self.subset(sources, within=within).pairs if pair.label
-        )
+        kept_true = int(self.labels[self._rows_in(sources, within)].sum())
         return slice_true - kept_true
 
     def lookup_rows(
@@ -389,23 +334,10 @@ class PairUniverse:
     def rows_of(
         self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
     ) -> np.ndarray:
-        """Universe rows of many pairs, in order."""
-        with self._cache_lock:
-            cached = self._rows_cache.get(id(pairs))
-            if cached is not None and cached[0] is pairs:
-                self._rows_cache.move_to_end(id(pairs))
-                return cached[1]
+        """Universe rows of many pairs, in order (read-only)."""
         rows = self._require_rows(self.lookup_rows(pairs))
         rows.setflags(write=False)
-        with self._cache_lock:
-            self._remember_rows(pairs, rows)
         return rows
-
-    def _remember_rows(self, pairs, rows: np.ndarray) -> None:
-        """Cache ``rows`` for the ``pairs`` list; caller holds the lock."""
-        self._rows_cache[id(pairs)] = (pairs, rows)
-        if len(self._rows_cache) > self._rows_cache_size:
-            self._rows_cache.popitem(last=False)
 
 
 class PairFeatureStore:
@@ -506,17 +438,17 @@ class PairFeatureStore:
         matrix = np.empty((len(universe), self.schema.total_width), dtype=FEATURE_DTYPE)
         matrix[kept] = self.matrix[old_rows[kept]]
         new_rows = np.flatnonzero(~kept)
-        new_pairs = [universe.pairs[row] for row in new_rows]
-        if new_pairs:
+        if len(new_rows):
             matrix[new_rows] = table.pipeline.pair_matrix(
                 table, *universe.ends(new_rows), FeatureConfig()
             )
         matrix.setflags(write=False)
-        return table, universe, matrix, PairSet(new_pairs)
+        return table, universe, matrix, PairSet.of_rows(universe, new_rows)
 
     def add_source(self, addition: Dataset) -> PairSet:
         """Ingest a new source incrementally; returns the new pairs.
 
+        The new pairs come back as rows of the merged universe.
         ``addition`` must contain only sources the store's dataset does
         not already have.  The store's dataset, universe, table and
         matrix are replaced by merged equivalents via the
@@ -546,11 +478,14 @@ class PairFeatureStore:
         return PairFeatureStore(table, universe, matrix=matrix), new_pairs
 
     def rows_of(
-        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
+        self,
+        pairs: PairSet | list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]],
     ) -> np.ndarray | None:
         """Universe rows of ``pairs``, or ``None`` when some were pruned.
 
-        Under a blocking policy a request may include pairs the universe
+        A :class:`PairSet` over this store's universe brings its own
+        rows.  Anything else is looked up in the universe.  Under a
+        blocking policy a request may include pairs the universe
         pruned (the incremental clusterer scores arbitrary
         new-vs-existing links); those have no row, and :meth:`assemble`
         featurizes the request instead.  Every pair must still join two
@@ -558,6 +493,10 @@ class PairFeatureStore:
         raises the universe's :class:`ConfigurationError`, on every
         policy.
         """
+        if isinstance(pairs, PairSet):
+            if pairs.universe is self.universe:
+                return pairs.rows
+            pairs = pairs.pairs
         try:
             return self.universe.rows_of(pairs)
         except ConfigurationError:
@@ -608,8 +547,6 @@ class PairFeatureStore:
         :meth:`rows_of` then :meth:`gather`, or :meth:`assemble` when a
         blocked universe pruned some of the pairs.
         """
-        if isinstance(pairs, PairSet):
-            pairs = pairs.pairs
         rows = self.rows_of(pairs)
         if rows is None:
             return self.assemble(pairs, config)

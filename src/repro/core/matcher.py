@@ -167,17 +167,20 @@ class LeapmeMatcher(Matcher):
         """Train the classifier on labelled pairs (Algorithm 1 step 5)."""
         self.prepare(dataset)
         started = perf_counter()
-        features = self._store.features(training_pairs.pairs, self.feature_config)
+        features = self._store.features(training_pairs, self.feature_config)
         self.feature_seconds += perf_counter() - started
         labels = training_pairs.labels()
         self._classifier = self._classifier_factory()
         self._classifier.fit(features, labels)
         self.last_degradation = getattr(self._classifier, "degradation", None)
 
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
+    def score_pairs(
+        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
+    ) -> np.ndarray:
         """Positive-class probabilities for candidate pairs.
 
-        The pairs' store rows are resolved once, and the classifier gets
+        The pairs' store rows are resolved once (a pair set over the
+        store's universe brings its own), and the classifier gets
         one :func:`~repro.nn.network.row_blocks` block at a time,
         gathered straight from the store matrix: no whole-set feature
         matrix is built.  When a blocked universe pruned some of the
@@ -205,7 +208,7 @@ class LeapmeMatcher(Matcher):
         return scores
 
     def predict(
-        self, dataset: Dataset, pairs: list[LabeledPair]
+        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
     ) -> np.ndarray:
         """Boolean match decisions at the configured decision threshold."""
         return self.score_pairs(dataset, pairs) >= self.threshold

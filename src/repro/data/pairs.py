@@ -37,40 +37,92 @@ class LabeledPair:
         return frozenset((self.left, self.right))
 
 
-@dataclass
 class PairSet:
-    """A list of labelled pairs with convenience accessors."""
+    """Labelled pairs: a plain list, or rows of a pair universe.
 
-    pairs: list[LabeledPair]
+    A set made by :meth:`repro.core.feature_cache.PairUniverse.subset`
+    (or sampled from one) carries its ``universe`` and a read-only
+    ``intp`` array of universe ``rows``.  Its labels gather from the
+    universe's label array, and its :class:`LabeledPair` objects are
+    built only on the first access to :attr:`pairs` -- by baselines,
+    CSV/JSON output or the graph; the LEAPME path reads rows and labels
+    only.  A set made from a list holds that list; ``universe`` and
+    ``rows`` are then ``None``.
+    """
+
+    def __init__(
+        self, pairs: list[LabeledPair] | None = None, *, universe=None, rows=None
+    ) -> None:
+        self._pairs = pairs
+        self.universe = universe
+        self.rows = rows
+
+    @classmethod
+    def of_rows(cls, universe, rows: np.ndarray) -> PairSet:
+        """The pairs at ``rows`` of ``universe`` (rows become read-only)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        rows.setflags(write=False)
+        return cls(universe=universe, rows=rows)
+
+    @property
+    def pairs(self) -> list[LabeledPair]:
+        """The pairs as objects, built from the universe on first access."""
+        if self._pairs is None:
+            self._pairs = self.universe.pairs_at(self.rows)
+        return self._pairs
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.rows) if self._pairs is None else len(self._pairs)
 
     def __iter__(self):
         return iter(self.pairs)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairSet):
+            return NotImplemented
+        if self.universe is not None and self.universe is other.universe:
+            return bool(np.array_equal(self.rows, other.rows))
+        return self.pairs == other.pairs
+
+    def take(self, positions: np.ndarray) -> list[LabeledPair]:
+        """The pairs at ``positions`` of this set, as objects."""
+        if self._pairs is None:
+            return self.universe.pairs_at(self.rows[positions])
+        return [self._pairs[index] for index in np.asarray(positions).tolist()]
+
+    def sides(
+        self, positions: np.ndarray
+    ) -> tuple[list[PropertyRef], list[PropertyRef]]:
+        """Left and right refs of the pairs at ``positions``; builds no pair."""
+        if self._pairs is None:
+            return self.universe.sides(self.rows[positions])
+        taken = self.take(positions)
+        return [pair.left for pair in taken], [pair.right for pair in taken]
+
+    def select(self, positions: np.ndarray) -> PairSet:
+        """The sub-set at ``positions``; universe-backed if this set is."""
+        if self.universe is not None:
+            return PairSet.of_rows(self.universe, self.rows[positions])
+        return PairSet(self.take(positions))
+
     def positives(self) -> list[LabeledPair]:
         """Only the matching pairs."""
-        return [pair for pair in self.pairs if pair.label]
+        return self.take(np.flatnonzero(self.labels()))
 
     def negatives(self) -> list[LabeledPair]:
         """Only the non-matching pairs."""
-        return [pair for pair in self.pairs if not pair.label]
+        return self.take(np.flatnonzero(self.labels() == 0))
 
     def labels(self) -> np.ndarray:
-        """Labels as an int array (1 = match).
-
-        Computed once and cached read-only: pair sets are shared across
-        grid cells, and every cell needs the same label vector.
-        """
-        cached = getattr(self, "_labels", None)
-        if cached is None:
-            cached = np.array(
-                [int(pair.label) for pair in self.pairs], dtype=np.int64
+        """Labels as a read-only int array (1 = match)."""
+        if self.universe is not None:
+            labels = self.universe.labels[self.rows].astype(np.int64)
+        else:
+            labels = np.array(
+                [int(pair.label) for pair in self._pairs], dtype=np.int64
             )
-            cached.setflags(write=False)
-            self._labels = cached
-        return cached
+        labels.setflags(write=False)
+        return labels
 
     def refs(self) -> list[PropertyRef]:
         """All distinct property refs mentioned by the pairs, sorted."""
@@ -169,17 +221,18 @@ def sample_training_pairs(
 
     All positives are kept.  When there are fewer negatives than the ratio
     requires, all negatives are kept.  Order is shuffled so mini-batch
-    training does not see label blocks.
+    training does not see label blocks.  The draw is an index selection
+    over ``candidates.labels()``, so a sample of a universe-backed set
+    is universe-backed and builds no pair objects.
     """
     if negative_ratio < 0:
         raise ConfigurationError(f"negative_ratio must be >= 0, got {negative_ratio}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    positives = candidates.positives()
-    negatives = candidates.negatives()
+    labels = candidates.labels()
+    positives = np.flatnonzero(labels)
+    negatives = np.flatnonzero(labels == 0)
     wanted = int(round(negative_ratio * len(positives)))
     if wanted < len(negatives):
-        chosen_idx = rng.choice(len(negatives), size=wanted, replace=False)
-        negatives = [negatives[int(i)] for i in chosen_idx]
-    combined = positives + negatives
-    order = rng.permutation(len(combined))
-    return PairSet([combined[int(i)] for i in order])
+        negatives = negatives[rng.choice(len(negatives), size=wanted, replace=False)]
+    combined = np.concatenate([positives, negatives])
+    return candidates.select(combined[rng.permutation(len(combined))])

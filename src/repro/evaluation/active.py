@@ -124,7 +124,7 @@ def run_active_learning(
             labelled.append(pick)
             labelled_set.add(pick)
         matcher.fit(dataset, PairSet([pool.pairs[i] for i in labelled]))
-        scores = matcher.score_pairs(dataset, evaluation.pairs)
+        scores = matcher.score_pairs(dataset, evaluation)
         quality: MatchQuality = evaluate_scores(
             scores, evaluation.labels(), matcher.threshold
         )

@@ -34,15 +34,16 @@ score, exactly as the serial loop does -- so the parallel grid has one
 score path, the workers share the score phase, and the supervisor's
 ``cell_timeout`` deadline covers scoring as it does every other phase.
 
-Workers keep per-process caches (matcher per cell, pair universe and
-feature store per dataset).  With ``share_features=True`` under the
-``fork`` start method the parent prebuilds universes and stores before
-creating the pool; a prebuilt store is the staged pipeline's full
-package -- the :class:`~repro.core.pipeline.FeatureSchema`, the
-columnar float32 per-property stage outputs and the assembled
-full-width matrix, all read-only -- so children inherit schema +
-columns through copy-on-write pages rather than re-deriving ad-hoc
-matrices, and the construction cost is paid exactly once per grid.
+Workers keep per-process state (matcher per cell, pair universe and
+feature store per dataset); a repetition's pair sets are row arrays
+over its dataset's universe.  Under the ``fork`` start method the
+parent prebuilds universes and stores before creating the pool; a
+prebuilt store is the staged pipeline's full package -- the
+:class:`~repro.core.pipeline.FeatureSchema`, the columnar float32
+per-property stage outputs and the assembled full-width matrix, all
+read-only -- so children inherit schema + columns through
+copy-on-write pages rather than re-deriving ad-hoc matrices, and the
+construction cost is paid exactly once per grid.
 Under ``spawn`` each worker builds its own, at most once per dataset.
 
 Failure model: the pool is run by
@@ -70,7 +71,7 @@ from queue import Empty
 import numpy as np
 
 from repro.data.model import Dataset
-from repro.data.splits import split_sources
+from repro.data.splits import split_sources, train_source_count
 from repro.errors import ConfigurationError, GridInterrupted
 from repro.evaluation.checkpoint import (
     STATUS_FAILED,
@@ -119,7 +120,6 @@ def _init_worker_process(
     factories,
     datasets,
     retry_policy,
-    share_features,
     start_queue=None,
     policy=None,
 ) -> None:
@@ -135,21 +135,13 @@ def _init_worker_process(
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    _init_worker(
-        factories,
-        datasets,
-        retry_policy,
-        share_features,
-        start_queue,
-        policy,
-    )
+    _init_worker(factories, datasets, retry_policy, start_queue, policy)
 
 
 def _init_worker(
     factories,
     datasets,
     retry_policy,
-    share_features,
     start_queue=None,
     policy=None,
 ) -> None:
@@ -158,7 +150,6 @@ def _init_worker(
         factories=factories,
         datasets=datasets,
         retry_policy=retry_policy,
-        share_features=share_features,
         start_queue=start_queue,
         policy=policy,
         matchers={},
@@ -233,12 +224,7 @@ def _worker_matcher(cell: GridCell):
     attach = getattr(matcher, "attach_store", None)
     build = getattr(matcher, "build_feature_store", None)
     embeddings = getattr(matcher, "embeddings", None)
-    if (
-        _STATE["share_features"]
-        and attach is not None
-        and build is not None
-        and embeddings is not None
-    ):
+    if attach is not None and build is not None and embeddings is not None:
         store_key = (cell.dataset_index, id(embeddings))
         store = _STATE["stores"].get(store_key)
         if store is None:
@@ -270,9 +256,6 @@ def _execute_item(cell: GridCell, repetition: int):
     dataset: Dataset = _STATE["datasets"][cell.dataset_index]
     rng = np.random.default_rng((cell.settings.seed, repetition))
     split = split_sources(dataset, cell.settings.train_fraction, rng)
-    universe = (
-        _worker_universe(cell.dataset_index) if _STATE["share_features"] else None
-    )
     return _run_repetition(
         _worker_matcher(cell),
         dataset,
@@ -281,7 +264,7 @@ def _execute_item(cell: GridCell, repetition: int):
         split,
         _STATE["retry_policy"],
         time.sleep,
-        universe=universe,
+        _worker_universe(cell.dataset_index),
     )
 
 
@@ -318,7 +301,6 @@ def run_grid_parallel(
     resume: bool,
     retry_policy: RetryPolicy | None,
     workers: int,
-    share_features: bool,
     supervisor: SupervisorPolicy | None = None,
     candidate_policy=None,
 ) -> list[ExperimentResult]:
@@ -360,6 +342,9 @@ def run_grid_parallel(
                         matcher_name=label,
                         dataset_name=dataset.name,
                         settings=settings,
+                        train_sources=train_source_count(
+                            len(dataset.sources()), fraction
+                        ),
                     )
                 )
                 key = (
@@ -400,7 +385,7 @@ def run_grid_parallel(
 
     if pending:
         context = _pool_context()
-        if share_features and context.get_start_method() == "fork":
+        if context.get_start_method() == "fork":
             _prebuild_shared(
                 factories,
                 datasets,
@@ -443,7 +428,6 @@ def run_grid_parallel(
                     factories,
                     datasets,
                     retry_policy,
-                    share_features,
                     start_queue_box[0],
                     candidate_policy,
                 ),
@@ -467,8 +451,7 @@ def run_grid_parallel(
             nonlocal serial_fallback_ready
             if not serial_fallback_ready:
                 _init_worker(
-                    factories, datasets, retry_policy, share_features,
-                    policy=candidate_policy,
+                    factories, datasets, retry_policy, policy=candidate_policy
                 )
                 serial_fallback_ready = True
             return _execute_item(cells[item[0]], item[1])

@@ -18,14 +18,16 @@ def render_results_table(results: list[ExperimentResult]) -> str:
 
     Besides P/R/F1 the table surfaces the F1 spread and per-cell health
     (skipped/failed repetition counts), so a cell whose average hides
-    bad repetitions is visible at a glance.  When any result carries
+    bad repetitions is visible at a glance.  ``train#`` is the number
+    of sources each repetition trained on: two fractions showing the
+    same count ran the same splits.  When any result carries
     candidate-generation stats (a blocked run), two extra columns show
     pair recall and the candidate reduction factor; unblocked tables
-    keep the seed layout byte for byte.
+    omit them.
     """
     blocked = any(result.pair_recall is not None for result in results)
     header = (
-        f"{'system':<32} {'dataset':<12} {'train%':>6}  "
+        f"{'system':<32} {'dataset':<12} {'train%':>6} {'train#':>6}  "
         f"{'P':>5} {'R':>5} {'F1':>5} {'±F1':>5}  "
         f"{'skip':>4} {'fail':>4} {'quar':>4}"
     )
@@ -34,9 +36,11 @@ def render_results_table(results: list[ExperimentResult]) -> str:
     lines = [header, "-" * len(header)]
     for result in results:
         row = result.as_row()
+        train_sources = row["train_sources"]
         line = (
             f"{row['system']:<32} {row['dataset']:<12} "
-            f"{row['train_fraction']:>6.0%}  "
+            f"{row['train_fraction']:>6.0%} "
+            f"{'-' if train_sources is None else train_sources:>6}  "
             f"{row['precision']:>5.2f} {row['recall']:>5.2f} {row['f1']:>5.2f} "
             f"{row['f1_std']:>5.2f}  {row['skipped']:>4d} {row['failed']:>4d} "
             f"{row['quarantined']:>4d}"

@@ -31,13 +31,14 @@ Performance
 -----------
 The grid is cache-aware and parallelisable:
 
-* with ``share_features=True`` (the default), each dataset's
-  cross-source pair universe is enumerated once
-  (:class:`~repro.core.feature_cache.PairUniverse`) and matchers that
-  support it share one full-width
+* each dataset's cross-source pair universe is enumerated once
+  (:class:`~repro.core.feature_cache.PairUniverse`), and every
+  repetition's training and test sets are row arrays over it; matchers
+  that support it share one full-width
   :class:`~repro.core.feature_cache.PairFeatureStore` per
-  (dataset, embeddings), so the nine feature configurations become
-  column slices of one matrix instead of nine recomputations;
+  (dataset, embeddings) built on that universe, so the nine feature
+  configurations become column slices of one matrix instead of nine
+  recomputations, and a pair set's rows index the matrix directly;
 * ``ExperimentRunner.run(workers=N)`` fans (cell, repetition) work
   items out to a process pool (:mod:`repro.evaluation.parallel`);
   because repetition randomness derives only from ``(seed,
@@ -62,7 +63,7 @@ import numpy as np
 
 from repro.core.api import Matcher
 from repro.data.model import Dataset
-from repro.data.pairs import build_pairs, sample_training_pairs
+from repro.data.pairs import sample_training_pairs
 from repro.data.splits import repeated_source_splits, train_source_count
 from repro.errors import ConfigurationError
 from repro.evaluation.checkpoint import (
@@ -231,6 +232,10 @@ class ExperimentResult:
     #: product pruned.  ``None`` under the null policy.
     pair_recall: float | None = None
     reduction_ratio: float | None = None
+    #: Sources each repetition trains on
+    #: (:func:`~repro.data.splits.train_source_count`): two fractions
+    #: that round to the same count run the same splits.
+    train_sources: int | None = None
 
     @property
     def precision(self) -> float:
@@ -272,6 +277,7 @@ class ExperimentResult:
             "system": self.matcher_name,
             "dataset": self.dataset_name,
             "train_fraction": self.settings.train_fraction,
+            "train_sources": self.train_sources,
             "precision": self.precision,
             "recall": self.recall,
             "f1": self.f1,
@@ -365,7 +371,7 @@ def _run_repetition(
     split,
     retry_policy: RetryPolicy,
     sleep,
-    universe=None,
+    universe,
 ) -> _Outcome:
     """One repetition under failure isolation and the retry policy.
 
@@ -374,25 +380,18 @@ def _run_repetition(
     ones) propagate, exactly like a real ``SIGKILL`` would end the
     process -- the journal then carries the completed prefix.
 
-    With ``universe`` (a :class:`~repro.core.feature_cache.PairUniverse`
-    of this dataset), pair sets are memoised filters of the one-time
-    enumeration instead of fresh quadratic walks.
+    Pair sets are row arrays over ``universe`` (the
+    :class:`~repro.core.feature_cache.PairUniverse` of ``dataset``):
+    the test set and the training candidates are two subsets of the
+    one-time enumeration, and the training sample is an index draw
+    from the candidates.
 
     Serial grids and pool workers both run this function to the end:
     a repetition is fitted and scored in the same process, so the
     parallel grid's ``--cell-timeout`` deadline covers the score phase
     too.
     """
-
-    shared = universe is not None and (
-        universe.dataset_fingerprint == dataset.fingerprint()
-    )
-
-    def pairs_for(within: bool):
-        if shared:
-            return universe.subset(list(split.train_sources), within=within)
-        return build_pairs(dataset, list(split.train_sources), within=within)
-
+    train_sources = list(split.train_sources)
     timings = PhaseTimings()
     last_error: Exception | None = None
     attempts_made = 0
@@ -409,29 +408,21 @@ def _run_repetition(
             if notify is not None:
                 notify(repetition, attempt)
             started = perf_counter()
-            test = pairs_for(within=False)
+            test = universe.subset(train_sources, within=False)
             timings.pair_build += perf_counter() - started
             if matcher.is_supervised:
                 # Attempt 1 reproduces the historical stream exactly;
                 # retries get a deterministic fresh draw.
                 sample_seed = (settings.seed, repetition, 1709 + (attempt - 1))
                 started = perf_counter()
-                candidates = pairs_for(within=True)
-                if shared:
-                    # Same draw, memoised: every config of this grid
-                    # cell reuses one PairSet object, so the universe's
-                    # row cache hits across configs.
-                    training = universe.training_sample(
-                        candidates, settings.negative_ratio, sample_seed
-                    )
-                else:
-                    training = sample_training_pairs(
-                        candidates,
-                        settings.negative_ratio,
-                        np.random.default_rng(list(sample_seed)),
-                    )
+                training = sample_training_pairs(
+                    universe.subset(train_sources, within=True),
+                    settings.negative_ratio,
+                    np.random.default_rng(list(sample_seed)),
+                )
                 timings.pair_build += perf_counter() - started
-                if not training.positives() or not training.negatives():
+                labels = training.labels()
+                if not labels.any() or labels.all():
                     # A skip is a data verdict, journaled with the
                     # default attempts=1 whichever attempt reached it.
                     return _Outcome(
@@ -451,17 +442,15 @@ def _run_repetition(
                 timings.train += max(0.0, elapsed - feature_share)
             features_before = _matcher_feature_seconds(matcher)
             started = perf_counter()
-            scores = matcher.score_pairs(dataset, test.pairs)
+            scores = matcher.score_pairs(dataset, test)
             elapsed = perf_counter() - started
             feature_share = _matcher_feature_seconds(matcher) - features_before
             timings.feature_assembly += feature_share
             timings.score += max(0.0, elapsed - feature_share)
             assert_finite(scores, "similarity scores")
             quality = evaluate_scores(scores, test.labels(), matcher.threshold)
-            if shared and universe.is_blocked:
-                quality = blocked_test_quality(
-                    quality, universe, list(split.train_sources)
-                )
+            if universe.is_blocked:
+                quality = blocked_test_quality(quality, universe, train_sources)
             return _Outcome(
                 status=STATUS_OK,
                 quality=quality,
@@ -571,7 +560,9 @@ def evaluate_matcher(
 
     ``label`` names the run cell (result and journal key) without
     mutating ``matcher.name``.  ``universe`` shares a precomputed
-    :class:`~repro.core.feature_cache.PairUniverse` across cells.
+    :class:`~repro.core.feature_cache.PairUniverse` of ``dataset``
+    across cells; without one, the cell uses its matcher's own
+    null-policy store universe, or enumerates a null-policy universe.
     Preparation is lazy: ``matcher.prepare(dataset)`` -- or the
     ``prepare`` callable when given -- runs before the first repetition
     that actually executes, so a fully journaled rerun builds nothing.
@@ -579,10 +570,15 @@ def evaluate_matcher(
     settings = settings if settings is not None else RunSettings()
     retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
     cell_name = label if label is not None else matcher.name
+    if universe is not None and universe.dataset_fingerprint != dataset.fingerprint():
+        raise ConfigurationError("the pair universe was built from another dataset")
     result = ExperimentResult(
         matcher_name=cell_name,
         dataset_name=dataset.name,
         settings=settings,
+        train_sources=train_source_count(
+            len(dataset.sources()), settings.train_fraction
+        ),
     )
     key = run_key(cell_name, dataset, settings) if journal is not None else None
     done = journal.entries(key) if (journal is not None and resume) else {}
@@ -600,6 +596,8 @@ def evaluate_matcher(
                 prepare()
             else:
                 matcher.prepare(dataset)
+            if universe is None:
+                universe = _own_universe(matcher, dataset)
             prepared = True
         outcome = _run_repetition(
             matcher,
@@ -614,15 +612,32 @@ def evaluate_matcher(
         _apply_outcome(result, repetition, outcome)
         if journal is not None:
             _journal_outcome(journal, key, repetition, outcome)
-    if (
-        universe is not None
-        and universe.is_blocked
-        and universe.dataset_fingerprint == dataset.fingerprint()
-    ):
+    if universe is not None and universe.is_blocked:
         stats = universe.blocking_stats()
         result.pair_recall = stats["pair_recall"]
         result.reduction_ratio = stats["reduction_ratio"]
     return result
+
+
+def _own_universe(matcher: Matcher, dataset: Dataset):
+    """The null-policy pair universe of an evaluation given none.
+
+    A prepared matcher's store universe serves when its policy is
+    null, so the pair sets index the store's rows directly; otherwise
+    (no store, or a blocked one) the dataset's full enumeration is
+    built, exactly the pairs ``build_pairs`` yields.
+    """
+    from repro.core.feature_cache import PairUniverse
+
+    store = getattr(matcher, "store", None)
+    universe = getattr(store, "universe", None)
+    if (
+        universe is not None
+        and not universe.is_blocked
+        and universe.dataset_fingerprint == dataset.fingerprint()
+    ):
+        return universe
+    return PairUniverse(dataset)
 
 
 def _warn_collapsing_fractions(
@@ -657,10 +672,10 @@ class ExperimentRunner:
 
     The runner holds matcher *factories* rather than instances so every
     cell starts from a pristine matcher (classifier state must not leak
-    between cells).  With ``share_features=True`` the expensive
-    per-dataset artefacts -- the pair universe and, for matchers that
-    support it, the full-width pair-feature store -- are built once per
-    (dataset, embeddings) and shared across all cells of that dataset.
+    between cells).  The expensive per-dataset artefacts -- the pair
+    universe and, for matchers that support it, the full-width
+    pair-feature store -- are built once per (dataset, embeddings) and
+    shared across all cells of that dataset.
     """
 
     def __init__(self, matcher_factories: dict[str, "callable"]) -> None:
@@ -679,7 +694,6 @@ class ExperimentRunner:
         resume: bool = True,
         retry_policy: RetryPolicy | None = None,
         workers: int = 1,
-        share_features: bool = True,
         supervisor=None,
         policy=None,
     ) -> list[ExperimentResult]:
@@ -703,18 +717,11 @@ class ExperimentRunner:
         every dataset's pair universe before any cell runs: training
         and test pairs come from the candidates only, pruned true
         matches count as false negatives, and each result carries
-        ``pair_recall``/``reduction_ratio``.  Requires
-        ``share_features`` (the universe *is* the shared artefact).
+        ``pair_recall``/``reduction_ratio``.
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         _warn_collapsing_fractions(datasets, train_fractions)
-        blocked = policy is not None and not policy.is_null
-        if blocked and not share_features:
-            raise ConfigurationError(
-                "a blocking policy needs share_features=True: the pruned "
-                "pair universe is the shared artefact"
-            )
         if workers > 1:
             from repro.evaluation.parallel import run_grid_parallel
 
@@ -729,21 +736,20 @@ class ExperimentRunner:
                 resume=resume,
                 retry_policy=retry_policy,
                 workers=workers,
-                share_features=share_features,
                 supervisor=supervisor,
                 candidate_policy=policy,
             )
+        from repro.core.feature_cache import PairUniverse
+
+        embeddings = (
+            probe_policy_embeddings(self._factories)
+            if policy is not None and not policy.is_null
+            else None
+        )
         results: list[ExperimentResult] = []
         for dataset in datasets:
-            universe = None
+            universe = PairUniverse(dataset, policy, embeddings=embeddings)
             stores: dict[int, object] = {}
-            if share_features:
-                from repro.core.feature_cache import PairUniverse
-
-                embeddings = (
-                    probe_policy_embeddings(self._factories) if blocked else None
-                )
-                universe = PairUniverse(dataset, policy, embeddings=embeddings)
             for fraction in train_fractions:
                 settings = RunSettings(
                     train_fraction=fraction,
@@ -753,11 +759,6 @@ class ExperimentRunner:
                 )
                 for label, factory in self._factories.items():
                     matcher = factory()
-                    prepare = None
-                    if share_features:
-                        prepare = _shared_prepare(
-                            matcher, dataset, universe, stores
-                        )
                     result = evaluate_matcher(
                         matcher,
                         dataset,
@@ -767,7 +768,7 @@ class ExperimentRunner:
                         retry_policy=retry_policy,
                         label=label,
                         universe=universe,
-                        prepare=prepare,
+                        prepare=_shared_prepare(matcher, dataset, universe, stores),
                     )
                     results.append(result)
         return results

@@ -59,7 +59,7 @@ def run_transfer_experiment(
         matcher.fit(source, training)
     matcher.prepare(target)
     test = build_pairs(target)
-    scores = matcher.score_pairs(target, test.pairs)
+    scores = matcher.score_pairs(target, test)
     quality = evaluate_scores(scores, test.labels(), matcher.threshold)
     return TransferResult(
         source_dataset=source.name,

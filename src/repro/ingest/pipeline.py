@@ -155,14 +155,15 @@ class IngestPipeline:
     def _bootstrap_candidates(self, base: Dataset):
         """Training candidates for the bootstrap fit.
 
-        Under a blocking candidate policy the matcher trains on the
-        pruned universe (the same candidates it will score), which is
-        what keeps warm restarts and incremental ingestion bit-identical
-        to a cold blocked rebuild.  The null policy keeps the seed path:
-        ``build_pairs`` over the full cross product.
+        A matcher with a store trains on its universe (the same
+        candidates it will score: the pruned ones under a blocking
+        policy, every cross-source pair under the null one), which is
+        what keeps warm restarts and incremental ingestion
+        bit-identical to a cold rebuild.  Other matchers enumerate with
+        ``build_pairs``.
         """
         store = getattr(self.matcher, "store", None)
-        if store is not None and store.universe.is_blocked and store.serves(base):
+        if store is not None and store.serves(base):
             return store.universe.subset()
         return build_pairs(base)
 
@@ -187,7 +188,7 @@ class IngestPipeline:
         if self.clusterer is None:
             merged = addition
             self.matcher.prepare(merged)
-            pairs = tuple(build_pairs(merged).pairs)
+            pairs = build_pairs(merged)
         else:
             existing = self.clusterer.dataset.sources()
             overlap = set(addition.sources()) & set(existing)
@@ -196,29 +197,24 @@ class IngestPipeline:
                     f"sources already present in dataset: {sorted(overlap)}"
                 )
             if isinstance(self.matcher, LeapmeMatcher):
-                new_pairs = self.matcher.add_source(addition)
+                pairs = self.matcher.add_source(addition)
                 merged = self.matcher.store.universe.dataset
             else:
                 merged = self.clusterer.dataset.merged_with(addition)
                 self.matcher.prepare(merged)
-                new_pairs = build_pairs(merged, existing, within=False)
-            pairs = tuple(new_pairs.pairs)
+                pairs = build_pairs(merged, existing, within=False)
         if pairs and not self.matcher.is_fitted:
             raise ConfigurationError(
                 f"{self.matcher.name} is not fitted; bootstrap before "
                 "featurizing batches"
             )
-        scores = (
-            self.matcher.score_pairs(merged, list(pairs))
-            if pairs
-            else np.zeros(0)
-        )
+        scores = self.matcher.score_pairs(merged, pairs) if pairs else np.zeros(0)
         return PreparedBatch(
             file=path.name,
             fingerprint=fingerprint,
             addition=addition,
             merged=merged,
-            pairs=pairs,
+            pairs=tuple(pairs),
             scores=scores,
         )
 

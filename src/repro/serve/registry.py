@@ -45,7 +45,7 @@ from repro.core.matcher import LeapmeMatcher
 from repro.core.pipeline import flush_persistent_distances
 from repro.data.csvio import load_dataset_csv
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
+from repro.data.pairs import LabeledPair, PairSet, build_pairs, sample_training_pairs
 from repro.errors import (
     ConfigurationError,
     DataError,
@@ -186,9 +186,9 @@ class TenantState:
 
     Requests read ``tenant.state`` exactly once and hold the reference;
     reloads build a whole new snapshot and swap it in.  Nothing in here
-    is mutated after construction (store gathers are internally locked
-    read-through caches; see :mod:`repro.core.feature_cache`) except
-    two write-once memos, each a pure function of the snapshot: its
+    is mutated after construction (store gathers read read-only arrays
+    and keep no per-request state; see :mod:`repro.core.feature_cache`)
+    except two write-once memos, each a pure function of the snapshot: its
     scored candidate pairs and its ``(source, name)`` property index.
     """
 
@@ -211,26 +211,23 @@ class TenantState:
             return matcher.store.universe
         return None
 
-    def scored_pairs(self) -> tuple[list[LabeledPair], np.ndarray]:
+    def scored_pairs(self) -> tuple[PairSet, np.ndarray]:
         """Every candidate pair of the snapshot and its score.
 
         One forward pass per snapshot, run lazily by the first read:
         scoring at bootstrap, reload or replay would charge every
         ``/add-source`` (and every warm restart) for snapshots that may
         never be read.  The call is exactly the one ``/match`` always
-        made, so response bytes do not change.
+        made, so response bytes do not change.  With a warm store the
+        pairs are all of its universe's rows, in row order.
         """
         return self._scores.get(self._score_candidates)
 
-    def _score_candidates(self) -> tuple[list[LabeledPair], np.ndarray]:
+    def _score_candidates(self) -> tuple[PairSet, np.ndarray]:
         universe = self.universe
         # The warm store's universe is element-identical to build_pairs
         # under the null policy, and the blocked candidate set otherwise.
-        pairs = (
-            list(universe.pairs)
-            if universe is not None
-            else build_pairs(self.dataset).pairs
-        )
+        pairs = universe.subset() if universe is not None else build_pairs(self.dataset)
         scores = np.asarray(
             self.matcher.score_pairs(self.dataset, pairs) if pairs else np.zeros(0)
         )
@@ -411,13 +408,11 @@ class TenantRegistry:
         store = matcher.store if isinstance(matcher, LeapmeMatcher) else None
         if matcher.is_supervised:
             rng = np.random.default_rng(spec.seed)
-            # Under a blocking policy the tenant trains on the pruned
-            # candidate universe -- the same pairs it will serve -- so
-            # warm restarts stay bit-identical to this bootstrap.
+            # A LEAPME tenant trains on its store's candidate universe --
+            # the same pairs it will serve -- so warm restarts stay
+            # bit-identical to this bootstrap.
             candidates = (
-                store.universe.subset()
-                if store is not None and store.universe.is_blocked
-                else build_pairs(dataset)
+                store.universe.subset() if store is not None else build_pairs(dataset)
             )
             training = sample_training_pairs(candidates, rng=rng)
             if not training.positives():
@@ -642,13 +637,11 @@ class TenantRegistry:
         state = tenant.state
         pairs, scores = state.scored_pairs()
         threshold = _tenant_threshold(tenant)
-        matches = []
-        for row in np.flatnonzero(scores >= threshold):
-            pair = pairs[row]
-            matches.append(
-                [pair.left.source, pair.left.name,
-                 pair.right.source, pair.right.name, f"{float(scores[row]):.4f}"]
-            )
+        kept = np.flatnonzero(scores >= threshold)
+        matches = [
+            [left.source, left.name, right.source, right.name, f"{score:.4f}"]
+            for left, right, score in zip(*pairs.sides(kept), scores[kept].tolist())
+        ]
         payload = {
             "tenant": tenant_id,
             "pairs": len(pairs),

@@ -22,7 +22,7 @@ from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, LeapmeConfig, LeapmeMatcher
 from repro.core.classifier import LeapmeClassifier, ResilientClassifier
 from repro.core.feature_cache import PairFeatureStore, PairUniverse
-from repro.data.pairs import build_pairs
+from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.data.splits import split_sources
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.evaluation import RunSettings, evaluate_matcher
@@ -78,8 +78,8 @@ def _whole_matrix_scores(classifier, features: np.ndarray) -> np.ndarray:
 def _cell(dataset, universe, fraction: float):
     split = split_sources(dataset, fraction, np.random.default_rng(3))
     train = list(split.train_sources)
-    training = universe.training_sample(
-        universe.subset(train, within=True), 2.0, (3, 0, 1709)
+    training = sample_training_pairs(
+        universe.subset(train, within=True), 2.0, np.random.default_rng([3, 0, 1709])
     )
     return training, universe.subset(train, within=False)
 
@@ -111,7 +111,7 @@ def test_blocked_scores_equal_whole_matrix_scores(headphones, config, kind):
     assert (matcher.last_degradation is not None) == (kind == "classical-fallback")
     order = np.random.default_rng(7).permutation(len(store.universe))
     for n in SIZES:
-        pairs = [store.universe.pairs[row] for row in order[:n]]
+        pairs = store.universe.pairs_at(order[:n])
         blocked = matcher.score_pairs(dataset, pairs)
         whole = _whole_matrix_scores(matcher.classifier, store.features(pairs, config))
         assert blocked.shape == (n,)
@@ -197,7 +197,7 @@ def test_engine_cell_scoring_never_holds_a_whole_matrix(cameras):
     whole_bytes = len(test) * store.schema.width(FeatureConfig()) * 8
     tracemalloc.start()
     try:
-        scores = matcher.score_pairs(dataset, test.pairs)
+        scores = matcher.score_pairs(dataset, test)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -61,11 +61,6 @@ class TestPairUniverse:
             st.lists(st.sampled_from(sources), unique=True, max_size=len(sources))
         )
         universe = PairUniverse(tiny_headphones)
-        subset = universe.subset(selected, within=within)
-        assert subset.pairs == build_pairs(
-            tiny_headphones, selected, within=within
-        ).pairs
-        expected = universe.lookup_rows(subset.pairs)
         calls = []
         lookup = PairUniverse.lookup_rows
         with pytest.MonkeyPatch.context() as patch:
@@ -74,9 +69,12 @@ class TestPairUniverse:
                 "lookup_rows",
                 lambda self, pairs: calls.append(1) or lookup(self, pairs),
             )
-            rows = universe.rows_of(subset.pairs)
+            subset = universe.subset(selected, within=within)
         assert calls == []
-        np.testing.assert_array_equal(rows, expected)
+        assert subset.pairs == build_pairs(
+            tiny_headphones, selected, within=within
+        ).pairs
+        np.testing.assert_array_equal(subset.rows, universe.lookup_rows(subset.pairs))
 
     def test_subset_rejects_unknown_sources(self, tiny_headphones):
         universe = PairUniverse(tiny_headphones)

@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.core.pipeline import FeaturePipeline
 from repro.data.model import PropertyRef
-from repro.data.pairs import LabeledPair
+from repro.data.pairs import LabeledPair, sample_training_pairs
 from repro.errors import ConfigurationError
 from repro.nn.schedule import TrainingSchedule
 
@@ -70,7 +70,9 @@ def test_prepared_matcher_only_gathers(
     universe = matcher.store.universe
     featurization_calls.update(pair_matrix=0, table=0)
 
-    training = universe.training_sample(universe.subset(), 2.0, (0, 1))
+    training = sample_training_pairs(
+        universe.subset(), 2.0, np.random.default_rng([0, 1])
+    )
     matcher.fit(tiny_headphones, training)
     scores = matcher.score_pairs(tiny_headphones, list(universe.pairs))
     importances = permutation_importance(
@@ -86,7 +88,9 @@ def test_fit_without_prepare_builds_the_store(tiny_headphones, tiny_embeddings):
     matcher = LeapmeMatcher(tiny_embeddings, config=LIGHT)
     assert matcher.store is None
     store = PairFeatureStore.build(tiny_headphones, tiny_embeddings)
-    training = store.universe.training_sample(store.universe.subset(), 2.0, (0, 2))
+    training = sample_training_pairs(
+        store.universe.subset(), 2.0, np.random.default_rng([0, 2])
+    )
     matcher.fit(tiny_headphones, training)
     assert matcher.store.serves(tiny_headphones)
     assert np.array_equal(
@@ -130,7 +134,8 @@ def test_same_source_pairs_are_rejected_by_score_pairs(
     matcher.prepare(tiny_headphones)
     universe = matcher.store.universe
     matcher.fit(
-        tiny_headphones, universe.training_sample(universe.subset(), 2.0, (0, 3))
+        tiny_headphones,
+        sample_training_pairs(universe.subset(), 2.0, np.random.default_rng([0, 3])),
     )
     with pytest.raises(ConfigurationError, match="cross-source universe"):
         matcher.score_pairs(tiny_headphones, [_same_source_pair(tiny_headphones)])

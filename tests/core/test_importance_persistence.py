@@ -205,8 +205,8 @@ class TestCandidatePolicyPersistence:
         )
         store = matcher.build_feature_store(dataset)
         matcher.attach_store(store)
-        training = store.universe.training_sample(
-            store.universe.subset(), 2.0, (0,)
+        training = sample_training_pairs(
+            store.universe.subset(), 2.0, np.random.default_rng([0])
         )
         matcher.fit(dataset, training)
         return dataset, matcher

@@ -15,6 +15,8 @@ from repro.evaluation import (
     ExperimentRunner,
     RetryPolicy,
     RunJournal,
+    RunSettings,
+    evaluate_matcher,
 )
 from repro.nn.schedule import TrainingSchedule
 from repro.testing import FaultPlan, FaultyMatcher, SimulatedKill
@@ -115,10 +117,16 @@ class TestParallelDeterminism:
         self, tiny_headphones
     ):
         runner = ExperimentRunner({"nameeq": NameEqMatcher})
-        baseline = runner.run(
-            [tiny_headphones], train_fractions=[0.5], repetitions=3, seed=2,
-            share_features=False,
-        )
+        # The reference cell shares nothing: it enumerates its own
+        # universe.
+        baseline = [
+            evaluate_matcher(
+                NameEqMatcher(),
+                tiny_headphones,
+                RunSettings(train_fraction=0.5, repetitions=3, seed=2),
+                label="nameeq",
+            )
+        ]
         shared = runner.run(
             [tiny_headphones], train_fractions=[0.5], repetitions=3, seed=2
         )
@@ -229,9 +237,16 @@ class TestParallelLeapme:
 
         runner = ExperimentRunner({"leapme": factory})
         kwargs = dict(train_fractions=[0.5], repetitions=2, seed=3)
-        baseline = runner.run(
-            [tiny_headphones], share_features=False, **kwargs
-        )
+        # The reference cell shares nothing: the matcher builds its own
+        # store, and the pair sets are rows of that store's universe.
+        baseline = [
+            evaluate_matcher(
+                factory(),
+                tiny_headphones,
+                RunSettings(train_fraction=0.5, repetitions=2, seed=3),
+                label="leapme",
+            )
+        ]
         serial_journal = RunJournal(tmp_path / "serial.jsonl")
         parallel_journal = RunJournal(tmp_path / "parallel.jsonl")
         shared = runner.run(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.api import Matcher
 from repro.data.pairs import build_pairs
-from repro.datasets import build_domain_embeddings
+from repro.datasets import build_domain_embeddings, load_dataset
 from repro.errors import ConfigurationError
 from repro.evaluation import (
     ExperimentRunner,
@@ -189,19 +189,6 @@ class TestBlockedGrid:
         assert result.reduction_ratio is None
         assert "blocking:" not in result.describe()
 
-    def test_blocked_needs_shared_features(self, tiny_headphones):
-        from repro.blocking import CandidatePolicy
-
-        runner = ExperimentRunner({"oracle": OracleMatcher})
-        with pytest.raises(ConfigurationError, match="share_features"):
-            runner.run(
-                [tiny_headphones],
-                train_fractions=[0.5],
-                repetitions=1,
-                share_features=False,
-                policy=CandidatePolicy.from_label("minhash"),
-            )
-
     def test_as_row_includes_blocking_columns(self, tiny_headphones):
         row = self._run(tiny_headphones, "minhash").as_row()
         assert row["pair_recall"] == 1.0
@@ -213,6 +200,27 @@ class TestBlockedGrid:
         assert "pairR" in blocked and "redux" in blocked
         unblocked = render_results_table([self._run(tiny_headphones, "null")])
         assert "pairR" not in unblocked
+
+
+class TestTrainSources:
+    """Rows report how many sources each repetition trained on."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_collapsing_fractions_report_one_count(self, workers):
+        dataset = load_dataset("headphones", scale="small", seed=0)
+        assert len(dataset.sources()) == 10
+        runner = ExperimentRunner({"oracle": OracleMatcher})
+        with pytest.warns(UserWarning, match="both train on 2 of 10"):
+            results = runner.run(
+                [dataset],
+                train_fractions=[0.1, 0.2, 0.8],
+                repetitions=1,
+                workers=workers,
+            )
+        assert [r.as_row()["train_sources"] for r in results] == [2, 2, 8]
+        table = render_results_table(results).splitlines()
+        assert "train#" in table[0]
+        assert [line.split()[3] for line in table[2:]] == ["2", "2", "8"]
 
 
 class TestReporting:
