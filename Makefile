@@ -43,9 +43,10 @@ chaos:
 		tests/ingest/test_chaos_ingest.py \
 		tests/serve/test_chaos_serve.py
 
-# Follow-mode smoke: a forked `repro serve` daemon is hard-killed after
-# its first fused batch, resumed, and must land byte-identical to a
-# cold rebuild; a poison source must quarantine with a reason.
+# Follow-mode smoke: a forked LSH daemon is hard-killed after its first
+# fused batch and a bootstrapped LEAPME daemon after `featurized`; each
+# is resumed and must land byte-identical to a cold rebuild; a poison
+# source must quarantine with a reason.
 serve-smoke:
 	PYTHONPATH=src python scripts/serve_smoke.py
 

@@ -595,7 +595,7 @@ class ImpureFeatureStageRule(Rule):
     """REP009: feature stages must be pure column producers.
 
     The pipeline's correctness contracts -- fingerprint-keyed row reuse,
-    bit-identical ``add_source`` deltas, and fork-COW prebuilds shipping
+    bit-identical ``with_source`` deltas, and fork-COW prebuilds shipping
     stage outputs to workers -- all assume a stage is a deterministic
     function of ``(dataset, embeddings)``.  A stage that imports
     ``repro.evaluation`` inverts the layering (evaluation orchestrates

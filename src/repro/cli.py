@@ -46,7 +46,7 @@ from repro.core.pipeline import (
 from repro.data.csvio import load_dataset_csv, save_dataset_csv
 from repro.data.io import save_dataset_json
 from repro.data.model import Dataset
-from repro.data.pairs import PairSet, build_pairs, sample_training_pairs
+from repro.data.pairs import PairSet, sample_training_pairs
 from repro.data.stats import dataset_stats
 from repro.datasets import DATASET_NAMES, build_domain_embeddings, load_dataset
 from repro.embeddings.hashing import hash_embeddings
@@ -449,23 +449,17 @@ def _cmd_match(args: argparse.Namespace) -> int:
         return _match_with_added_source(args, dataset, matcher)
     rng = np.random.default_rng(args.seed)
     matcher.prepare(dataset)
-    # A LEAPME matcher's store enumerated the candidate universe once:
-    # every pair set -- training slices and test slices alike -- is a
-    # subset of it (element-identical to build_pairs under the null
-    # policy, the pruned candidates under a blocking one).  The other
-    # systems enumerate with build_pairs.
-    store = matcher.store if isinstance(matcher, LeapmeMatcher) else None
-
-    def pairs_for(sources=None, within=True):
-        if store is not None:
-            return store.universe.subset(sources, within=within)
-        return build_pairs(dataset, sources, within=within)
-
+    # Every pair set -- training slices and test slices alike -- is a
+    # slice of the matcher's candidates: for LEAPME the rows of its
+    # store's universe (element-identical to build_pairs under the null
+    # policy, the pruned candidates under a blocking one).
     if matcher.is_supervised:
         train_sources = (
             args.train_sources.split(",") if args.train_sources else dataset.sources()
         )
-        training = sample_training_pairs(pairs_for(train_sources), rng=rng)
+        training = sample_training_pairs(
+            matcher.candidates(dataset, train_sources), rng=rng
+        )
         if not training.positives():
             raise ReproError(
                 "no positive training pairs in the chosen sources; "
@@ -474,13 +468,21 @@ def _cmd_match(args: argparse.Namespace) -> int:
         matcher.fit(dataset, training)
         if set(train_sources) == set(dataset.sources()):
             # Integration mode: trained on everything, score everything.
-            test = pairs_for()
+            test = matcher.candidates(dataset)
         else:
-            test = pairs_for(train_sources, within=False)
+            test = matcher.candidates(dataset, train_sources, within=False)
     else:
-        test = pairs_for()
+        test = matcher.candidates(dataset)
     scores = matcher.score_pairs(dataset, test)
     kept = _write_matches(args.out, test, scores, args.threshold)
+    _print_blocking_stats(matcher)
+    print(f"{kept} matches (of {len(test)} candidate pairs) written to {args.out}")
+    return 0
+
+
+def _print_blocking_stats(matcher: Matcher) -> None:
+    """Report a blocked LEAPME store's candidate counts on stderr."""
+    store = matcher.store if isinstance(matcher, LeapmeMatcher) else None
     if store is not None and store.universe.is_blocked:
         stats = store.universe.blocking_stats()
         print(
@@ -490,8 +492,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
             f"pair recall {stats['pair_recall']:.2%})",
             file=sys.stderr,
         )
-    print(f"{kept} matches (of {len(test)} candidate pairs) written to {args.out}")
-    return 0
 
 
 def _write_matches(out: str, pairs: PairSet, scores, threshold: float) -> int:
@@ -515,11 +515,12 @@ def _match_with_added_source(
     args: argparse.Namespace, dataset: Dataset, matcher: Matcher
 ) -> int:
     """Incremental ingestion: train on the base dataset, delta-featurize
-    one new source, and emit matches for the *new* cross-source pairs only.
+    one new source, and emit matches for the *new* candidate pairs only.
 
-    The attached feature store's ``add_source`` path recomputes only the
-    new source's property rows and the new pairs; everything already
-    featurized is served from the pipeline's fingerprint-keyed cache.
+    :meth:`LeapmeMatcher.with_source` -- the add-source path the service
+    and follow mode share -- recomputes only the new source's property
+    rows and the new pairs; everything already featurized is served
+    from the pipeline's fingerprint-keyed cache.
     """
     if not isinstance(matcher, LeapmeMatcher):
         raise ReproError(
@@ -540,12 +541,7 @@ def _match_with_added_source(
             )
     try:
         rng = np.random.default_rng(args.seed)
-        matcher.prepare(dataset)
-        store = matcher.store
-        # The store's universe holds the pairs the increment extends:
-        # the pruned candidates under a blocking policy, every
-        # cross-source pair under the null one.
-        training = sample_training_pairs(store.universe.subset(), rng=rng)
+        training = sample_training_pairs(matcher.candidates(dataset), rng=rng)
         if not training.positives():
             raise ReproError(
                 "no positive training pairs in the base dataset; "
@@ -553,27 +549,18 @@ def _match_with_added_source(
             )
         matcher.fit(dataset, training)
         calls_before = dict(matcher.pipeline.stage_calls)
-        new_pairs = matcher.add_source(addition)
-        combined = store.universe.dataset
+        grown, combined, new_pairs = matcher.with_source(dataset, addition)
         delta = {
             stage: count - calls_before.get(stage, 0)
             for stage, count in matcher.pipeline.stage_calls.items()
             if count - calls_before.get(stage, 0)
         }
-        scores = matcher.score_pairs(combined, new_pairs)
+        scores = grown.score_pairs(combined, new_pairs)
     finally:
         flush_persistent_distances()
         disable_persistent_distances()
     kept = _write_matches(args.out, new_pairs, scores, args.threshold)
-    if store.universe.is_blocked:
-        stats = store.universe.blocking_stats()
-        print(
-            f"blocking {stats['policy']}: {stats['candidates']} of "
-            f"{stats['total_pairs']} cross-source pairs kept "
-            f"(reduction {stats['reduction_ratio']:.2%}, "
-            f"pair recall {stats['pair_recall']:.2%})",
-            file=sys.stderr,
-        )
+    _print_blocking_stats(grown)
     print(
         f"added {len(addition.sources())} source(s): "
         f"{len(addition.properties())} new properties, "

@@ -7,12 +7,13 @@ pairs.  The evaluation harness drives any matcher through this interface.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from repro.data.model import Dataset
-from repro.data.pairs import LabeledPair, PairSet
+from repro.data.pairs import LabeledPair, PairSet, build_pairs
 from repro.graph.simgraph import SimilarityGraph
 
 
@@ -50,6 +51,37 @@ class Matcher(ABC):
 
     def fit(self, dataset: Dataset, training_pairs: PairSet) -> None:
         """Learn from labelled pairs; default is a no-op (unsupervised)."""
+
+    def candidates(
+        self, dataset: Dataset, sources: list[str] | None = None, within: bool = True
+    ) -> PairSet:
+        """The candidate pairs this matcher scores on ``dataset``.
+
+        Same slicing as :func:`~repro.data.pairs.build_pairs`, which is
+        what the default returns: every cross-source pair.
+        """
+        return build_pairs(dataset, sources, within=within)
+
+    def with_source(
+        self, dataset: Dataset, addition: Dataset
+    ) -> tuple["Matcher", Dataset, PairSet]:
+        """Grow into ``dataset`` plus ``addition``, leaving ``self`` untouched.
+
+        Returns ``(successor, merged, new_pairs)``: a matcher prepared
+        on the merged dataset, that dataset, and the candidate pairs it
+        has that ``dataset`` did not.  The one add-source path: the
+        service, follow mode and ``repro match --add-source`` build the
+        successor beside the live matcher and swap it in.  Raises
+        :class:`~repro.errors.DataError` ("already present") before any
+        work when ``addition`` repeats a source.  The default is a
+        shallow copy re-prepared on the merged dataset: matchers rebind
+        their per-dataset state on prepare, so the copy shares nothing
+        it will change with ``self``.
+        """
+        merged = dataset.merged_with(addition)
+        successor = copy.copy(self)
+        successor.prepare(merged)
+        return successor, merged, build_pairs(merged, dataset.sources(), within=False)
 
     @abstractmethod
     def score_pairs(

@@ -20,11 +20,12 @@ once from the cached per-property stage columns, then any (pair set,
 config) request is one read-only ``matrix[rows, columns]`` gather.
 
 Stores are keyed by the dataset's content fingerprint: a store never
-answers for a dataset it was not built from.  :meth:`PairFeatureStore.add_source`
-is the incremental-ingestion path: merging a new source featurizes only
-the new properties (the pipeline's fingerprint-keyed row cache serves
-every old one) and only the new cross-source pairs, while old pair rows
-are copied from the existing matrix.
+answers for a dataset it was not built from, and it never changes after
+construction.  :meth:`PairFeatureStore.with_source` is the
+incremental-ingestion path: it builds a *new* store for the merged
+dataset that featurizes only the new properties (the pipeline's
+fingerprint-keyed row cache serves every old one) and only the new
+candidate pairs, copying old pair rows from the existing matrix.
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ class PairFeatureStore:
     def _delta_parts(
         self, addition: Dataset
     ) -> tuple[PropertyFeatureTable, PairUniverse, np.ndarray, PairSet]:
-        """The PR 5 incremental merge, without touching this store.
+        """The incremental merge, without touching this store.
 
         Builds the merged table/universe/matrix beside the current
         state: only the new properties are featurized (the pipeline's
@@ -445,34 +446,17 @@ class PairFeatureStore:
         matrix.setflags(write=False)
         return table, universe, matrix, PairSet.of_rows(universe, new_rows)
 
-    def add_source(self, addition: Dataset) -> PairSet:
-        """Ingest a new source incrementally; returns the new pairs.
-
-        The new pairs come back as rows of the merged universe.
-        ``addition`` must contain only sources the store's dataset does
-        not already have.  The store's dataset, universe, table and
-        matrix are replaced by merged equivalents via the
-        :meth:`_delta_parts` increment.  Mutates *this* store in place
-        (the batch-ingestion contract); concurrent readers must use
-        :meth:`with_source` instead.
-        """
-        table, universe, matrix, new_pairs = self._delta_parts(addition)
-        self.table = table
-        self.matrix = matrix
-        self.universe = universe
-        self.dataset_fingerprint = universe.dataset_fingerprint
-        return new_pairs
-
     def with_source(self, addition: Dataset) -> tuple["PairFeatureStore", PairSet]:
         """A *new* store with ``addition`` fused in; this store untouched.
 
-        The copy-on-swap counterpart of :meth:`add_source`: the serve
-        layer's graceful reload builds the successor store beside the
-        live one (same :meth:`_delta_parts` increment, so the new matrix
-        is bit-identical to a cold rebuild on the merged dataset) and
-        swaps it in atomically while in-flight requests keep reading the
-        old store.  The two stores share the staged pipeline -- and so
-        its fingerprint-keyed row cache -- but nothing mutable.
+        Returns the store and the new pairs, as rows of its universe.
+        The only delta path (:meth:`LeapmeMatcher.with_source` wraps
+        it): the successor is built beside the live store -- through the
+        :meth:`_delta_parts` increment, so its matrix is bit-identical
+        to a cold rebuild on the merged dataset -- and callers swap it
+        in while in-flight readers keep the old one.  The two stores
+        share the staged pipeline -- and so its fingerprint-keyed row
+        cache -- but nothing mutable.
         """
         table, universe, matrix, new_pairs = self._delta_parts(addition)
         return PairFeatureStore(table, universe, matrix=matrix), new_pairs

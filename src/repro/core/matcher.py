@@ -20,7 +20,7 @@ from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset
 from repro.data.pairs import LabeledPair, PairSet
 from repro.embeddings.base import WordEmbeddings
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import NotFittedError
 from repro.nn.network import row_blocks
 
 
@@ -131,21 +131,6 @@ class LeapmeMatcher(Matcher):
         """
         self._store = store
 
-    def with_store(self, store) -> "LeapmeMatcher":
-        """A shallow clone of this matcher bound to ``store``.
-
-        The copy-on-swap companion of
-        :meth:`PairFeatureStore.with_source`: the clone shares the
-        trained classifier, embeddings and staged pipeline (all
-        read-only at scoring time) but reads features from ``store``,
-        so the serve layer can build a successor matcher beside the
-        live one and swap it in while in-flight requests keep scoring
-        against the old store.
-        """
-        clone = copy.copy(self)
-        clone._store = store
-        return clone
-
     def build_feature_store(self, dataset: Dataset, universe=None):
         """Build a :class:`PairFeatureStore` with this matcher's embeddings.
 
@@ -213,20 +198,37 @@ class LeapmeMatcher(Matcher):
         """Boolean match decisions at the configured decision threshold."""
         return self.score_pairs(dataset, pairs) >= self.threshold
 
-    def add_source(self, addition: Dataset) -> PairSet:
-        """Incrementally ingest a new source through the attached store.
+    def candidates(
+        self, dataset: Dataset, sources: list[str] | None = None, within: bool = True
+    ) -> PairSet:
+        """Rows of the store's candidate universe (prepares on demand).
 
-        Delegates to :meth:`PairFeatureStore.add_source` (only the new
-        properties and new cross-source pairs are featurized) and
-        returns the new pairs, ready for :meth:`predict` against the
-        store's merged dataset.
+        Element-identical to :func:`~repro.data.pairs.build_pairs` under
+        the null policy; the pruned candidates under a blocking one.
         """
-        if self._store is None:
-            raise ConfigurationError(
-                "prepare the matcher on its base dataset before adding "
-                "sources incrementally"
-            )
-        return self._store.add_source(addition)
+        self.prepare(dataset)
+        return self._store.universe.subset(sources, within=within)
+
+    def with_source(
+        self, dataset: Dataset, addition: Dataset
+    ) -> tuple["LeapmeMatcher", Dataset, PairSet]:
+        """The store's delta path: featurize only what ``addition`` brings.
+
+        :meth:`PairFeatureStore.with_source` builds the merged store
+        beside the current one (bit-identical to a cold rebuild), and a
+        shallow clone reads from it; the clone shares the trained
+        classifier, embeddings and staged pipeline, all read-only at
+        scoring time.  The new pairs are the merged universe's rows the
+        old universe lacked -- under a blocking policy that can include
+        base-base pairs the addition pulled into one bucket.
+        """
+        store = self._store
+        if store is None or not store.serves(dataset):
+            store = self.build_feature_store(dataset)
+        grown, new_pairs = store.with_source(addition)
+        successor = copy.copy(self)
+        successor._store = grown
+        return successor, grown.universe.dataset, new_pairs
 
     @property
     def classifier(self) -> LeapmeClassifier:

@@ -784,7 +784,7 @@ class FeaturePipeline:
     read-only), independently of any pair enumeration -- featurizing a
     dataset that shares properties with an earlier one only computes the
     genuinely new rows, which is what makes
-    :meth:`repro.core.feature_cache.PairFeatureStore.add_source` cheap.
+    :meth:`repro.core.feature_cache.PairFeatureStore.with_source` cheap.
 
     ``stage_calls`` counts computed units per stage: property rows
     computed, pair rows assembled, and -- for the instance stages --
@@ -897,7 +897,7 @@ class FeaturePipeline:
                     counters=distance_counts,
                 )
                 # The name-distance stage splits its row count by memo
-                # state so incremental work avoidance (warm add_source,
+                # state so incremental work avoidance (warm with_source,
                 # persistent cache) is assertable.
                 for kind, count in distance_counts.items():
                     calls[f"{block.stage}.{kind}"] = count

@@ -169,6 +169,22 @@ def load_dataset_csv(
     )
 
 
+def load_source_csv(
+    path: str | Path, alignment_path: str | Path | None = None
+) -> Dataset:
+    """One source file to add to a live dataset, named after its stem.
+
+    :func:`load_dataset_csv` plus the check every add-source caller
+    needs: a file from which no row survives raises :class:`DataError`
+    instead of merging as an empty addition.
+    """
+    path = Path(path)
+    addition = load_dataset_csv(path, alignment_path, name=path.stem)
+    if not addition.sources():
+        raise DataError(f"no usable rows in {path}")
+    return addition
+
+
 def save_dataset_csv(
     dataset: Dataset,
     instances_path: str | Path,

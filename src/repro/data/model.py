@@ -230,10 +230,12 @@ class Dataset:
         """A new dataset with ``other``'s sources added to this one.
 
         The incremental-ingestion primitive behind
-        ``PairFeatureStore.add_source``: source sets must be disjoint
-        (the matching task is defined per source, so re-ingesting an
-        existing source would silently duplicate its instances).  The
-        merged dataset keeps this dataset's name; instances are
+        :meth:`repro.core.api.Matcher.with_source`: source sets must be
+        disjoint (the matching task is defined per source, so
+        re-ingesting an existing source would silently duplicate its
+        instances), and every add-source caller relies on this check
+        raising "already present" before any other work.  The merged
+        dataset keeps this dataset's name; instances are
         concatenated base-first so per-property value order -- and with
         it every content-fingerprinted feature row -- is preserved.
         """

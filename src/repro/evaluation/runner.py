@@ -293,10 +293,15 @@ class ExperimentResult:
         return row
 
     def describe(self) -> str:
-        """One-line summary."""
+        """One-line summary, with the effective training-source count."""
+        sources = (
+            ""
+            if self.train_sources is None
+            else f" ({self.train_sources} train sources)"
+        )
         text = (
             f"{self.matcher_name} on {self.dataset_name} "
-            f"@{self.settings.train_fraction:.0%}: "
+            f"@{self.settings.train_fraction:.0%}{sources}: "
             f"P={self.precision:.2f} R={self.recall:.2f} F1={self.f1:.2f} "
             f"({len(self.qualities)} reps)"
         )

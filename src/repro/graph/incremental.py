@@ -18,6 +18,7 @@ scores only ``new-properties x existing-properties`` pairs per step.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -140,29 +141,33 @@ class IncrementalClusterer:
         self._integrated_sources.append(source)
         return {"joined": joined, "founded": founded}
 
-    def add_dataset(
-        self, addition: Dataset, merged: Dataset | None = None
-    ) -> dict[str, int]:
-        """Grow the clusterer's dataset with ``addition``, then integrate it.
+    def successor(self, matcher: "Matcher") -> "IncrementalClusterer":
+        """A copy scoring with ``matcher`` whose growth leaves this one as is.
+
+        The copy-on-swap step of streaming ingestion: grow the copy,
+        write its outputs, then swap it in.  Clusters and the source
+        list are copied; the dataset is shared (datasets are immutable).
+        """
+        clone = copy.copy(self)
+        clone.matcher = matcher
+        clone._clusters = [set(cluster) for cluster in self._clusters]
+        clone._integrated_sources = list(self._integrated_sources)
+        return clone
+
+    def add_dataset(self, addition: Dataset, merged: Dataset) -> dict[str, int]:
+        """Grow the clusterer's dataset to ``merged``, then integrate ``addition``.
 
         The streaming counterpart of :meth:`add_source`: the clusterer
         was built over yesterday's dataset and a new source file just
-        arrived.  ``merged`` may be passed when the caller has already
-        merged (e.g. via ``PairFeatureStore.add_source``) to avoid
-        re-concatenating; it must equal
-        ``self.dataset.merged_with(addition)``, which is what is
-        computed when it is omitted.  Returns aggregate
+        arrived.  ``merged`` is ``self.dataset.merged_with(addition)``,
+        as :meth:`~repro.core.api.Matcher.with_source` returns it along
+        with a matcher prepared on it.  Returns aggregate
         ``{"joined": n, "founded": m}`` counts over the addition's
         sources, integrated in ``addition.sources()`` order.
         """
-        if merged is None:
-            merged = self.dataset.merged_with(addition)
-        else:
-            overlap = set(self._integrated_sources) & set(addition.sources())
-            if overlap:
-                raise DataError(
-                    f"source already integrated: {sorted(overlap)}"
-                )
+        overlap = set(self._integrated_sources) & set(addition.sources())
+        if overlap:
+            raise DataError(f"source already integrated: {sorted(overlap)}")
         self.dataset = merged
         self.matcher.prepare(merged)
         totals = {"joined": 0, "founded": 0}

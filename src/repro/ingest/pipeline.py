@@ -4,12 +4,16 @@ One admitted source file becomes one *batch*.  The pipeline splits a
 batch's work at the same boundary the ingestion journal records:
 
 ``featurize``
-    loads the CSV, merges it into the cumulative dataset, enumerates the
-    *new* cross-source pairs and scores them -- all the expensive,
-    failure-prone work, but no externally visible state yet;
+    loads the CSV and grows a *successor* matcher over the merged
+    dataset (:meth:`~repro.core.api.Matcher.with_source`), which
+    enumerates the new candidate pairs; then scores them -- all the
+    expensive, failure-prone work, and no externally visible state:
+    the live matcher, clusters and outputs are untouched;
 ``fuse``
-    folds the scored batch into the incremental property clusters and
-    atomically rewrites the two outputs (matches CSV, clusters JSON).
+    builds the successor clusters and match rows, atomically rewrites
+    the two outputs (matches CSV, clusters JSON) from them, and only
+    then swaps the successor state in.  A failure anywhere before the
+    swap leaves the pipeline as it was, so a retry redoes the batch.
 
 Every step is deterministic given the bootstrap inputs and the sequence
 of fused files: scoring uses seeded sampling only at bootstrap, cluster
@@ -20,12 +24,11 @@ match rows) rather than appended.  That is what makes ``--resume`` a
 bootstrapped pipeline, in fusion order, lands on byte-identical output
 files -- the acceptance invariant the chaos suite pins with SIGKILL.
 
-For the LEAPME systems the pipeline rides the feature store's
-incremental path (:meth:`LeapmeMatcher.add_source`): only the new
-source's property rows and the new pairs are featurized.  Every other
-matcher takes the generic path (merge, enumerate, score), which needs
-no store and -- for unsupervised matchers -- no bootstrap dataset at
-all.
+Every matcher grows through the same copy-on-swap call the service's
+reload uses.  For the LEAPME systems it is the feature store's delta:
+only the new source's property rows and the new pairs are featurized.
+Other matchers re-prepare a shallow copy on the merged dataset, and
+unsupervised ones need no bootstrap dataset at all.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.matcher import LeapmeMatcher
 from repro.core.pipeline import flush_persistent_distances
-from repro.data.csvio import load_dataset_csv
+from repro.data.csvio import load_source_csv
 from repro.data.model import Dataset
-from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
-from repro.errors import ConfigurationError, DataError
+from repro.data.pairs import PairSet, sample_training_pairs
+from repro.errors import ConfigurationError
 from repro.graph.incremental import IncrementalClusterer
 from repro.ioutils import atomic_open_text, atomic_write_text
 
@@ -59,15 +61,17 @@ class PreparedBatch:
 
     Everything :meth:`IngestPipeline.fuse` needs, precomputed so the
     journal can durably record ``featurized`` before any output state
-    changes.  ``pairs``/``scores`` cover only the *new* cross-source
-    pairs the addition introduces.
+    changes.  ``matcher`` is the successor prepared on ``merged``;
+    ``pairs``/``scores`` cover only the *new* candidate pairs the
+    addition introduces.
     """
 
     file: str
     fingerprint: str
     addition: Dataset
     merged: Dataset
-    pairs: tuple[LabeledPair, ...]
+    matcher: object
+    pairs: PairSet
     scores: np.ndarray
 
     @property
@@ -139,8 +143,10 @@ class IngestPipeline:
         self.matcher.prepare(base)
         if self.matcher.is_supervised:
             rng = np.random.default_rng(self.seed)
-            candidates = self._bootstrap_candidates(base)
-            training = sample_training_pairs(candidates, rng=rng)
+            # Train on the matcher's own candidates (a store's universe
+            # for LEAPME): the pairs it will score, which keeps warm
+            # restarts and streaming bit-identical to a cold rebuild.
+            training = sample_training_pairs(self.matcher.candidates(base), rng=rng)
             if not training.positives():
                 raise ConfigurationError(
                     "no positive training pairs in the bootstrap dataset; "
@@ -152,21 +158,6 @@ class IngestPipeline:
         )
         self.clusterer.add_all()
 
-    def _bootstrap_candidates(self, base: Dataset):
-        """Training candidates for the bootstrap fit.
-
-        A matcher with a store trains on its universe (the same
-        candidates it will score: the pruned ones under a blocking
-        policy, every cross-source pair under the null one), which is
-        what keeps warm restarts and incremental ingestion
-        bit-identical to a cold rebuild.  Other matchers enumerate with
-        ``build_pairs``.
-        """
-        store = getattr(self.matcher, "store", None)
-        if store is not None and store.serves(base):
-            return store.universe.subset()
-        return build_pairs(base)
-
     # -- featurize -----------------------------------------------------------
     def featurize(
         self,
@@ -174,86 +165,85 @@ class IngestPipeline:
         alignment_path: Path | None,
         fingerprint: str,
     ) -> PreparedBatch:
-        """Load, merge, and score one admitted source file.
+        """Load one admitted source file, grow a successor matcher, score.
 
         Raises the loader's :class:`~repro.errors.TransientDataError` /
         :class:`~repro.errors.DataError` unchanged -- the daemon maps
-        those onto retry vs. quarantine.  A source whose names are
-        already integrated raises :class:`DataError` *before* any state
-        is touched, so duplicate drops quarantine cleanly.
+        those onto retry vs. quarantine.  Touches no pipeline state, so
+        a source whose names are already integrated raises
+        :class:`DataError` ("already present") however often the batch
+        is retried, and a batch that failed after this step is redone
+        from scratch.
         """
-        addition = load_dataset_csv(path, alignment_path, name=path.stem)
-        if not addition.sources():
-            raise DataError(f"no usable rows in {path}")
-        if self.clusterer is None:
-            merged = addition
-            self.matcher.prepare(merged)
-            pairs = build_pairs(merged)
-        else:
-            existing = self.clusterer.dataset.sources()
-            overlap = set(addition.sources()) & set(existing)
-            if overlap:
-                raise DataError(
-                    f"sources already present in dataset: {sorted(overlap)}"
-                )
-            if isinstance(self.matcher, LeapmeMatcher):
-                pairs = self.matcher.add_source(addition)
-                merged = self.matcher.store.universe.dataset
-            else:
-                merged = self.clusterer.dataset.merged_with(addition)
-                self.matcher.prepare(merged)
-                pairs = build_pairs(merged, existing, within=False)
-        if pairs and not self.matcher.is_fitted:
+        addition = load_source_csv(path, alignment_path)
+        # Unbootstrapped, the first batch grows from an empty dataset.
+        base = (
+            self.clusterer.dataset
+            if self.clusterer is not None
+            else Dataset(addition.name, [])
+        )
+        matcher, merged, pairs = self.matcher.with_source(base, addition)
+        if pairs and not matcher.is_fitted:
             raise ConfigurationError(
-                f"{self.matcher.name} is not fitted; bootstrap before "
+                f"{matcher.name} is not fitted; bootstrap before "
                 "featurizing batches"
             )
-        scores = self.matcher.score_pairs(merged, pairs) if pairs else np.zeros(0)
+        scores = matcher.score_pairs(merged, pairs) if pairs else np.zeros(0)
         return PreparedBatch(
             file=path.name,
             fingerprint=fingerprint,
             addition=addition,
             merged=merged,
-            pairs=tuple(pairs),
+            matcher=matcher,
+            pairs=pairs,
             scores=scores,
         )
 
     # -- fuse ----------------------------------------------------------------
     def fuse(self, batch: PreparedBatch) -> dict[str, int]:
-        """Fold a prepared batch into clusters and rewrite the outputs."""
+        """Fold a prepared batch into clusters and rewrite the outputs.
+
+        Copy-on-swap: the successor clusters and match rows are built
+        and written out first, and the pipeline adopts them (with the
+        batch's matcher) only once both files are on disk.  Outputs
+        are full rewrites, so a retry after a failed write repairs a
+        half-written pair of files.
+        """
         if self.clusterer is None:
-            self.clusterer = IncrementalClusterer(
-                self.matcher,
+            clusterer = IncrementalClusterer(
+                batch.matcher,
                 batch.merged,
                 threshold=self.threshold,
                 linkage=self.linkage,
             )
-            changes = self.clusterer.add_all()
+            changes = clusterer.add_all()
         else:
-            changes = self.clusterer.add_dataset(batch.addition, merged=batch.merged)
-        kept = 0
-        for pair, score in zip(batch.pairs, batch.scores):
-            if score >= self.threshold:
-                self._match_rows.append(
-                    (
-                        pair.left.source,
-                        pair.left.name,
-                        pair.right.source,
-                        pair.right.name,
-                        f"{float(score):.4f}",
-                    )
-                )
-                kept += 1
+            clusterer = self.clusterer.successor(batch.matcher)
+            changes = clusterer.add_dataset(batch.addition, batch.merged)
+        kept = np.flatnonzero(batch.scores >= self.threshold)
+        rows = self._match_rows + [
+            (left.source, left.name, right.source, right.name, f"{score:.4f}")
+            for left, right, score in zip(
+                *batch.pairs.sides(kept), batch.scores[kept].tolist()
+            )
+        ]
+        self._write_outputs(clusterer, rows)
+        self.matcher = batch.matcher
+        self.clusterer = clusterer
+        self._match_rows = rows
         self._fused_batches += 1
-        self._write_outputs()
         return {
             "order": self._fused_batches,
-            "matches": kept,
+            "matches": len(kept),
             "joined": changes["joined"],
             "founded": changes["founded"],
         }
 
-    def _write_outputs(self) -> None:
+    def _write_outputs(
+        self,
+        clusterer: IncrementalClusterer,
+        rows: list[tuple[str, str, str, str, str]],
+    ) -> None:
         """Atomically rewrite matches CSV and clusters JSON (REP002).
 
         Full rewrites, not appends: the files depend only on the fused
@@ -262,23 +252,22 @@ class IngestPipeline:
         with atomic_open_text(self.matches_path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(MATCH_COLUMNS)
-            writer.writerows(self._match_rows)
-        atomic_write_text(self.clusters_path, self._clusters_json())
+            writer.writerows(rows)
+        atomic_write_text(self.clusters_path, self._clusters_json(clusterer))
         # Same durability boundary for the name-distance kernel cache:
         # rows computed for this batch survive a kill right after the
         # batch's outputs do.  No-op unless serve wired a cache.
         flush_persistent_distances()
 
-    def _clusters_json(self) -> str:
-        assert self.clusterer is not None
+    def _clusters_json(self, clusterer: IncrementalClusterer) -> str:
         clusters = sorted(
             sorted(f"{ref.source}|{ref.name}" for ref in cluster)
-            for cluster in self.clusterer.clusters()
+            for cluster in clusterer.clusters()
         )
         payload = {
             "threshold": self.threshold,
             "linkage": self.linkage,
-            "sources": self.clusterer.integrated_sources,
+            "sources": clusterer.integrated_sources,
             "clusters": clusters,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

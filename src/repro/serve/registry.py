@@ -8,11 +8,11 @@ The registry owns three invariants:
 
 **Copy-on-swap reload.**  ``add_source`` never mutates the state a
 request might be reading.  A *new* :class:`TenantState` is built beside
-the old one -- through :meth:`PairFeatureStore.with_source`, the PR 5
-delta path, so only the new rows/pairs are featurized and the result is
-bit-identical to a cold rebuild -- and then swapped in with a single
-attribute assignment.  In-flight requests finish against the state they
-grabbed; new requests see the new state.
+the old one -- through :meth:`Matcher.with_source`, the one add-source
+path (for LEAPME the store's delta, so only the new rows/pairs are
+featurized and the result is bit-identical to a cold rebuild) -- and
+then swapped in with a single attribute assignment.  In-flight requests
+finish against the state they grabbed; new requests see the new state.
 
 **Crash-safe lifecycle.**  Every transition is journaled
 (:class:`~repro.serve.journal.RegistryJournal`) with fsynced appends
@@ -31,7 +31,6 @@ admission queue, or healthy tenants down with it.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import threading
 from dataclasses import dataclass, field
@@ -43,9 +42,9 @@ from repro.blocking import CandidatePolicy
 from repro.core.feature_cache import PairUniverse
 from repro.core.matcher import LeapmeMatcher
 from repro.core.pipeline import flush_persistent_distances
-from repro.data.csvio import load_dataset_csv
+from repro.data.csvio import load_dataset_csv, load_source_csv
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair, PairSet, build_pairs, sample_training_pairs
+from repro.data.pairs import LabeledPair, PairSet, sample_training_pairs
 from repro.errors import (
     ConfigurationError,
     DataError,
@@ -206,10 +205,8 @@ class TenantState:
     @property
     def universe(self) -> PairUniverse | None:
         """The warm LEAPME store's candidate universe, if the matcher has one."""
-        matcher = self.matcher
-        if isinstance(matcher, LeapmeMatcher) and matcher.store is not None:
-            return matcher.store.universe
-        return None
+        store = getattr(self.matcher, "store", None)
+        return store.universe if store is not None else None
 
     def scored_pairs(self) -> tuple[PairSet, np.ndarray]:
         """Every candidate pair of the snapshot and its score.
@@ -224,10 +221,7 @@ class TenantState:
         return self._scores.get(self._score_candidates)
 
     def _score_candidates(self) -> tuple[PairSet, np.ndarray]:
-        universe = self.universe
-        # The warm store's universe is element-identical to build_pairs
-        # under the null policy, and the blocked candidate set otherwise.
-        pairs = universe.subset() if universe is not None else build_pairs(self.dataset)
+        pairs = self.matcher.candidates(self.dataset)
         scores = np.asarray(
             self.matcher.score_pairs(self.dataset, pairs) if pairs else np.zeros(0)
         )
@@ -287,18 +281,6 @@ def _tenant_threshold(tenant: Tenant) -> float:
     if tenant.spec.threshold is not None:
         return float(tenant.spec.threshold)
     return float(tenant.state.matcher.threshold)
-
-
-def _state_pair_count(state: TenantState) -> int:
-    """Candidate pairs the state serves (the journal's bootstrap count).
-
-    A warm LEAPME store answers from its universe -- under a blocking
-    policy that is the pruned candidate count, and under the null
-    policy it equals the full ``build_pairs`` enumeration exactly.
-    """
-    if state.universe is not None:
-        return len(state.universe)
-    return len(build_pairs(state.dataset).pairs)
 
 
 def _poison_quarantine(tenant_id: str, error: BaseException) -> TenantEvent:
@@ -405,16 +387,12 @@ class TenantRegistry:
             embeddings = fallback_embeddings(dataset)
         matcher = build_system_matcher(spec.system, embeddings, spec.policy())
         matcher.prepare(dataset)
-        store = matcher.store if isinstance(matcher, LeapmeMatcher) else None
         if matcher.is_supervised:
             rng = np.random.default_rng(spec.seed)
-            # A LEAPME tenant trains on its store's candidate universe --
-            # the same pairs it will serve -- so warm restarts stay
-            # bit-identical to this bootstrap.
-            candidates = (
-                store.universe.subset() if store is not None else build_pairs(dataset)
-            )
-            training = sample_training_pairs(candidates, rng=rng)
+            # A tenant trains on its own candidates -- the pairs it will
+            # serve -- so warm restarts stay bit-identical to this
+            # bootstrap.
+            training = sample_training_pairs(matcher.candidates(dataset), rng=rng)
             if not training.positives():
                 raise ConfigurationError(
                     f"tenant {spec.tenant!r}: {spec.system} is supervised and "
@@ -463,7 +441,7 @@ class TenantRegistry:
                     spec.tenant,
                     TENANT_BOOTSTRAPPED,
                     properties=len(state.dataset.properties()),
-                    pairs=_state_pair_count(state),
+                    pairs=len(state.matcher.candidates(state.dataset)),
                 )
             )
             flush_persistent_distances()
@@ -480,40 +458,14 @@ class TenantRegistry:
 
         Returns ``(state, properties_added, pairs_added)``.
         """
-        addition = load_dataset_csv(path, alignment_sidecar(path), name=path.stem)
-        if not addition.sources():
-            raise DataError(f"no usable rows in {path}")
-        overlap = set(addition.sources()) & set(state.dataset.sources())
-        if overlap:
-            raise DataError(
-                f"sources already present in tenant dataset: {sorted(overlap)}"
-            )
-        matcher = state.matcher
-        if isinstance(matcher, LeapmeMatcher):
-            new_store, new_pairs = matcher.store.with_source(addition)
-            new_matcher = matcher.with_store(new_store)
-            merged = new_store.universe.dataset
-            pairs_added = len(new_pairs)
-        else:
-            merged = state.dataset.merged_with(addition)
-            # Shallow copy, then prepare: matchers rebind their
-            # per-dataset state on prepare, so the old snapshot's
-            # structures are never touched.
-            new_matcher = copy.copy(matcher)
-            new_matcher.prepare(merged)
-            pairs_added = len(build_pairs(merged).pairs) - len(
-                build_pairs(state.dataset).pairs
-            )
-        fingerprint = source_fingerprint(path)
+        addition = load_source_csv(path, alignment_sidecar(path))
+        matcher, merged, new_pairs = state.matcher.with_source(state.dataset, addition)
         new_state = TenantState(
             dataset=merged,
-            matcher=new_matcher,
-            sources=state.sources + ((path.name, fingerprint),),
+            matcher=matcher,
+            sources=state.sources + ((path.name, source_fingerprint(path)),),
         )
-        properties_added = len(merged.properties()) - len(
-            state.dataset.properties()
-        )
-        return new_state, properties_added, pairs_added
+        return new_state, len(addition.properties()), len(new_pairs)
 
     def add_source(self, tenant_id: str, path: str | Path) -> dict[str, int]:
         """Graceful reload: fuse a new source CSV into ``tenant_id``.

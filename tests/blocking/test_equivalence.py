@@ -153,7 +153,7 @@ class TestBlockedAddSourceEquivalence:
         base = tiny_headphones.restrict_to_sources(sources[:-1])
         addition = tiny_headphones.restrict_to_sources(sources[-1:])
         store = PairFeatureStore.build(base, tiny_embeddings, policy=MINHASH)
-        new_pairs = store.add_source(addition)
+        store, new_pairs = store.with_source(addition)
         rebuilt = PairFeatureStore.build(
             base.merged_with(addition), tiny_embeddings, policy=MINHASH
         )

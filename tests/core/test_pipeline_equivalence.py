@@ -140,7 +140,7 @@ class TestAddSourceDelta:
         table = PropertyFeatureTable(base, embeddings, pipeline=pipeline)
         store = PairFeatureStore(table, PairUniverse(base))
         before = dict(pipeline.stage_calls)
-        new_pairs = store.add_source(addition)
+        store, new_pairs = store.with_source(addition)
         calls = {
             stage: count - before.get(stage, 0)
             for stage, count in pipeline.stage_calls.items()

@@ -1,5 +1,7 @@
 """Tests for the experiment runner, reporting and transfer learning."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,11 @@ class TestTrainSources:
         table = render_results_table(results).splitlines()
         assert "train#" in table[0]
         assert [line.split()[3] for line in table[2:]] == ["2", "2", "8"]
+        # What `repro evaluate` prints: 10% and 20% name the same count.
+        assert [
+            re.search(r"\((\d+) train sources\)", r.describe()).group(1)
+            for r in results
+        ] == ["2", "2", "8"]
 
 
 class TestReporting:

@@ -7,8 +7,12 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import LshMatcher
+from repro.blocking import CandidatePolicy
+from repro.core import LeapmeMatcher
+from repro.core.classical import ClassicalPairClassifier
 from repro.evaluation.runner import RetryPolicy
 from repro.ingest import FollowDaemon, IngestJournal, IngestPipeline
+from repro.ml import DecisionTreeClassifier
 
 
 def source_csv_text(source: str, props: dict[str, list[str]]) -> str:
@@ -37,6 +41,17 @@ PROPS_B = {"wt": ["10 kg box", "20 kg box"], "colour": ["deep red", "sky blue"]}
 PROPS_C = {"mass": ["10 kg box", "20 kg box"], "tint": ["deep red", "sky blue"]}
 
 
+def fast_leapme(embeddings, blocking=None):
+    """LEAPME with a deterministic classical classifier (test speed)."""
+    return LeapmeMatcher(
+        embeddings,
+        classifier_factory=lambda: ClassicalPairClassifier(
+            DecisionTreeClassifier(max_depth=4)
+        ),
+        candidate_policy=CandidatePolicy.from_label(blocking),
+    )
+
+
 @pytest.fixture()
 def feed(tmp_path) -> Path:
     """An empty followed directory."""
@@ -50,19 +65,26 @@ def make_daemon(
     out_dir: Path,
     *,
     matcher=None,
+    base=None,
+    seed: int = 0,
     max_retries: int = 1,
     settle_polls: int = 2,
     clock=None,
     fault_plan=None,
     stop_event=None,
 ) -> FollowDaemon:
-    """A fast-polling LSH daemon over ``feed`` writing into ``out_dir``."""
+    """A fast-polling daemon over ``feed`` writing into ``out_dir``.
+
+    LSH unless ``matcher`` is given, bootstrapped on ``base`` (none by
+    default) with training seed ``seed``.
+    """
     pipeline = IngestPipeline(
         matcher if matcher is not None else LshMatcher(),
         out_dir / "matches.csv",
         out_dir / "clusters.json",
+        seed=seed,
     )
-    pipeline.bootstrap(None)
+    pipeline.bootstrap(base)
     kwargs = {} if clock is None else {"clock": clock}
     return FollowDaemon(
         feed,

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.baselines import LshMatcher
+from repro.data.csvio import save_dataset_csv
 from repro.errors import DataError, IngestInterrupted, TransientDataError
 from repro.ingest import (
     REASON_DUPLICATE,
     REASON_POISON,
     REASON_RETRIES_EXHAUSTED,
     STATUS_ADMITTED,
+    STATUS_FEATURIZED,
     STATUS_FUSED,
     STATUS_RETRYING,
     IngestJournal,
@@ -19,6 +21,7 @@ from repro.testing import write_poison_csv
 from tests.ingest.conftest import (
     PROPS_A,
     PROPS_B,
+    fast_leapme,
     make_daemon,
     source_csv_text,
     write_source,
@@ -138,6 +141,127 @@ class TestRetryAndQuarantine:
         assert event.file == "again.csv"
         assert event.reason == REASON_DUPLICATE
         assert event.attempt == 1  # no budget burned on an unhealable drop
+
+
+def fail_first(real, failures, when=lambda *args: True):
+    """``real``, except that its first call matching ``when`` raises OSError."""
+
+    def flaky(*args):
+        if not failures and when(*args):
+            failures.append(args)
+            raise OSError("simulated disk failure")
+        return real(*args)
+
+    return flaky
+
+
+class TestRetryAfterPartialBatch:
+    """A batch that failed part-way is redone, never taken for a duplicate.
+
+    Featurize grows a successor matcher and fuse adopts the successor
+    state only after both outputs are written, so an ``OSError`` after
+    featurize -- or between the two output writes, which leaves a
+    half-written pair of files -- leaves the pipeline as it was, and
+    the retry fuses the file exactly once.
+    """
+
+    @pytest.fixture()
+    def late_source(self, tiny_headphones, feed):
+        """Headphones/tiny minus its last source, and that source as a file."""
+        sources = tiny_headphones.sources()
+        base = tiny_headphones.restrict_to_sources(sources[:-1])
+        streamed = tiny_headphones.restrict_to_sources(sources[-1:])
+        path = feed / "late.csv"
+        save_dataset_csv(streamed, path, feed / "late.alignment.csv")
+        return base, path
+
+    def run_leapme(self, late_source, embeddings, tmp_path, patch):
+        base, path = late_source
+        out = tmp_path / "out"
+        out.mkdir()
+        daemon = make_daemon(
+            path.parent, out, matcher=fast_leapme(embeddings), base=base, seed=3
+        )
+        failures = patch(daemon)
+        summary = daemon.run(max_batches=1, max_idle_polls=20)
+        assert len(failures) == 1
+        cold = tmp_path / "cold"
+        cold.mkdir()
+        cold_rebuild(
+            fast_leapme(embeddings),
+            [path],
+            cold / "matches.csv",
+            cold / "clusters.json",
+            base=base,
+            seed=3,
+        )
+        self.assert_fused_once_like(summary, daemon, out, cold)
+
+    @staticmethod
+    def assert_fused_once_like(summary, daemon, out, cold):
+        assert summary["fused"] == 1
+        assert summary["quarantined"] == 0
+        assert daemon.journal.quarantined() == {}
+        assert output_bytes(out) == output_bytes(cold)
+
+    @staticmethod
+    def fail_featurized_append(daemon):
+        failures = []
+        daemon.journal.append = fail_first(
+            daemon.journal.append,
+            failures,
+            when=lambda event: event.status == STATUS_FEATURIZED,
+        )
+        return failures
+
+    @staticmethod
+    def fail_clusters_write(monkeypatch):
+        # The matches CSV is rewritten first, so failing the clusters
+        # JSON write leaves a half-written pair of outputs behind.
+        import repro.ingest.pipeline as pipeline_module
+
+        failures = []
+        monkeypatch.setattr(
+            pipeline_module,
+            "atomic_write_text",
+            fail_first(pipeline_module.atomic_write_text, failures),
+        )
+        return failures
+
+    def test_featurized_append_failure_retries_leapme(
+        self, late_source, tiny_embeddings, tmp_path
+    ):
+        self.run_leapme(
+            late_source, tiny_embeddings, tmp_path, self.fail_featurized_append
+        )
+
+    def test_outputs_write_failure_retries_leapme(
+        self, late_source, tiny_embeddings, tmp_path, monkeypatch
+    ):
+        self.run_leapme(
+            late_source,
+            tiny_embeddings,
+            tmp_path,
+            lambda daemon: self.fail_clusters_write(monkeypatch),
+        )
+
+    def test_outputs_write_failure_retries_lsh(self, feed, tmp_path, monkeypatch):
+        write_source(feed, "a.csv", "srcA", PROPS_A)
+        write_source(feed, "b.csv", "srcB", PROPS_B)
+        out = tmp_path / "out"
+        out.mkdir()
+        daemon = make_daemon(feed, out)
+        failures = self.fail_clusters_write(monkeypatch)
+        summary = daemon.run(max_batches=2, max_idle_polls=20)
+        assert len(failures) == 1
+        assert summary["fused"] == 2
+        assert summary["quarantined"] == 0
+        # a.csv failed and was retried, so b.csv may have fused first.
+        order = [feed / event.file for event in daemon.journal.fused_in_order()]
+        cold = tmp_path / "cold"
+        cold.mkdir()
+        cold_rebuild(LshMatcher(), order, cold / "matches.csv", cold / "clusters.json")
+        assert output_bytes(out) == output_bytes(cold)
 
 
 class TestStop:

@@ -5,15 +5,18 @@ import json
 import pytest
 
 from repro.baselines import LshMatcher, NezhadiMatcher
-from repro.core import LeapmeMatcher
-from repro.core.classical import ClassicalPairClassifier
 from repro.data.csvio import save_dataset_csv
 from repro.errors import ConfigurationError, DataError
 from repro.ingest import IngestPipeline, cold_rebuild, source_fingerprint
 from repro.ingest.watcher import alignment_sidecar
-from repro.ml import DecisionTreeClassifier
 
-from tests.ingest.conftest import PROPS_A, PROPS_B, PROPS_C, write_source
+from tests.ingest.conftest import (
+    PROPS_A,
+    PROPS_B,
+    PROPS_C,
+    fast_leapme,
+    write_source,
+)
 
 
 def ingest_file(pipeline, path):
@@ -21,19 +24,6 @@ def ingest_file(pipeline, path):
         path, alignment_sidecar(path), source_fingerprint(path)
     )
     return batch, pipeline.fuse(batch)
-
-
-def fast_leapme(embeddings, blocking=None):
-    """LEAPME with a deterministic classical classifier (test speed)."""
-    from repro.blocking import CandidatePolicy
-
-    return LeapmeMatcher(
-        embeddings,
-        classifier_factory=lambda: ClassicalPairClassifier(
-            DecisionTreeClassifier(max_depth=4)
-        ),
-        candidate_policy=CandidatePolicy.from_label(blocking),
-    )
 
 
 class TestUnsupervisedStreaming:
@@ -90,7 +80,7 @@ class TestBootstrapModes:
         # Deliberately skip bootstrap: the first (pairless) batch is
         # fine, the first batch with pairs must fail loudly.
         batch, _ = ingest_file(pipeline, a)
-        assert batch.pairs == ()
+        assert len(batch.pairs) == 0
         with pytest.raises(ConfigurationError, match="not fitted"):
             pipeline.featurize(b, None, source_fingerprint(b))
 
@@ -114,6 +104,8 @@ class TestBootstrapModes:
         base_properties = len(base.properties())
         assert len(batch.pairs) == base_properties * len(streamed.properties())
         assert counts["joined"] + counts["founded"] == len(streamed.properties())
+        # Copy-on-swap: the pipeline now scores with the grown successor.
+        matcher = pipeline.matcher
         assert set(matcher.store.universe.dataset.sources()) == set(sources)
 
     def test_leapme_resume_replay_is_byte_identical(
@@ -171,7 +163,7 @@ class TestBootstrapModes:
             )
             pipeline.bootstrap(base)
             ingest_file(pipeline, path)
-            return matcher
+            return pipeline.matcher
 
         matcher = run(tmp_path / "one")
         universe = matcher.store.universe
