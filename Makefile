@@ -25,7 +25,8 @@ lint-concurrency:
 # Tier-1 tests plus the static pass plus a fast fault-injection smoke:
 # an evaluation run with an injected failure must complete, report the
 # skip, and a killed run must resume from its journal with identical
-# aggregates.
+# aggregates; a grid killed at --workers 1 must resume at --workers 2
+# with journal bytes and aggregates equal to an uninterrupted run.
 check: lint
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src python scripts/fault_smoke.py

@@ -1,11 +1,12 @@
-"""Benchmark the evaluation engine: serial grid vs process-pool grid.
+"""Benchmark the evaluation engine: in-process grid vs process-pool grid.
 
 Runs the paper's 9-config feature grid twice over a bundled synthetic
-dataset, both times over one shared pair universe and pair-feature
-store:
+dataset through the one grid engine, both times over one shared pair
+universe and pair-feature store:
 
-* **serial** -- ``workers=1``: every cell runs in this process;
-* **engine** -- the process-pool executor (``workers=N``).
+* **serial** -- ``workers=1``: the engine runs every item in this
+  process;
+* **engine** -- the same engine on a process pool (``workers=N``).
 
 Both runs produce the exact same aggregates (asserted, and recorded in
 the output), so the wall-clock ratio is a pure like-for-like speedup.

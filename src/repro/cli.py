@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.blocking import CandidatePolicy
-from repro.core import FeatureConfig, LeapmeMatcher, PairUniverse
+from repro.core import FeatureConfig, LeapmeMatcher
 from repro.core.api import Matcher
 from repro.core.pipeline import (
     disable_persistent_distances,
@@ -55,9 +55,7 @@ from repro.evaluation import (
     ExperimentRunner,
     RetryPolicy,
     RunJournal,
-    RunSettings,
     SupervisorPolicy,
-    evaluate_matcher,
     render_robustness_report,
 )
 from repro.ingest import FollowDaemon, IngestJournal, IngestPipeline
@@ -157,61 +155,28 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load_cli_dataset(args)
     embeddings = _embeddings_for(dataset, args)
     policy = _cli_policy(args)
-    matcher = _build_matcher(args.system, embeddings, policy)
-    settings = RunSettings(
-        train_fraction=args.train_fraction,
+    journal = RunJournal(args.journal) if args.journal is not None else None
+    # A one-cell grid; the factory key is the matcher's own name, so it
+    # labels the result and keys the journal cell.
+    name = _build_matcher(args.system, embeddings, policy).name
+    runner = ExperimentRunner(
+        {name: lambda: _build_matcher(args.system, embeddings, policy)}
+    )
+    result = runner.run(
+        [dataset],
+        train_fractions=[args.train_fraction],
         repetitions=args.repetitions,
         seed=args.seed,
-    )
-    journal = RunJournal(args.journal) if args.journal is not None else None
-    retry_policy = RetryPolicy(max_retries=args.max_retries)
-    if args.workers > 1:
-        # The supervised process-pool engine: same journal, same
-        # aggregates, repetitions fanned out across worker processes
-        # under the supervisor's failure model.  The factory key is the
-        # matcher's own name so the result label and the journal cell
-        # key match the serial path exactly.
-        supervisor = SupervisorPolicy(
+        journal=journal,
+        resume=args.resume,
+        retry_policy=RetryPolicy(max_retries=args.max_retries),
+        workers=args.workers,
+        supervisor=SupervisorPolicy(
             cell_timeout=args.cell_timeout,
             max_pool_respawns=args.max_pool_respawns,
-        )
-        runner = ExperimentRunner(
-            {matcher.name: lambda: _build_matcher(args.system, embeddings, policy)}
-        )
-        result = runner.run(
-            [dataset],
-            train_fractions=[args.train_fraction],
-            repetitions=args.repetitions,
-            seed=args.seed,
-            journal=journal,
-            resume=args.resume,
-            retry_policy=retry_policy,
-            workers=args.workers,
-            supervisor=supervisor,
-            policy=policy,
-        )[0]
-    else:
-        universe = None
-        prepare = None
-        if not policy.is_null:
-            # Blocked evaluation shares one pruned universe across all
-            # repetitions (its blocking stats go in the report); the
-            # store is built lazily so fully resumed runs featurize
-            # nothing.
-            universe = PairUniverse(dataset, policy, embeddings=embeddings)
-            prepare = lambda: matcher.attach_store(  # noqa: E731
-                matcher.build_feature_store(dataset, universe)
-            )
-        result = evaluate_matcher(
-            matcher,
-            dataset,
-            settings,
-            journal=journal,
-            resume=args.resume,
-            retry_policy=retry_policy,
-            universe=universe,
-            prepare=prepare,
-        )
+        ),
+        policy=policy,
+    )[0]
     print(result.describe())
     report = render_robustness_report([result])
     if report:
@@ -631,8 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--cell-timeout", type=float, default=None,
                           metavar="SECONDS",
                           help="wall-clock deadline per repetition (pair "
-                               "build, fit and score) under --workers: a "
-                               "hung repetition is killed, "
+                               "build, fit and score); needs --workers >= 2: "
+                               "a hung repetition is killed, "
                                "re-dispatched, and quarantined if it keeps "
                                "timing out (default: no deadline)")
     evaluate.add_argument("--max-pool-respawns", type=int, default=5,

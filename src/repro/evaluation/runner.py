@@ -39,12 +39,13 @@ The grid is cache-aware and parallelisable:
   (dataset, embeddings) built on that universe, so the nine feature
   configurations become column slices of one matrix instead of nine
   recomputations, and a pair set's rows index the matrix directly;
-* ``ExperimentRunner.run(workers=N)`` fans (cell, repetition) work
-  items out to a process pool (:mod:`repro.evaluation.parallel`);
-  because repetition randomness derives only from ``(seed,
-  repetition[, attempt])`` and the parent applies and journals
-  outcomes in serial order, the parallel grid is byte-identical to the
-  serial one;
+* ``ExperimentRunner.run`` plans the grid as (cell, repetition) work
+  items and runs them through one engine
+  (:mod:`repro.evaluation.parallel`): in-process at ``workers=1``, on
+  a supervised process pool above that.  Because repetition randomness
+  derives only from ``(seed, repetition[, attempt])`` and the parent
+  applies and journals outcomes in grid order, results and journals
+  are byte-identical for every worker count;
 * every executed repetition reports per-phase wall-clock
   (:class:`PhaseTimings`), aggregated on the
   :class:`ExperimentResult`, so speedups are measured rather than
@@ -114,8 +115,8 @@ class RetryPolicy:
     ``jitter`` spreads concurrent retries apart: the delay before an
     attempt is stretched by up to ``jitter * 100`` percent, with the
     stretch a *pure function* of ``(seed, repetition, attempt)`` -- no
-    global RNG is consulted -- so serial and parallel grids sleep
-    identical amounts and parity with the serial path is preserved.
+    global RNG is consulted -- so grids sleep identical amounts at every
+    worker count.
     """
 
     max_retries: int = 1
@@ -391,10 +392,10 @@ def _run_repetition(
     one-time enumeration, and the training sample is an index draw
     from the candidates.
 
-    Serial grids and pool workers both run this function to the end:
-    a repetition is fitted and scored in the same process, so the
-    parallel grid's ``--cell-timeout`` deadline covers the score phase
-    too.
+    :func:`evaluate_matcher` and the grid engine both run this
+    function to the end: a repetition is fitted and scored in the same
+    process, so a pool's ``--cell-timeout`` deadline covers the score
+    phase too.
     """
     train_sources = list(split.train_sources)
     timings = PhaseTimings()
@@ -500,7 +501,7 @@ def _apply_outcome(
 def _journal_outcome(
     journal: RunJournal, key: str, repetition: int, outcome: _Outcome
 ) -> None:
-    """Durably append one executed outcome (shared by serial + parallel)."""
+    """Durably append one executed outcome (evaluate_matcher and the grid)."""
     journal.append(
         JournalEntry(
             key=key,
@@ -542,8 +543,6 @@ def evaluate_matcher(
     retry_policy: RetryPolicy | None = None,
     sleep=time.sleep,
     label: str | None = None,
-    universe=None,
-    prepare=None,
 ) -> ExperimentResult:
     """Run the paper's repeated-split protocol for one matcher.
 
@@ -564,19 +563,16 @@ def evaluate_matcher(
     supersedes the old record.
 
     ``label`` names the run cell (result and journal key) without
-    mutating ``matcher.name``.  ``universe`` shares a precomputed
-    :class:`~repro.core.feature_cache.PairUniverse` of ``dataset``
-    across cells; without one, the cell uses its matcher's own
-    null-policy store universe, or enumerates a null-policy universe.
-    Preparation is lazy: ``matcher.prepare(dataset)`` -- or the
-    ``prepare`` callable when given -- runs before the first repetition
-    that actually executes, so a fully journaled rerun builds nothing.
+    mutating ``matcher.name``.  Pair sets come from the matcher's own
+    null-policy store universe, or from a null-policy enumeration of
+    ``dataset``.  Preparation is lazy: ``matcher.prepare(dataset)`` runs
+    before the first repetition that actually executes, so a fully
+    journaled rerun builds nothing.  Grids of matchers, and blocked
+    candidate policies, run through :class:`ExperimentRunner`.
     """
     settings = settings if settings is not None else RunSettings()
     retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
     cell_name = label if label is not None else matcher.name
-    if universe is not None and universe.dataset_fingerprint != dataset.fingerprint():
-        raise ConfigurationError("the pair universe was built from another dataset")
     result = ExperimentResult(
         matcher_name=cell_name,
         dataset_name=dataset.name,
@@ -590,20 +586,15 @@ def evaluate_matcher(
     splits = repeated_source_splits(
         dataset, settings.train_fraction, settings.repetitions, settings.seed
     )
-    prepared = False
+    universe = None
     for repetition, split in enumerate(splits):
         entry = done.get(repetition)
         if entry is not None and entry.status != STATUS_FAILED:
             _apply_journal_entry(result, entry)
             continue
-        if not prepared:
-            if prepare is not None:
-                prepare()
-            else:
-                matcher.prepare(dataset)
-            if universe is None:
-                universe = _own_universe(matcher, dataset)
-            prepared = True
+        if universe is None:
+            matcher.prepare(dataset)
+            universe = _own_universe(matcher, dataset)
         outcome = _run_repetition(
             matcher,
             dataset,
@@ -617,15 +608,11 @@ def evaluate_matcher(
         _apply_outcome(result, repetition, outcome)
         if journal is not None:
             _journal_outcome(journal, key, repetition, outcome)
-    if universe is not None and universe.is_blocked:
-        stats = universe.blocking_stats()
-        result.pair_recall = stats["pair_recall"]
-        result.reduction_ratio = stats["reduction_ratio"]
     return result
 
 
 def _own_universe(matcher: Matcher, dataset: Dataset):
-    """The null-policy pair universe of an evaluation given none.
+    """The null-policy pair universe of a one-matcher evaluation.
 
     A prepared matcher's store universe serves when its policy is
     null, so the pair sets index the store's rows directly; otherwise
@@ -679,8 +666,8 @@ class ExperimentRunner:
     cell starts from a pristine matcher (classifier state must not leak
     between cells).  The expensive per-dataset artefacts -- the pair
     universe and, for matchers that support it, the full-width
-    pair-feature store -- are built once per (dataset, embeddings) and
-    shared across all cells of that dataset.
+    pair-feature store -- are built once per (dataset, embeddings) in
+    each executing process and shared across all cells of that dataset.
     """
 
     def __init__(self, matcher_factories: dict[str, "callable"]) -> None:
@@ -705,18 +692,21 @@ class ExperimentRunner:
         """Run the full grid; returns one result per cell.
 
         A cell that fails entirely cannot happen: failures are isolated
-        per repetition inside :func:`evaluate_matcher`.  With a journal,
-        a killed grid rerun with ``resume=True`` recomputes only the
-        missing repetitions of the missing cells.
+        per repetition under ``retry_policy``.  With a journal, a killed
+        grid rerun with ``resume=True`` recomputes only the missing
+        repetitions of the missing cells.
 
-        ``workers > 1`` fans (cell, repetition) items out to a
-        supervised process pool; results and journals are byte-identical
-        to ``workers=1`` because the parent applies outcomes in serial
-        order and every repetition's randomness derives from ``(seed,
+        Every worker count runs one plan of (cell, repetition) items
+        (:func:`~repro.evaluation.parallel.run_grid`): ``workers=1``
+        runs them in this process, ``workers > 1`` on a supervised
+        process pool.  Results and journals are byte-identical across
+        worker counts because the parent applies outcomes in grid order
+        and every repetition's randomness derives from ``(seed,
         repetition)`` alone.  ``supervisor`` (a
         :class:`~repro.evaluation.supervisor.SupervisorPolicy`) tunes
         the pool's failure model: per-item deadlines, respawn budget,
-        poison quarantine.
+        poison quarantine.  A ``cell_timeout`` needs ``workers >= 2``:
+        nothing in-process can enforce a deadline.
 
         ``policy`` (a :class:`~repro.blocking.CandidatePolicy`) prunes
         every dataset's pair universe before any cell runs: training
@@ -726,97 +716,29 @@ class ExperimentRunner:
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        _warn_collapsing_fractions(datasets, train_fractions)
-        if workers > 1:
-            from repro.evaluation.parallel import run_grid_parallel
-
-            return run_grid_parallel(
-                self._factories,
-                datasets,
-                train_fractions=tuple(train_fractions),
-                repetitions=repetitions,
-                seed=seed,
-                negative_ratio=negative_ratio,
-                journal=journal,
-                resume=resume,
-                retry_policy=retry_policy,
-                workers=workers,
-                supervisor=supervisor,
-                candidate_policy=policy,
+        if (
+            workers == 1
+            and supervisor is not None
+            and supervisor.cell_timeout is not None
+        ):
+            raise ConfigurationError(
+                "a cell timeout needs workers >= 2: an in-process grid "
+                "cannot enforce a deadline"
             )
-        from repro.core.feature_cache import PairUniverse
+        _warn_collapsing_fractions(datasets, train_fractions)
+        from repro.evaluation.parallel import run_grid
 
-        embeddings = (
-            probe_policy_embeddings(self._factories)
-            if policy is not None and not policy.is_null
-            else None
+        return run_grid(
+            self._factories,
+            datasets,
+            train_fractions=tuple(train_fractions),
+            repetitions=repetitions,
+            seed=seed,
+            negative_ratio=negative_ratio,
+            journal=journal,
+            resume=resume,
+            retry_policy=retry_policy,
+            workers=workers,
+            supervisor=supervisor,
+            candidate_policy=policy,
         )
-        results: list[ExperimentResult] = []
-        for dataset in datasets:
-            universe = PairUniverse(dataset, policy, embeddings=embeddings)
-            stores: dict[int, object] = {}
-            for fraction in train_fractions:
-                settings = RunSettings(
-                    train_fraction=fraction,
-                    repetitions=repetitions,
-                    negative_ratio=negative_ratio,
-                    seed=seed,
-                )
-                for label, factory in self._factories.items():
-                    matcher = factory()
-                    result = evaluate_matcher(
-                        matcher,
-                        dataset,
-                        settings,
-                        journal=journal,
-                        resume=resume,
-                        retry_policy=retry_policy,
-                        label=label,
-                        universe=universe,
-                        prepare=_shared_prepare(matcher, dataset, universe, stores),
-                    )
-                    results.append(result)
-        return results
-
-
-def probe_policy_embeddings(factories: dict):
-    """Embeddings for resolving an embedding-bucket policy, from a factory.
-
-    The pair universe is built before any cell's matcher exists, so an
-    embedding-LSH policy borrows the first factory matcher's embedding
-    space (every LEAPME factory of one grid shares it).  Returns ``None``
-    when no factory exposes embeddings -- resolution then fails with the
-    policy's own configuration error.
-    """
-    for factory in factories.values():
-        embeddings = getattr(factory(), "embeddings", None)
-        if embeddings is not None:
-            return embeddings
-    return None
-
-
-def _shared_prepare(matcher, dataset, universe, stores: dict):
-    """Lazy preparation that shares feature stores across grid cells.
-
-    Returns a callable invoked before a cell's first executed
-    repetition.  Matchers exposing ``build_feature_store``/
-    ``attach_store`` share one :class:`PairFeatureStore` per
-    (dataset, embeddings object); everything else falls back to plain
-    ``matcher.prepare(dataset)``.  Nothing is built for fully resumed
-    cells because the callable is never invoked.
-    """
-
-    def _prepare() -> None:
-        attach = getattr(matcher, "attach_store", None)
-        build = getattr(matcher, "build_feature_store", None)
-        embeddings = getattr(matcher, "embeddings", None)
-        if attach is None or build is None or embeddings is None:
-            matcher.prepare(dataset)
-            return
-        store_key = id(embeddings)
-        store = stores.get(store_key)
-        if store is None:
-            store = stores[store_key] = build(dataset, universe)
-        attach(store)
-
-    return _prepare

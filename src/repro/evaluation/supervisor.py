@@ -29,8 +29,8 @@ grid runner and the executor and supplies the missing model:
 * **Serial degradation** -- when pool deaths exhaust
   ``max_pool_respawns``, the supervisor logs a warning and runs the
   remaining items through the caller's serial fallback in the parent
-  process, so a broken multiprocessing environment degrades to the
-  serial path instead of failing the run.
+  process (for the grid, exactly its ``workers=1`` path), so a broken
+  multiprocessing environment costs speed instead of the run.
 * **Signal-safe shutdown** -- a ``stop`` event (set by the caller's
   SIGINT/SIGTERM handler) halts dispatch, harvests futures that are
   already complete within a short grace window, reaps the workers and

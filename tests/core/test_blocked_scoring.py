@@ -140,8 +140,7 @@ def test_scoring_time_splits_into_gather_and_forward(headphones):
     matcher.score_pairs(dataset, test.pairs)
     assert matcher.feature_seconds > before
     result = evaluate_matcher(
-        matcher, dataset, RunSettings(train_fraction=0.2, repetitions=1),
-        universe=store.universe,
+        matcher, dataset, RunSettings(train_fraction=0.2, repetitions=1)
     )
     assert result.timings.feature_assembly > 0.0
     assert result.timings.score > 0.0

@@ -176,17 +176,20 @@ class TestWorkerKillChaos:
     def test_respawn_budget_zero_degrades_to_serial_in_grid(
         self, tiny_headphones, tmp_path, clean_serial
     ):
-        clean_results, _ = clean_serial
+        clean_results, clean_bytes = clean_serial
         factory = functools.partial(
             _exit_factory, str(tmp_path / "faults"), 2, 1
         )
+        journal = RunJournal(tmp_path / "chaos.jsonl")
         results = ExperimentRunner({"cell": factory}).run(
             [tiny_headphones],
+            journal=journal,
             workers=2,
             supervisor=SupervisorPolicy(max_pool_respawns=0, **FAST),
             **GRID,
         )
         assert _summaries(results) == _summaries(clean_results)
+        assert journal.path.read_bytes() == clean_bytes
 
 
 class TestHangChaos:

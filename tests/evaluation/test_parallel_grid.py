@@ -223,6 +223,18 @@ class TestParallelDeterminism:
         with pytest.raises(ConfigurationError):
             runner.run([tiny_headphones], workers=0)
 
+    def test_cell_timeout_needs_a_pool(self, tiny_headphones):
+        from repro.errors import ConfigurationError
+        from repro.evaluation import SupervisorPolicy
+
+        runner = ExperimentRunner({"nameeq": NameEqMatcher})
+        with pytest.raises(ConfigurationError, match="workers >= 2"):
+            runner.run(
+                [tiny_headphones],
+                workers=1,
+                supervisor=SupervisorPolicy(cell_timeout=1e-6),
+            )
+
 
 class TestParallelLeapme:
     def test_leapme_grid_parallel_and_store_match_serial(

@@ -158,6 +158,53 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "P=" in out and "F1=" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_non_positive_worker_count_rejected(self, workers, capsys):
+        code = main(
+            ["evaluate", "--dataset", "headphones", "--scale", "tiny",
+             "--system", "lsh", "--repetitions", "1", "--workers", workers]
+        )
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_cell_timeout_needs_a_pool(self, capsys):
+        code = main(
+            ["evaluate", "--dataset", "headphones", "--scale", "tiny",
+             "--system", "lsh", "--repetitions", "1",
+             "--cell-timeout", "0.000001"]
+        )
+        assert code == 2
+        assert "workers >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system_args",
+        [
+            ["--system", "lsh", "--repetitions", "2"],
+            ["--system", "leapme", "--blocking", "minhash", "--repetitions", "1"],
+        ],
+        ids=["lsh", "leapme-minhash"],
+    )
+    def test_worker_counts_write_identical_journals_and_lines(
+        self, system_args, tmp_path, capsys
+    ):
+        outputs = {}
+        for workers in ("1", "2"):
+            journal = tmp_path / f"run-{workers}.jsonl"
+            argv = [
+                "evaluate",
+                "--dataset", "headphones",
+                "--scale", "tiny",
+                "--train-fraction", "0.6",
+                "--workers", workers,
+                "--journal", str(journal),
+            ] + system_args
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            # The last line names the journal path, which differs.
+            assert lines[-1] == f"journal: {journal}"
+            outputs[workers] = (lines[:-1], journal.read_bytes())
+        assert outputs["1"] == outputs["2"]
+
 
 class TestDescribe:
     def test_summarises_journal(self, tmp_path, capsys):
