@@ -595,11 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 1)")
     evaluate.add_argument("--cell-timeout", type=float, default=None,
                           metavar="SECONDS",
-                          help="wall-clock deadline per repetition (pair "
-                               "build, fit and score); needs --workers >= 2: "
-                               "a hung repetition is killed, "
-                               "re-dispatched, and quarantined if it keeps "
-                               "timing out (default: no deadline)")
+                          help="wall-clock deadline per (cell, repetition) "
+                               "(pair build, fit and score); a work item that "
+                               "runs k cells on one source split gets k "
+                               "deadlines; needs --workers >= 2: a hung item "
+                               "is killed, re-dispatched, and its cells "
+                               "quarantined if it keeps timing out "
+                               "(default: no deadline)")
     evaluate.add_argument("--max-pool-respawns", type=int, default=5,
                           help="worker-pool deaths tolerated before the grid "
                                "degrades to serial in-process execution "

@@ -120,11 +120,11 @@ class LeapmeClassifier:
     def match_scores(self, features: np.ndarray) -> np.ndarray:
         """Positive-class probabilities -- the paper's similarity scores.
 
-        Rows are scaled and scored in :func:`~repro.nn.network.row_blocks`
-        through one float64 scratch block, so no float64 copy of the
-        whole matrix is made.  The scores equal scoring the whole scaled
-        matrix at once for every size the equivalence test pins (DESIGN
-        §17).
+        The one-member case of :func:`blocked_scores`: rows are scaled
+        and scored in :func:`~repro.nn.network.row_blocks` through one
+        float64 scratch block, so no float64 copy of the whole matrix
+        is made.  The scores equal scoring the whole scaled matrix at
+        once for every size the equivalence test pins (DESIGN §17).
 
         Raises :class:`~repro.errors.DimensionError` unless ``features``
         is 2-D with the fitted number of columns.
@@ -138,15 +138,12 @@ class LeapmeClassifier:
                 f"expected a 2-D matrix of {width} feature columns, "
                 f"got shape {features.shape}"
             )
-        scores = np.empty(len(features))
-        scratch = np.empty((min(len(features), ROW_BLOCK + 1), width))
-        for start, stop in row_blocks(len(features)):
-            block = scratch[: stop - start]
-            if self._scaler is not None:
-                self._scaler.transform(features[start:stop], out=block)
-            else:
-                block[...] = features[start:stop]
-            scores[start:stop] = self._network.predict_proba(block)[:, 1]
+        (scores,) = blocked_scores(
+            len(features),
+            width,
+            lambda start, stop: features[start:stop],
+            [(self.fitted_state(), slice(None))],
+        )
         return scores
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -266,3 +263,121 @@ class ResilientClassifier:
         return (
             self.match_scores(features) >= self.config.decision_threshold
         ).astype(np.int64)
+
+
+def scoring_state(classifier) -> FittedState | None:
+    """The network and scaler ``classifier`` scores with, if any.
+
+    A :class:`LeapmeClassifier` (or a :class:`ResilientClassifier` that
+    ended on a network rung) scores as ``network.predict_proba(
+    scaler.transform(features))[:, 1]``; :func:`blocked_scores` can then
+    feed it a shared scaled block.  ``None`` for anything else -- the
+    classical rung, a classical classifier, a subclass with its own
+    ``match_scores`` -- which keeps its own ``match_scores``.
+    """
+    if type(classifier).match_scores is ResilientClassifier.match_scores:
+        classifier = classifier._delegate
+    if getattr(type(classifier), "match_scores", None) is LeapmeClassifier.match_scores:
+        return classifier.fitted_state()
+    return None
+
+
+class _ScaledBlock:
+    """One float64 scratch block, filled once per row block.
+
+    Holds the scaling its readers share: their scalers' ``mean_`` and
+    ``scale_`` placed at the columns each reads (``scaler`` is ``None``
+    for unscaled networks, whose block is a plain float64 copy).
+    """
+
+    def __init__(self, rows: int, width: int, scaled: bool) -> None:
+        self.block = np.empty((rows, width))
+        self.scaler = None
+        if scaled:
+            self.scaler = StandardScaler()
+            self.scaler.mean_ = np.zeros(width)
+            self.scaler.scale_ = np.ones(width)
+        self.known = np.zeros(width, dtype=bool)
+        #: ``(member index, columns, network)`` of every reader.
+        self.readers: list[tuple[int, object, Sequential]] = []
+
+    def admits(self, scaler: StandardScaler | None, columns) -> bool:
+        """Whether ``scaler`` agrees with this block on every known column."""
+        if (scaler is None) != (self.scaler is None):
+            return False
+        if scaler is None:
+            return True
+        known = self.known[columns]
+        return np.array_equal(
+            self.scaler.mean_[columns][known], scaler.mean_[known]
+        ) and np.array_equal(self.scaler.scale_[columns][known], scaler.scale_[known])
+
+    def add(self, index: int, columns, state: FittedState) -> None:
+        if state.scaler is not None:
+            self.scaler.mean_[columns] = state.scaler.mean_
+            self.scaler.scale_[columns] = state.scaler.scale_
+        self.known[columns] = True
+        self.readers.append((index, columns, state.network))
+
+    def fill(self, features: np.ndarray) -> np.ndarray:
+        block = self.block[: len(features)]
+        if self.scaler is None:
+            block[...] = features
+        else:
+            self.scaler.transform(features, out=block)
+        return block
+
+
+def blocked_scores(
+    n_rows: int, width: int, read_block, members
+) -> list[np.ndarray]:
+    """Positive-class scores of ``n_rows`` rows for every member.
+
+    The one scale-and-forward loop over
+    :func:`~repro.nn.network.row_blocks`:
+    :meth:`LeapmeClassifier.match_scores` is its one-member case, and
+    :func:`repro.core.matcher.score_together` feeds it a store's row
+    blocks for several matchers at once.
+
+    ``read_block(start, stop)`` returns rows ``start:stop`` as one 2-D
+    array of ``width`` columns, which all members share.  A member is
+    ``(scorer, columns)``: ``columns`` (a slice or an index array)
+    picks its features out of that block, and ``scorer`` is either a
+    :class:`FittedState` or a classifier.
+
+    * Network members read their columns from a float64 scratch block.
+      Each row block is scaled once per group of members whose scalers
+      agree on every column they read (and copied once for unscaled
+      networks); a member that disagrees gets its own block.  Scaling
+      is elementwise, so every member reads exactly the values its own
+      ``scaler.transform`` would give.
+    * A classifier member gets its own ``match_scores`` call on its
+      columns of the same block, in the same row blocks.
+    """
+    rows = min(n_rows, ROW_BLOCK + 1)
+    blocks: list[_ScaledBlock] = []
+    plain: list[tuple[int, object, object]] = []
+    for index, (scorer, columns) in enumerate(members):
+        if not isinstance(scorer, FittedState):
+            plain.append((index, columns, scorer))
+            continue
+        target = next(
+            (block for block in blocks if block.admits(scorer.scaler, columns)),
+            None,
+        )
+        if target is None:
+            target = _ScaledBlock(rows, width, scaled=scorer.scaler is not None)
+            blocks.append(target)
+        target.add(index, columns, scorer)
+    scores = [np.empty(n_rows) for _ in members]
+    for start, stop in row_blocks(n_rows):
+        features = read_block(start, stop)
+        for block in blocks:
+            scaled = block.fill(features)
+            for index, columns, network in block.readers:
+                scores[index][start:stop] = network.predict_proba(scaled[:, columns])[:, 1]
+        for index, columns, classifier in plain:
+            scores[index][start:stop] = classifier.match_scores(
+                np.ascontiguousarray(features[:, columns])
+            )
+    return scores

@@ -495,7 +495,14 @@ class PairFeatureStore:
         eight of the nine grid configs, an index array for
         ``both/non_embedding``).
         """
-        columns = self.schema.active_columns(config)
+        return self.gather_columns(rows, self.schema.active_columns(config))
+
+    def gather_columns(self, rows: np.ndarray, columns) -> np.ndarray:
+        """Read-only matrix of universe ``rows`` and full-matrix ``columns``.
+
+        ``columns`` is a slice or an index array; a shared score pass
+        gathers the union of several configs' columns this way.
+        """
         if isinstance(columns, slice):
             served = self.matrix[rows, columns]
         else:

@@ -13,7 +13,12 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.api import Matcher
-from repro.core.classifier import LeapmeClassifier, ResilientClassifier
+from repro.core.classifier import (
+    LeapmeClassifier,
+    ResilientClassifier,
+    blocked_scores,
+    scoring_state,
+)
 from repro.core.config import FeatureConfig, LeapmeConfig
 from repro.core.pipeline import FeaturePipeline, FeatureSchema
 from repro.core.property_features import PropertyFeatureTable
@@ -21,7 +26,6 @@ from repro.data.model import Dataset
 from repro.data.pairs import LabeledPair, PairSet
 from repro.embeddings.base import WordEmbeddings
 from repro.errors import NotFittedError
-from repro.nn.network import row_blocks
 
 
 class LeapmeMatcher(Matcher):
@@ -164,32 +168,17 @@ class LeapmeMatcher(Matcher):
     ) -> np.ndarray:
         """Positive-class probabilities for candidate pairs.
 
-        The pairs' store rows are resolved once (a pair set over the
-        store's universe brings its own), and the classifier gets
-        one :func:`~repro.nn.network.row_blocks` block at a time,
-        gathered straight from the store matrix: no whole-set feature
-        matrix is built.  When a blocked universe pruned some of the
-        pairs, the store assembles the whole request in one pipeline
-        call, scored in one call.  Row lookup and gathers count toward
-        :attr:`feature_seconds`.
+        The one-member case of :func:`score_together`: the pairs' store
+        rows are resolved once (a pair set over the store's universe
+        brings its own), and each :func:`~repro.nn.network.row_blocks`
+        block of this matcher's own columns is gathered straight from
+        the store matrix and scored by the classifier's
+        ``match_scores``: no whole-set feature matrix is built.  When a blocked universe
+        pruned some of the pairs, the store assembles the whole request
+        in one pipeline call, scored in one call.  Row lookup and
+        gathers count toward :attr:`feature_seconds`.
         """
-        if self._classifier is None:
-            raise NotFittedError("LeapmeMatcher must be fitted before scoring")
-        self.prepare(dataset)
-        store = self._store
-        started = perf_counter()
-        rows = store.rows_of(pairs)
-        if rows is None:
-            features = store.assemble(pairs, self.feature_config)
-            self.feature_seconds += perf_counter() - started
-            return self._classifier.match_scores(features)
-        self.feature_seconds += perf_counter() - started
-        scores = np.empty(len(rows))
-        for start, stop in row_blocks(len(rows)):
-            started = perf_counter()
-            block = store.gather(rows[start:stop], self.feature_config)
-            self.feature_seconds += perf_counter() - started
-            scores[start:stop] = self._classifier.match_scores(block)
+        (scores,) = score_together([self], dataset, pairs)
         return scores
 
     def predict(
@@ -236,3 +225,110 @@ class LeapmeMatcher(Matcher):
         if self._classifier is None:
             raise NotFittedError("LeapmeMatcher is not fitted")
         return self._classifier
+
+
+def score_together(
+    matchers: list[LeapmeMatcher],
+    dataset: Dataset,
+    pairs: PairSet | list[LabeledPair],
+) -> list[np.ndarray]:
+    """Each fitted matcher's :meth:`~LeapmeMatcher.score_pairs` scores.
+
+    Matchers that share a feature store are scored in one pass: each
+    row block is gathered once, over the union of their feature
+    columns, and :func:`~repro.core.classifier.blocked_scores` scales
+    it once for all members whose scalers agree; every network reads
+    its own columns from that block.  The scores are bit-identical to
+    scoring each matcher alone, which is the one-member case.  The
+    pass's row lookup and gathers count toward each member's
+    :attr:`~LeapmeMatcher.feature_seconds` in equal shares.
+    """
+    by_store: dict[int, list[int]] = {}
+    for index, matcher in enumerate(matchers):
+        if matcher._classifier is None:
+            raise NotFittedError("LeapmeMatcher must be fitted before scoring")
+        matcher.prepare(dataset)
+        by_store.setdefault(id(matcher._store), []).append(index)
+    scores: list = [None] * len(matchers)
+    for indices in by_store.values():
+        members = [matchers[index] for index in indices]
+        for index, result in zip(indices, _score_on_store(members, pairs)):
+            scores[index] = result
+    return scores
+
+
+def _score_on_store(
+    matchers: list[LeapmeMatcher], pairs: PairSet | list[LabeledPair]
+) -> list[np.ndarray]:
+    """One shared score pass over the matchers' common store."""
+    store = matchers[0]._store
+    started = perf_counter()
+    rows = store.rows_of(pairs)
+    seconds = perf_counter() - started
+    if rows is None:
+        results = []
+        for matcher in matchers:
+            started = perf_counter()
+            features = store.assemble(pairs, matcher.feature_config)
+            matcher.feature_seconds += (
+                seconds / len(matchers) + perf_counter() - started
+            )
+            results.append(matcher._classifier.match_scores(features))
+        return results
+    columns, width, positions = _column_union(
+        [store.schema.active_columns(m.feature_config) for m in matchers],
+        store.schema.total_width,
+    )
+
+    def read_block(start: int, stop: int) -> np.ndarray:
+        nonlocal seconds
+        began = perf_counter()
+        block = store.gather_columns(rows[start:stop], columns)
+        seconds += perf_counter() - began
+        return block
+
+    results = blocked_scores(
+        len(rows),
+        width,
+        read_block,
+        [
+            (_scorer(matcher._classifier, shared=len(matchers) > 1), position)
+            for matcher, position in zip(matchers, positions)
+        ],
+    )
+    for matcher in matchers:
+        matcher.feature_seconds += seconds / len(matchers)
+    return results
+
+
+def _scorer(classifier, *, shared: bool):
+    """What scores one member's blocks in :func:`blocked_scores`.
+
+    In a shared pass, a network's :class:`FittedState`, so it reads the
+    shared scaled block.  A lone matcher has nothing to share: its
+    classifier's own ``match_scores`` scores each gathered block, the
+    calls :meth:`LeapmeMatcher.score_pairs` has always made.
+    """
+    state = scoring_state(classifier) if shared else None
+    return state if state is not None else classifier
+
+
+def _column_union(columns: list, width: int) -> tuple[object, int, list]:
+    """The union of full-matrix ``columns``, its width, and each one's place in it.
+
+    Every entry is a slice or an index array, and so is every place:
+    a slice whenever the columns are consecutive, so one config's own
+    columns gather and read exactly as they do alone.
+    """
+    indices = [np.arange(width)[selection] for selection in columns]
+    union = np.unique(np.concatenate(indices))
+    return _as_slice(union), len(union), [
+        _as_slice(np.searchsorted(union, selection)) for selection in indices
+    ]
+
+
+def _as_slice(indices: np.ndarray):
+    """``indices`` (ascending, distinct) as a slice when they are consecutive."""
+    if len(indices) and indices[-1] - indices[0] + 1 == len(indices):
+        return slice(int(indices[0]), int(indices[-1]) + 1)
+    return indices

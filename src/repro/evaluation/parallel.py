@@ -1,13 +1,18 @@
 """The grid engine: one plan, run in this process or on a process pool.
 
-``ExperimentRunner.run`` lands here for every worker count.  The grid
-is flattened into (cell, repetition) work items in grid order -- cells
-in dataset/fraction/matcher order, repetitions ascending -- and items
-already in the journal are restored instead of run.  The pending items
-go through :func:`_execute_item`: in this process when ``workers ==
-1``, on a supervised ``ProcessPoolExecutor`` otherwise.  Either way
-the parent folds every outcome through one :class:`_SerialDrain`, in
-grid order, and is the only process that touches the journal.
+``ExperimentRunner.run`` lands here for every worker count.  The grid's
+unit of work is one source split: a :class:`SplitItem` is a (dataset,
+training-source count, repetition) with that split's pending cells.
+Items run in plan order -- dataset, fraction, repetition, matcher --
+and (cell, repetition) slots already in the journal are restored
+instead of run.  Fractions that round to one training-source count
+draw the same split, so their cells share one item: each label is
+fitted and scored once and its outcome copied to every cell that
+shares it.  The pending items go through :func:`_execute_item`: in
+this process when ``workers == 1``, on a supervised
+``ProcessPoolExecutor`` otherwise.  Either way the parent folds every
+outcome through one :class:`_SerialDrain`, slot by slot in plan order,
+and is the only process that touches the journal.
 
 Why every worker count gives the same bytes:
 
@@ -16,23 +21,32 @@ Why every worker count gives the same bytes:
   repetition))``, the training sample from ``default_rng([seed,
   repetition, 1709 + attempt-1])`` -- so whichever process runs an
   item computes the same numbers;
-* every item runs the same :func:`_execute_item` and yields a
-  picklable ``_Outcome``; the drain applies and journals outcomes in
-  grid order, so journal files match byte for byte;
+* every item runs the same :func:`_execute_item` and yields picklable
+  ``_Outcome`` values per cell; the drain applies and journals them in
+  plan order, so journal files match byte for byte.  A one-matcher
+  grid keeps the (cell, repetition) order and bytes it always had;
 * workers never write the journal: durability stays a single-writer,
   fsynced append stream, and journaled repetitions are restored in the
   parent and never run.
 
 A ``BaseException`` escaping a repetition (e.g. the fault harness's
-``SimulatedKill``) propagates at that item's position in grid order --
+``SimulatedKill``) propagates at that item's position in plan order --
 at once in-process, through ``future.result()`` from a pool; later
 completed items are discarded unjournaled, so the journal holds
-exactly the prefix before the kill.
+exactly the prefix before the kill.  The pool therefore dispatches in
+plan order too: the supervisor raises a kill at the item's place in
+its list, and any other order would make the journaled prefix depend
+on the worker count.
 
-Every repetition runs :func:`~repro.evaluation.runner._run_repetition`
-to the end in the process that picked it up -- pair build, fit *and*
-score -- so the pool's ``cell_timeout`` deadline covers scoring as it
-does every other phase.  Nothing in-process can enforce a deadline, so
+Each item runs :func:`~repro.evaluation.runner._run_split` to the end
+in the process that picked it up: the test rows and the attempt-1
+training sample are resolved once, every cell is fitted, and the LEAPME
+cells that share a feature store are scored in one pass that gathers
+and scales each row block once.  Per-cell semantics are those of
+:func:`~repro.evaluation.runner._run_repetition`: a cell whose attempt
+1 raises continues its own retry loop.  The pool's ``cell_timeout``
+deadline is per (cell, repetition), so an item of k cells gets k
+deadlines.  Nothing in-process can enforce a deadline, so
 ``ExperimentRunner.run`` rejects one at ``workers=1``.
 
 Shared features: each executing process resolves a dataset's pair
@@ -49,10 +63,10 @@ Under ``spawn`` each worker builds its own, at most once per dataset.
 
 Failure model: the pool is run by
 :class:`~repro.evaluation.supervisor.PoolSupervisor` -- a dead worker
-respawns the pool and re-dispatches its items, a hung repetition is
-killed at the ``cell_timeout`` deadline, poison items are quarantined as
-structured ``failed`` journal records, and SIGINT/SIGTERM drain the
-completed grid-order prefix into the journal before raising
+respawns the pool and re-dispatches its items, a hung item is killed
+at its deadline, poison items are quarantined as one structured
+``failed`` journal record per cell, and SIGINT/SIGTERM drain the
+completed plan-order prefix into the journal before raising
 :class:`~repro.errors.GridInterrupted`.  When pool deaths exhaust the
 respawn budget, the remaining items run in-process exactly as at
 ``workers=1``.  Completed outcomes are journaled *progressively*, so
@@ -66,7 +80,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from queue import Empty
 
 import numpy as np
@@ -83,7 +97,7 @@ from repro.evaluation.runner import (
     _apply_outcome,
     _journal_outcome,
     _Outcome,
-    _run_repetition,
+    _run_split,
 )
 from repro.evaluation.supervisor import PoolSupervisor, SupervisorPolicy
 
@@ -96,6 +110,27 @@ class GridCell:
     dataset_index: int
     label: str
     settings: RunSettings
+
+
+@dataclass(frozen=True)
+class SplitItem:
+    """One unit of grid work: a source split and its pending cells.
+
+    A split is fixed by ``(dataset, training-source count,
+    repetition)``: :func:`~repro.data.splits.split_sources` draws from
+    ``default_rng((seed, repetition))`` and the count alone, so
+    fractions that round to one count share the item.  ``cells`` are
+    the split's pending cells in plan order.
+    """
+
+    dataset_index: int
+    train_sources: int
+    repetition: int
+    cells: tuple[GridCell, ...]
+
+    @property
+    def key(self) -> tuple[int, int, int]:
+        return (self.dataset_index, self.train_sources, self.repetition)
 
 
 class _SharedFeatures:
@@ -177,12 +212,12 @@ class _SharedFeatures:
 
 
 def _item_state(shared: _SharedFeatures, retry_policy, start_queue=None) -> dict:
-    """What a process executing items keeps: features, policy, matcher."""
+    """What a process executing items keeps: features, policy, matchers."""
     return dict(
         shared=shared,
         retry_policy=retry_policy,
         start_queue=start_queue,
-        cell_matcher=None,
+        matchers={},
     )
 
 
@@ -222,43 +257,62 @@ def _prebuild_shared(shared: _SharedFeatures, dataset_indices) -> None:
             shared.store(dataset_index, factory())
 
 
-def _execute_item(cell: GridCell, repetition: int, state: dict | None = None):
-    """Run one repetition, return its ``_Outcome``.
+def _execute_item(item: SplitItem, state: dict | None = None) -> dict[int, _Outcome]:
+    """Run one split item, return each of its cells' ``_Outcome``.
 
     The entry point of pool workers (``state`` is the process's
     ``_STATE``) and of in-process runs, which pass their own.  The split
     is recomputed locally from ``(seed, repetition)``.  In a pool worker
     the first act is reporting the start to the supervisor's channel, so
-    the ``--cell-timeout`` clock measures this repetition's own run
-    time, never queueing or pool start-up.
+    the ``--cell-timeout`` clock measures this item's own run time,
+    never queueing or pool start-up.
+
+    Each matcher label runs once, through
+    :func:`~repro.evaluation.runner._run_split`; a cell whose fraction
+    collapsed onto an earlier cell's split gets a copy of that label's
+    outcome, without timings, so the work is counted once.
     """
     state = _STATE if state is None else state
     start_queue = state["start_queue"]
     if start_queue is not None:
         try:
-            start_queue.put((cell.index, repetition))
+            start_queue.put(item.key)
         except Exception:  # pragma: no cover # repro: noqa[REP005] start-report is best-effort; a worker must never die for telemetry
             pass
     shared: _SharedFeatures = state["shared"]
-    cached = state["cell_matcher"]
-    if cached is None or cached[0] != cell.index:
-        # A process receives items in grid order, so the previous cell
-        # is done: its matcher is replaced, not kept.
-        cached = state["cell_matcher"] = (cell.index, shared.matcher(cell))
-    matcher = cached[1]
-    dataset = shared.datasets[cell.dataset_index]
-    rng = np.random.default_rng((cell.settings.seed, repetition))
-    split = split_sources(dataset, cell.settings.train_fraction, rng)
-    return _run_repetition(
-        matcher,
+    runs: dict[str, GridCell] = {}
+    for cell in item.cells:
+        runs.setdefault(cell.label, cell)
+    # A process keeps the matchers of the split it ran last: the next
+    # repetition of the same cells reuses them, any other cell's go.
+    kept = state["matchers"]
+    matchers = state["matchers"] = {
+        cell.index: kept[cell.index] if cell.index in kept else shared.matcher(cell)
+        for cell in runs.values()
+    }
+    dataset = shared.datasets[item.dataset_index]
+    settings = item.cells[0].settings
+    rng = np.random.default_rng((settings.seed, item.repetition))
+    split = split_sources(dataset, settings.train_fraction, rng)
+    outcomes = _run_split(
+        list(matchers.values()),
         dataset,
-        cell.settings,
-        repetition,
+        settings,
+        item.repetition,
         split,
         state["retry_policy"],
         time.sleep,
-        shared.universe(cell.dataset_index),
+        shared.universe(item.dataset_index),
     )
+    by_label = dict(zip(runs, outcomes))
+    return {
+        cell.index: (
+            by_label[cell.label]
+            if runs[cell.label] is cell
+            else replace(by_label[cell.label], timings=None)
+        )
+        for cell in item.cells
+    }
 
 
 def _pool_context():
@@ -269,9 +323,9 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _quarantine_outcome(item: tuple[int, int], reason: str, faults: int) -> _Outcome:
-    """The structured failure recorded for a quarantined (cell, rep) item."""
-    return _Outcome(
+def _quarantine_outcome(item: SplitItem, reason: str, faults: int) -> dict[int, _Outcome]:
+    """The structured failure recorded for each cell of a quarantined item."""
+    failure = _Outcome(
         status=STATUS_FAILED,
         error_type=reason,
         error_message=(
@@ -280,6 +334,7 @@ def _quarantine_outcome(item: tuple[int, int], reason: str, faults: int) -> _Out
         ),
         attempts=faults,
     )
+    return {cell.index: failure for cell in item.cells}
 
 
 def run_grid(
@@ -299,10 +354,10 @@ def run_grid(
 ) -> list[ExperimentResult]:
     """Run the experiment grid; the engine behind ``ExperimentRunner.run``.
 
-    ``workers == 1`` runs the pending items in this process, in grid
-    order; more run them on that many supervised processes, with
+    ``workers == 1`` runs the pending split items in this process, in
+    plan order; more run them on that many supervised processes, with
     ``supervisor`` tuning the failure model (worker-death respawns,
-    per-item deadlines, poison quarantine).  Results and journal bytes
+    per-cell deadlines, poison quarantine).  Results and journal bytes
     do not depend on the worker count.
     """
     retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -311,6 +366,10 @@ def run_grid(
     results: list[ExperimentResult] = []
     keys: list[str | None] = []
     restored: list[dict] = []
+    # Plan order: dataset, fraction, repetition, matcher.  ``slots``
+    # is the order the drain journals (cell, repetition) outcomes in.
+    slots: list[tuple[int, int]] = []
+    items: dict[tuple[int, int, int], list[GridCell]] = {}
     for dataset_index, dataset in enumerate(datasets):
         for fraction in train_fractions:
             settings = RunSettings(
@@ -319,6 +378,8 @@ def run_grid(
                 negative_ratio=negative_ratio,
                 seed=seed,
             )
+            sources = train_source_count(len(dataset.sources()), fraction)
+            group: list[GridCell] = []
             for label in factories:
                 cell = GridCell(
                     index=len(cells),
@@ -326,15 +387,14 @@ def run_grid(
                     label=label,
                     settings=settings,
                 )
+                group.append(cell)
                 cells.append(cell)
                 results.append(
                     ExperimentResult(
                         matcher_name=label,
                         dataset_name=dataset.name,
                         settings=settings,
-                        train_sources=train_source_count(
-                            len(dataset.sources()), fraction
-                        ),
+                        train_sources=sources,
                     )
                 )
                 key = (
@@ -348,40 +408,43 @@ def run_grid(
                     if (journal is not None and resume)
                     else {}
                 )
+            for repetition in range(repetitions):
+                for cell in group:
+                    slots.append((cell.index, repetition))
+                    entry = restored[cell.index].get(repetition)
+                    if entry is None or entry.status == STATUS_FAILED:
+                        items.setdefault(
+                            (dataset_index, sources, repetition), []
+                        ).append(cell)
+    # Items run in plan order: the position of each split's first
+    # pending cell.
+    plan = {
+        key: SplitItem(*key, cells=tuple(pending))
+        for key, pending in items.items()
+    }
 
-    # Grid order: cells outermost, repetitions innermost.
-    pending: list[tuple[int, int]] = [
-        (cell.index, repetition)
-        for cell in cells
-        for repetition in range(repetitions)
-        if not (
-            (entry := restored[cell.index].get(repetition)) is not None
-            and entry.status != STATUS_FAILED
-        )
-    ]
-
-    drain = _SerialDrain(cells, results, keys, restored, journal)
+    drain = _SerialDrain(slots, results, keys, restored, journal)
     outcomes: dict[tuple[int, int], _Outcome] = {}
     shared = _SharedFeatures(factories, datasets, candidate_policy)
 
-    def on_complete(item: tuple[int, int], outcome) -> None:
+    def on_complete(key: tuple[int, int, int], item_outcomes: dict) -> None:
         # Progressive drain: each completion extends the journaled
-        # grid-order prefix as far as it now reaches.
-        outcomes[item] = outcome
+        # plan-order prefix as far as it now reaches.
+        for cell_index, outcome in item_outcomes.items():
+            outcomes[(cell_index, key[2])] = outcome
         drain.advance(outcomes)
 
     in_process = _item_state(shared, retry_policy)
 
-    def run_in_process(item: tuple[int, int]):
-        return _execute_item(cells[item[0]], item[1], in_process)
+    def run_in_process(key: tuple[int, int, int]) -> dict:
+        return _execute_item(plan[key], in_process)
 
     if workers == 1:
-        for item in pending:
-            on_complete(item, run_in_process(item))
-    elif pending:
+        for key in plan:
+            on_complete(key, run_in_process(key))
+    elif plan:
         _run_pool(
-            cells,
-            pending,
+            plan,
             shared,
             retry_policy,
             workers,
@@ -403,8 +466,7 @@ def run_grid(
 
 
 def _run_pool(
-    cells: list[GridCell],
-    pending: list[tuple[int, int]],
+    plan: dict[tuple[int, int, int], SplitItem],
     shared: _SharedFeatures,
     retry_policy: RetryPolicy,
     workers: int,
@@ -412,15 +474,17 @@ def _run_pool(
     on_complete,
     run_in_process,
 ) -> None:
-    """Run ``pending`` on ``workers`` supervised processes.
+    """Run the ``plan``'s split items on ``workers`` supervised processes.
 
-    SIGINT/SIGTERM set the supervisor's stop event for the duration;
-    ``run_in_process`` is the degraded path once pool deaths exhaust
-    the respawn budget.
+    The supervisor sees item keys, dispatched in plan order.  An item of
+    k cells gets k cell deadlines, and a quarantined item fails each of
+    its cells.  SIGINT/SIGTERM set the supervisor's stop event for the
+    duration; ``run_in_process`` is the degraded path once pool deaths
+    exhaust the respawn budget.
     """
     context = _pool_context()
     if context.get_start_method() == "fork":
-        _prebuild_shared(shared, {cells[index].dataset_index for index, _ in pending})
+        _prebuild_shared(shared, {item.dataset_index for item in plan.values()})
     stop = threading.Event()
     received_signum: int | None = None
 
@@ -439,7 +503,7 @@ def _run_pool(
             except (ValueError, OSError):  # pragma: no cover
                 pass
 
-    # Workers report the (cell, repetition) they are *about to run*
+    # Workers report the item key they are *about to run*
     # on this queue; the supervisor's deadline clock starts at that
     # report, not at submission.  One fresh queue per pool
     # generation, so a dead generation's reports can never start
@@ -449,14 +513,14 @@ def _run_pool(
     def make_pool() -> ProcessPoolExecutor:
         start_queue_box[0] = context.Queue()
         return ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
+            max_workers=min(workers, len(plan)),
             mp_context=context,
             initializer=_init_worker_process,
             initargs=(shared, retry_policy, start_queue_box[0]),
         )
 
-    def poll_started() -> list[tuple[int, int]]:
-        started: list[tuple[int, int]] = []
+    def poll_started() -> list[tuple[int, int, int]]:
+        started: list[tuple[int, int, int]] = []
         start_queue = start_queue_box[0]
         while start_queue is not None:
             try:
@@ -466,18 +530,19 @@ def _run_pool(
         return started
 
     pool_supervisor = PoolSupervisor(
-        pending,
+        list(plan),
         make_pool=make_pool,
-        submit=lambda pool, item: pool.submit(
-            _execute_item, cells[item[0]], item[1]
-        ),
+        submit=lambda pool, key: pool.submit(_execute_item, plan[key]),
         on_complete=on_complete,
-        quarantine_outcome=_quarantine_outcome,
+        quarantine_outcome=lambda key, reason, faults: _quarantine_outcome(
+            plan[key], reason, faults
+        ),
         run_serial=run_in_process,
-        window=min(workers, len(pending)),
+        window=min(workers, len(plan)),
         policy=policy,
         stop=stop,
         poll_started=poll_started,
+        deadline_units=lambda key: len(plan[key].cells),
     )
     try:
         pool_supervisor.run()
@@ -493,33 +558,31 @@ def _run_pool(
 
 
 class _SerialDrain:
-    """Incremental grid-order fold of restored entries and outcomes.
+    """Incremental plan-order fold of restored entries and outcomes.
 
-    Maintains a cursor over the flattened (cell, repetition) grid.  Each
+    Maintains a cursor over the grid's (cell, repetition) slots in plan
+    order -- dataset, fraction, repetition, matcher -- so each finished
+    split is journaled as soon as every split before it is.  Each
     :meth:`advance` applies journal-restored entries and any available
     outcomes from the cursor forward, journaling executed outcomes in
-    grid order whatever order they completed in, and stops at the first
-    item that is neither restored nor completed.  Progressive calls
+    plan order whatever order they completed in, and stops at the first
+    slot that is neither restored nor completed.  Progressive calls
     therefore never double-apply anything.
     """
 
     def __init__(
         self,
-        cells: list[GridCell],
+        slots: list[tuple[int, int]],
         results: list[ExperimentResult],
         keys: list[str | None],
         restored: list[dict],
         journal: RunJournal | None,
     ) -> None:
+        self._slots = slots
         self._results = results
         self._keys = keys
         self._restored = restored
         self._journal = journal
-        self._slots: list[tuple[int, int]] = [
-            (cell.index, repetition)
-            for cell in cells
-            for repetition in range(cell.settings.repetitions)
-        ]
         self._position = 0
 
     def advance(self, outcomes: dict[tuple[int, int], _Outcome]) -> None:

@@ -39,13 +39,18 @@ The grid is cache-aware and parallelisable:
   (dataset, embeddings) built on that universe, so the nine feature
   configurations become column slices of one matrix instead of nine
   recomputations, and a pair set's rows index the matrix directly;
-* ``ExperimentRunner.run`` plans the grid as (cell, repetition) work
-  items and runs them through one engine
+* ``ExperimentRunner.run`` plans the grid as split items -- one
+  (dataset, training-source count, repetition) with that split's
+  pending cells -- and runs them through one engine
   (:mod:`repro.evaluation.parallel`): in-process at ``workers=1``, on
-  a supervised process pool above that.  Because repetition randomness
-  derives only from ``(seed, repetition[, attempt])`` and the parent
-  applies and journals outcomes in grid order, results and journals
-  are byte-identical for every worker count;
+  a supervised process pool above that.  An item resolves the split's
+  pair sets once, fits every cell (:func:`_run_split`) and scores the
+  cells sharing a store in one pass that gathers and scales each row
+  block once; each cell's outcome equals :func:`evaluate_matcher` on
+  that cell alone.  Because repetition randomness derives only from
+  ``(seed, repetition[, attempt])`` and the parent applies and
+  journals outcomes in plan order, results and journals are
+  byte-identical for every worker count;
 * every executed repetition reports per-phase wall-clock
   (:class:`PhaseTimings`), aggregated on the
   :class:`ExperimentResult`, so speedups are measured rather than
@@ -55,6 +60,7 @@ The grid is cache-aware and parallelisable:
 from __future__ import annotations
 
 import hashlib
+import logging
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -63,6 +69,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.api import Matcher
+from repro.core.matcher import LeapmeMatcher, score_together
 from repro.data.model import Dataset
 from repro.data.pairs import sample_training_pairs
 from repro.data.splits import repeated_source_splits, train_source_count
@@ -80,6 +87,8 @@ from repro.evaluation.metrics import MatchQuality, evaluate_scores, mean_quality
 from repro.nn.guards import assert_finite
 
 _SKIP_NO_POSITIVES = "no positive/negative training pairs in split"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -369,6 +378,101 @@ def blocked_test_quality(
     )
 
 
+def _notify(matcher: Matcher, repetition: int, attempt: int) -> None:
+    notify = getattr(matcher, "notify_repetition", None)
+    if notify is not None:
+        notify(repetition, attempt)
+
+
+def _pair_sets(
+    universe,
+    train_sources: list[str],
+    settings: RunSettings,
+    repetition: int,
+    attempt: int,
+    supervised: bool,
+    timings: PhaseTimings,
+):
+    """The test set and, when ``supervised``, the attempt's training sample."""
+    started = perf_counter()
+    test = universe.subset(train_sources, within=False)
+    training = None
+    if supervised:
+        # Attempt 1 reproduces the historical stream exactly; retries
+        # get a deterministic fresh draw.
+        sample_seed = (settings.seed, repetition, 1709 + (attempt - 1))
+        training = sample_training_pairs(
+            universe.subset(train_sources, within=True),
+            settings.negative_ratio,
+            np.random.default_rng(list(sample_seed)),
+        )
+    timings.pair_build += perf_counter() - started
+    return test, training
+
+
+def _one_class(training) -> bool:
+    labels = training.labels()
+    return not labels.any() or labels.all()
+
+
+def _skipped(timings: PhaseTimings) -> _Outcome:
+    # A skip is a data verdict, journaled with the default attempts=1
+    # whichever attempt reached it.
+    return _Outcome(
+        status=STATUS_SKIPPED,
+        error_type="skip",
+        error_message=_SKIP_NO_POSITIVES,
+        timings=timings,
+    )
+
+
+def _less_features(timings: PhaseTimings, elapsed: float, feature_share: float) -> float:
+    """Book ``feature_share`` as feature assembly; return the rest of ``elapsed``."""
+    timings.feature_assembly += feature_share
+    return max(0.0, elapsed - feature_share)
+
+
+def _fit(matcher: Matcher, dataset: Dataset, training, timings: PhaseTimings) -> None:
+    before = _matcher_feature_seconds(matcher)
+    started = perf_counter()
+    matcher.fit(dataset, training)
+    elapsed = perf_counter() - started
+    share = _matcher_feature_seconds(matcher) - before
+    timings.train += _less_features(timings, elapsed, share)
+
+
+def _score(matcher: Matcher, dataset: Dataset, test, timings: PhaseTimings) -> np.ndarray:
+    before = _matcher_feature_seconds(matcher)
+    started = perf_counter()
+    scores = matcher.score_pairs(dataset, test)
+    elapsed = perf_counter() - started
+    share = _matcher_feature_seconds(matcher) - before
+    timings.score += _less_features(timings, elapsed, share)
+    return scores
+
+
+def _verdict(
+    matcher: Matcher,
+    scores: np.ndarray,
+    test,
+    universe,
+    train_sources: list[str],
+    attempt: int,
+    timings: PhaseTimings,
+) -> _Outcome:
+    assert_finite(scores, "similarity scores")
+    quality = evaluate_scores(scores, test.labels(), matcher.threshold)
+    if universe.is_blocked:
+        quality = blocked_test_quality(quality, universe, train_sources)
+    return _Outcome(
+        status=STATUS_OK,
+        quality=quality,
+        degradation=getattr(matcher, "last_degradation", None),
+        attempts=attempt,
+        timings=timings,
+    )
+
+
 def _run_repetition(
     matcher: Matcher,
     dataset: Dataset,
@@ -378,6 +482,10 @@ def _run_repetition(
     retry_policy: RetryPolicy,
     sleep,
     universe,
+    *,
+    first_attempt: int = 1,
+    timings: PhaseTimings | None = None,
+    error: Exception | None = None,
 ) -> _Outcome:
     """One repetition under failure isolation and the retry policy.
 
@@ -395,13 +503,15 @@ def _run_repetition(
     :func:`evaluate_matcher` and the grid engine both run this
     function to the end: a repetition is fitted and scored in the same
     process, so a pool's ``--cell-timeout`` deadline covers the score
-    phase too.
+    phase too.  :func:`_run_split` continues a matcher whose shared
+    attempt 1 raised ``error`` here from ``first_attempt=2``, with the
+    ``timings`` that attempt booked.
     """
     train_sources = list(split.train_sources)
-    timings = PhaseTimings()
-    last_error: Exception | None = None
-    attempts_made = 0
-    for attempt in range(1, retry_policy.max_attempts + 1):
+    timings = timings if timings is not None else PhaseTimings()
+    last_error = error
+    attempts_made = first_attempt - 1
+    for attempt in range(first_attempt, retry_policy.max_attempts + 1):
         attempts_made = attempt
         if attempt > 1:
             delay = retry_policy.delay(
@@ -410,62 +520,26 @@ def _run_repetition(
             if delay > 0:
                 sleep(delay)
         try:
-            notify = getattr(matcher, "notify_repetition", None)
-            if notify is not None:
-                notify(repetition, attempt)
-            started = perf_counter()
-            test = universe.subset(train_sources, within=False)
-            timings.pair_build += perf_counter() - started
-            if matcher.is_supervised:
-                # Attempt 1 reproduces the historical stream exactly;
-                # retries get a deterministic fresh draw.
-                sample_seed = (settings.seed, repetition, 1709 + (attempt - 1))
-                started = perf_counter()
-                training = sample_training_pairs(
-                    universe.subset(train_sources, within=True),
-                    settings.negative_ratio,
-                    np.random.default_rng(list(sample_seed)),
-                )
-                timings.pair_build += perf_counter() - started
-                labels = training.labels()
-                if not labels.any() or labels.all():
-                    # A skip is a data verdict, journaled with the
-                    # default attempts=1 whichever attempt reached it.
-                    return _Outcome(
-                        status=STATUS_SKIPPED,
-                        error_type="skip",
-                        error_message=_SKIP_NO_POSITIVES,
-                        timings=timings,
-                    )
-                features_before = _matcher_feature_seconds(matcher)
-                started = perf_counter()
-                matcher.fit(dataset, training)
-                elapsed = perf_counter() - started
-                feature_share = (
-                    _matcher_feature_seconds(matcher) - features_before
-                )
-                timings.feature_assembly += feature_share
-                timings.train += max(0.0, elapsed - feature_share)
-            features_before = _matcher_feature_seconds(matcher)
-            started = perf_counter()
-            scores = matcher.score_pairs(dataset, test)
-            elapsed = perf_counter() - started
-            feature_share = _matcher_feature_seconds(matcher) - features_before
-            timings.feature_assembly += feature_share
-            timings.score += max(0.0, elapsed - feature_share)
-            assert_finite(scores, "similarity scores")
-            quality = evaluate_scores(scores, test.labels(), matcher.threshold)
-            if universe.is_blocked:
-                quality = blocked_test_quality(quality, universe, train_sources)
-            return _Outcome(
-                status=STATUS_OK,
-                quality=quality,
-                degradation=getattr(matcher, "last_degradation", None),
-                attempts=attempt,
-                timings=timings,
+            _notify(matcher, repetition, attempt)
+            test, training = _pair_sets(
+                universe,
+                train_sources,
+                settings,
+                repetition,
+                attempt,
+                matcher.is_supervised,
+                timings,
             )
-        except Exception as error:  # noqa: BLE001 -- isolation boundary
-            last_error = error
+            if training is not None:
+                if _one_class(training):
+                    return _skipped(timings)
+                _fit(matcher, dataset, training, timings)
+            scores = _score(matcher, dataset, test, timings)
+            return _verdict(
+                matcher, scores, test, universe, train_sources, attempt, timings
+            )
+        except Exception as failure:  # noqa: BLE001 -- isolation boundary
+            last_error = failure
     return _Outcome(
         status=STATUS_FAILED,
         error_type=type(last_error).__name__,
@@ -473,6 +547,113 @@ def _run_repetition(
         attempts=attempts_made,
         timings=timings,
     )
+
+
+def _scores_together(matcher: Matcher) -> bool:
+    """Whether ``matcher`` scores through ``LeapmeMatcher.score_pairs``."""
+    return getattr(type(matcher), "score_pairs", None) is LeapmeMatcher.score_pairs
+
+
+def _run_split(
+    matchers: list[Matcher],
+    dataset: Dataset,
+    settings: RunSettings,
+    repetition: int,
+    split,
+    retry_policy: RetryPolicy,
+    sleep,
+    universe,
+) -> list[_Outcome]:
+    """Every matcher's repetition on one source split, sharing attempt 1.
+
+    The test set and the attempt-1 training sample are resolved once.
+    Each matcher then runs ``notify_repetition`` and fits on the shared
+    sample (a sample with one class skips every supervised matcher),
+    and the matchers that score through ``LeapmeMatcher.score_pairs``
+    are scored in one :func:`~repro.core.matcher.score_together` pass;
+    if that pass raises, each of them scores itself.  A matcher whose
+    attempt 1 raises continues its own retry loop in
+    :func:`_run_repetition` from attempt 2, so each outcome equals
+    :func:`_run_repetition` on that matcher alone.  The shared pair
+    build and score pass are booked to the matchers in equal shares.
+    """
+    train_sources = list(split.train_sources)
+    timings = [PhaseTimings() for _ in matchers]
+    outcomes: list[_Outcome | None] = [None] * len(matchers)
+    errors: dict[int, Exception] = {}
+    resolved = PhaseTimings()
+    pair_sets = None
+    fitted: list[int] = []
+    for index, matcher in enumerate(matchers):
+        try:
+            _notify(matcher, repetition, 1)
+            if pair_sets is None:
+                pair_sets = _pair_sets(
+                    universe,
+                    train_sources,
+                    settings,
+                    repetition,
+                    1,
+                    any(other.is_supervised for other in matchers),
+                    resolved,
+                )
+            test, training = pair_sets
+            if matcher.is_supervised:
+                if _one_class(training):
+                    outcomes[index] = _skipped(timings[index])
+                    continue
+                _fit(matcher, dataset, training, timings[index])
+            fitted.append(index)
+        except Exception as failure:  # noqa: BLE001 -- isolation boundary
+            errors[index] = failure
+    for booked in timings:
+        booked.pair_build += resolved.pair_build / len(matchers)
+
+    test = pair_sets[0] if pair_sets is not None else None
+    scores: dict[int, np.ndarray] = {}
+    together = [index for index in fitted if _scores_together(matchers[index])]
+    if together:
+        members = [matchers[index] for index in together]
+        before = [_matcher_feature_seconds(matcher) for matcher in members]
+        started = perf_counter()
+        try:
+            passed = score_together(members, dataset, test)
+        except Exception as failure:  # noqa: BLE001 -- each scores itself below
+            logger.debug("shared score pass failed, scoring alone: %s", failure)
+        else:
+            each = (perf_counter() - started) / len(members)
+            for index, matcher, seconds, result in zip(
+                together, members, before, passed
+            ):
+                share = _matcher_feature_seconds(matcher) - seconds
+                timings[index].score += _less_features(timings[index], each, share)
+                scores[index] = result
+    for index in fitted:
+        matcher = matchers[index]
+        try:
+            result = scores.get(index)
+            if result is None:
+                result = _score(matcher, dataset, test, timings[index])
+            outcomes[index] = _verdict(
+                matcher, result, test, universe, train_sources, 1, timings[index]
+            )
+        except Exception as failure:  # noqa: BLE001 -- isolation boundary
+            errors[index] = failure
+    for index in sorted(errors):
+        outcomes[index] = _run_repetition(
+            matchers[index],
+            dataset,
+            settings,
+            repetition,
+            split,
+            retry_policy,
+            sleep,
+            universe,
+            first_attempt=2,
+            timings=timings[index],
+            error=errors[index],
+        )
+    return outcomes
 
 
 def _apply_outcome(
@@ -632,6 +813,35 @@ def _own_universe(matcher: Matcher, dataset: Dataset):
     return PairUniverse(dataset)
 
 
+def _reject_duplicate_cells(
+    datasets: list[Dataset], train_fractions: tuple[float, ...] | list[float]
+) -> None:
+    """Refuse a grid that lists one cell twice.
+
+    Two cells with one (matcher, dataset content, fraction) share a
+    journal key: both would journal every repetition, and a resumed
+    run would restore both from the one key.
+    """
+    seen_fractions: set[float] = set()
+    for fraction in train_fractions:
+        if fraction in seen_fractions:
+            raise ConfigurationError(
+                f"train fraction {fraction} is listed twice: every cell of "
+                "that fraction would run and journal twice"
+            )
+        seen_fractions.add(fraction)
+    seen_datasets: dict[str, str] = {}
+    for dataset in datasets:
+        fingerprint = dataset.fingerprint()
+        if fingerprint in seen_datasets:
+            raise ConfigurationError(
+                f"dataset {dataset.name!r} is listed twice (same content as "
+                f"{seen_datasets[fingerprint]!r}): every cell of it would run "
+                "and journal twice"
+            )
+        seen_datasets[fingerprint] = dataset.name
+
+
 def _warn_collapsing_fractions(
     datasets: list[Dataset], train_fractions: tuple[float, ...] | list[float]
 ) -> None:
@@ -696,17 +906,25 @@ class ExperimentRunner:
         grid rerun with ``resume=True`` recomputes only the missing
         repetitions of the missing cells.
 
-        Every worker count runs one plan of (cell, repetition) items
+        Every worker count runs one plan of split items, one per
+        (dataset, training-source count, repetition)
         (:func:`~repro.evaluation.parallel.run_grid`): ``workers=1``
         runs them in this process, ``workers > 1`` on a supervised
         process pool.  Results and journals are byte-identical across
-        worker counts because the parent applies outcomes in grid order
-        and every repetition's randomness derives from ``(seed,
-        repetition)`` alone.  ``supervisor`` (a
+        worker counts because the parent applies outcomes in plan order
+        (dataset, fraction, repetition, matcher) and every repetition's
+        randomness derives from ``(seed, repetition)`` alone.
+        ``supervisor`` (a
         :class:`~repro.evaluation.supervisor.SupervisorPolicy`) tunes
-        the pool's failure model: per-item deadlines, respawn budget,
-        poison quarantine.  A ``cell_timeout`` needs ``workers >= 2``:
-        nothing in-process can enforce a deadline.
+        the pool's failure model: per-(cell, repetition) deadlines,
+        respawn budget, poison quarantine.  A ``cell_timeout`` needs
+        ``workers >= 2``: nothing in-process can enforce a deadline.
+
+        Listing a fraction or a dataset twice raises
+        :class:`~repro.errors.ConfigurationError`: the repeated cells
+        would share one journal key.  Fractions that round to one
+        training-source count still warn, since their rows report one
+        experiment twice, but run it once.
 
         ``policy`` (a :class:`~repro.blocking.CandidatePolicy`) prunes
         every dataset's pair universe before any cell runs: training
@@ -725,6 +943,7 @@ class ExperimentRunner:
                 "a cell timeout needs workers >= 2: an in-process grid "
                 "cannot enforce a deadline"
             )
+        _reject_duplicate_cells(datasets, train_fractions)
         _warn_collapsing_fractions(datasets, train_fractions)
         from repro.evaluation.parallel import run_grid
 

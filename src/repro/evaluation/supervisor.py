@@ -18,7 +18,8 @@ grid runner and the executor and supplies the missing model:
 * **Deadlines** -- with a ``cell_timeout``, a watchdog tracks when each
   item started (workers report actual starts over a ``poll_started``
   channel; without one, the executor's RUNNING transition is the
-  fallback) and, past the deadline, kills and reaps the workers and
+  fallback) and, past the deadline -- ``cell_timeout`` times the
+  item's deadline units -- kills and reaps the workers and
   re-dispatches the victims.  The timed-out item itself is attributed
   a strike directly (its deadline, its fault).
 * **Poison quarantine** -- an item whose strikes reach
@@ -70,7 +71,9 @@ class SupervisorPolicy:
     ----------
     cell_timeout:
         Wall-clock seconds one item may run before the watchdog kills
-        the pool and re-dispatches; ``None`` disables deadlines.  The
+        the pool and re-dispatches, per deadline unit the item bundles
+        (``PoolSupervisor(deadline_units=...)``; the grid counts one
+        unit per cell of a split item); ``None`` disables deadlines.  The
         clock starts when the worker *reports* starting the item (see
         ``PoolSupervisor(poll_started=...)``); without such a channel
         it falls back to the executor marking the future running, which
@@ -174,6 +177,11 @@ class PoolSupervisor:
         Reports for items no longer in flight are discarded, and the
         channel is drained on every pool death so a dead generation's
         reports cannot leak into the next one.
+    deadline_units:
+        Optional ``deadline_units(item) -> int``: how many
+        ``cell_timeout`` deadlines an item bundles.  The item may run
+        that many times ``cell_timeout`` before it is killed; every
+        item counts as one when omitted.
     """
 
     def __init__(
@@ -189,6 +197,7 @@ class PoolSupervisor:
         policy: SupervisorPolicy | None = None,
         stop=None,
         poll_started=None,
+        deadline_units=None,
         sleep=time.sleep,
     ) -> None:
         if window < 1:
@@ -202,6 +211,7 @@ class PoolSupervisor:
         self._window = window
         self._stop = stop
         self._poll_started = poll_started
+        self._deadline_units = deadline_units
         self._sleep = sleep
         self._order = {item: index for index, item in enumerate(items)}
         if len(self._order) != len(items):
@@ -325,11 +335,16 @@ class PoolSupervisor:
                     self._started.setdefault(item, now)
         if self._policy.cell_timeout is not None:
             for item, since in self._started.items():
-                if now - since >= self._policy.cell_timeout:
+                if now - since >= self._deadline(item):
                     return _Death(cause=item, reason=REASON_TIMEOUT)
         if self._dead_worker(pool):
             return _Death()
         return None
+
+    def _deadline(self, item) -> float:
+        """Seconds ``item`` may run: ``cell_timeout`` per deadline unit."""
+        units = 1 if self._deadline_units is None else self._deadline_units(item)
+        return self._policy.cell_timeout * units
 
     @staticmethod
     def _dead_worker(pool) -> bool:
@@ -355,9 +370,9 @@ class PoolSupervisor:
         if death.reason == REASON_TIMEOUT:
             self.timeouts += 1
             logger.warning(
-                "item %r exceeded cell timeout of %.3gs; killing pool",
+                "item %r exceeded its deadline of %.3gs; killing pool",
                 death.cause,
-                self._policy.cell_timeout,
+                self._deadline(death.cause),
             )
             self._strike(death.cause, REASON_TIMEOUT)
             victims = [item for item in survivors if item != death.cause]

@@ -14,6 +14,7 @@ re-dispatched repetition runs clean.
 
 import functools
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,11 @@ from repro.evaluation import (
     RunJournal,
     SupervisorPolicy,
 )
-from repro.evaluation.checkpoint import REASON_WORKER_CRASH, STATUS_FAILED
+from repro.evaluation.checkpoint import (
+    REASON_TIMEOUT,
+    REASON_WORKER_CRASH,
+    STATUS_FAILED,
+)
 from repro.nn.schedule import TrainingSchedule
 from repro.testing import FaultPlan, FaultyMatcher, SimulatedKill
 from repro.text.normalize import token_set
@@ -272,3 +277,84 @@ class TestSimulatedKillChaos:
         # The header plus repetitions 0-2, byte for byte as serial.
         assert len(written[1].splitlines()) == 4
         assert written[2] == written[1]
+
+
+class SlowFitMatcher(NameEqMatcher):
+    """NameEq whose fit takes ``seconds`` of wall clock."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def fit(self, dataset, training_pairs):
+        time.sleep(self.seconds)
+
+
+def _poison_hang_factory(state_dir, repetition):
+    return FaultyMatcher(
+        NameEqMatcher(),
+        FaultPlan.worker_hang(
+            repetition, state_dir=state_dir, times=10**6, seconds=30.0
+        ),
+    )
+
+
+SPLIT_GRID = dict(train_fractions=[0.5], repetitions=3, seed=7)
+
+
+class TestSplitItemDeadlines:
+    """A split item of k cells runs under k cell deadlines."""
+
+    def _clean(self, tiny_headphones, labels):
+        return ExperimentRunner({label: NameEqMatcher for label in labels}).run(
+            [tiny_headphones], **SPLIT_GRID
+        )
+
+    def test_item_longer_than_one_deadline_but_not_per_cell_completes(
+        self, tiny_headphones
+    ):
+        # Each split item fits two cells for 0.6 s each: 1.2 s in all,
+        # past one 1.0 s deadline but inside each cell's own.
+        factories = {
+            label: functools.partial(SlowFitMatcher, 0.6) for label in ("a", "b")
+        }
+        results = ExperimentRunner(factories).run(
+            [tiny_headphones],
+            workers=2,
+            supervisor=SupervisorPolicy(cell_timeout=1.0, **FAST),
+            **SPLIT_GRID,
+        )
+        assert all(not result.failures for result in results)
+        assert _summaries(results) == _summaries(
+            self._clean(tiny_headphones, ("a", "b"))
+        )
+
+    def test_hung_cell_is_killed_and_its_split_quarantined(
+        self, tiny_headphones, tmp_path
+    ):
+        hung = functools.partial(
+            _poison_hang_factory, str(tmp_path / "faults"), 1
+        )
+        journal = RunJournal(tmp_path / "chaos.jsonl")
+        results = ExperimentRunner(
+            {"healthy": _healthy_factory, "hung": hung}
+        ).run(
+            [tiny_headphones],
+            journal=journal,
+            workers=2,
+            supervisor=SupervisorPolicy(cell_timeout=0.5, **FAST),
+            **SPLIT_GRID,
+        )
+        clean = self._clean(tiny_headphones, ("healthy", "hung"))
+        for result, reference in zip(results, clean):
+            assert result.quarantined_repetitions == 1
+            assert [(f.repetition, f.error_type) for f in result.failures] == [
+                (1, REASON_TIMEOUT)
+            ]
+            assert result.qualities == [
+                reference.qualities[0],
+                reference.qualities[2],
+            ]
+        for key in journal.keys():
+            entry = journal.entries(key)[1]
+            assert entry.status == STATUS_FAILED
+            assert entry.error_type == REASON_TIMEOUT

@@ -6,11 +6,16 @@ and across kill/resume cycles.  Matcher factories live at module level
 so worker processes can construct them.
 """
 
+import functools
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import LeapmeConfig, LeapmeMatcher
+from repro.core import FeatureConfig, LeapmeConfig, LeapmeMatcher, ResilientClassifier
 from repro.core.api import Matcher
+from repro.datasets import load_dataset
+from repro.evaluation import runner as runner_module
 from repro.evaluation import (
     ExperimentRunner,
     RetryPolicy,
@@ -19,7 +24,13 @@ from repro.evaluation import (
     evaluate_matcher,
 )
 from repro.nn.schedule import TrainingSchedule
-from repro.testing import FaultPlan, FaultyMatcher, SimulatedKill
+from repro.testing import (
+    AlwaysDivergingClassifier,
+    FaultInjected,
+    FaultPlan,
+    FaultyMatcher,
+    SimulatedKill,
+)
 from repro.text.normalize import token_set
 
 
@@ -274,3 +285,179 @@ class TestParallelLeapme:
             parallel_journal.path.read_bytes()
             == serial_journal.path.read_bytes()
         )
+
+
+LIGHT = LeapmeConfig(hidden_sizes=(8,), schedule=TrainingSchedule.constant(2, 1e-3))
+
+
+class FlakyFitLeapme(LeapmeMatcher):
+    """A LEAPME matcher whose fit raises on attempt 1 of every repetition."""
+
+    def notify_repetition(self, repetition, attempt):
+        self.attempt = attempt
+
+    def fit(self, dataset, training_pairs):
+        if self.attempt == 1:
+            raise FaultInjected("attempt-1 fit fails")
+        super().fit(dataset, training_pairs)
+
+
+def _split_grid_factories(embeddings, mixed: bool) -> dict:
+    factories = {
+        config.label(): functools.partial(
+            LeapmeMatcher, embeddings, config, LIGHT
+        )
+        for config in FeatureConfig.grid()
+    }
+    if mixed:
+        factories["nameeq"] = NameEqMatcher
+        factories["classical-rung"] = functools.partial(
+            LeapmeMatcher,
+            embeddings,
+            config=LIGHT,
+            classifier_factory=functools.partial(
+                ResilientClassifier, LIGHT, AlwaysDivergingClassifier
+            ),
+        )
+        factories["flaky-fit"] = functools.partial(
+            FlakyFitLeapme, embeddings, config=LIGHT
+        )
+    return factories
+
+
+class TestSplitGrid:
+    """Split items score like each config alone, at every worker count."""
+
+    FRACTIONS = (0.5, 0.8)
+    SEED = 5
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["leapme", "mixed"])
+    def test_split_items_equal_per_config_references(
+        self, tiny_headphones, tiny_embeddings, tmp_path, mixed
+    ):
+        factories = _split_grid_factories(tiny_embeddings, mixed)
+        references = [
+            evaluate_matcher(
+                factories[label](),
+                tiny_headphones,
+                RunSettings(train_fraction=fraction, repetitions=2, seed=self.SEED),
+                label=label,
+            )
+            for fraction in self.FRACTIONS
+            for label in factories
+        ]
+        runner = ExperimentRunner(factories)
+        journals = {}
+        for workers in (1, 2):
+            journal = RunJournal(tmp_path / f"workers-{workers}.jsonl")
+            results = runner.run(
+                [tiny_headphones],
+                train_fractions=self.FRACTIONS,
+                repetitions=2,
+                seed=self.SEED,
+                journal=journal,
+                workers=workers,
+            )
+            assert _summaries(results) == _summaries(references)
+            journals[workers] = journal.path.read_bytes()
+        assert journals[2] == journals[1]
+        if mixed:
+            by_label = {r.matcher_name: r for r in results}
+            assert by_label["classical-rung"].degraded_repetitions == 2
+            assert by_label["flaky-fit"].qualities
+            assert not by_label["flaky-fit"].failures
+
+    def test_failed_shared_pass_scores_each_cell_alone(
+        self, tiny_headphones, tiny_embeddings, monkeypatch
+    ):
+        factories = dict(
+            list(_split_grid_factories(tiny_embeddings, mixed=False).items())[:3]
+        )
+        references = [
+            evaluate_matcher(
+                factories[label](),
+                tiny_headphones,
+                RunSettings(train_fraction=0.5, repetitions=2, seed=self.SEED),
+                label=label,
+            )
+            for label in factories
+        ]
+
+        passes = []
+
+        def broken(*args):
+            passes.append(args)
+            raise RuntimeError("shared pass failed")
+
+        monkeypatch.setattr(runner_module, "score_together", broken)
+        results = ExperimentRunner(factories).run(
+            [tiny_headphones], train_fractions=[0.5], repetitions=2, seed=self.SEED
+        )
+        assert len(passes) == 2
+        assert _summaries(results) == _summaries(references)
+
+    def test_splits_journal_in_split_major_order(self, tiny_headphones, tmp_path):
+        journal = RunJournal(tmp_path / "run.jsonl")
+        runner = ExperimentRunner(FACTORIES)
+        runner.run(
+            [tiny_headphones],
+            train_fractions=[0.5],
+            repetitions=2,
+            seed=3,
+            journal=journal,
+        )
+        records = [
+            json.loads(line) for line in journal.path.read_text().splitlines()[1:]
+        ]
+        assert [(r["key"].split("|")[0], r["repetition"]) for r in records] == [
+            ("nameeq", 0),
+            ("jaccard", 0),
+            ("nameeq", 1),
+            ("jaccard", 1),
+        ]
+
+
+class CountingMatcher(NameEqMatcher):
+    """NameEq that records each fit, by label, in a shared list."""
+
+    def __init__(self, label, fits):
+        self.label = label
+        self.fits = fits
+
+    def fit(self, dataset, training_pairs):
+        self.fits.append(self.label)
+
+
+class TestCollapsedSplits:
+    """Fractions that round to one source count share their split items."""
+
+    def _run(self, dataset, fractions, journal, fits):
+        runner = ExperimentRunner(
+            {
+                label: functools.partial(CountingMatcher, label, fits)
+                for label in ("first", "second")
+            }
+        )
+        return runner.run(
+            [dataset], train_fractions=fractions, repetitions=2, journal=journal
+        )
+
+    def test_each_label_fits_once_per_distinct_split(self, tmp_path):
+        dataset = load_dataset("headphones", scale="small", seed=0)
+        fits: list[str] = []
+        journal = RunJournal(tmp_path / "shared.jsonl")
+        with pytest.warns(UserWarning, match="both train on 2 of 10"):
+            shared = self._run(dataset, (0.1, 0.2, 0.8), journal, fits)
+        # 0.1 and 0.2 both train on 2 sources: 2 splits x 2 repetitions.
+        assert fits.count("first") == 4
+        assert fits.count("second") == 4
+
+        unshared_journal = RunJournal(tmp_path / "unshared.jsonl")
+        unshared = []
+        for fraction in (0.1, 0.2, 0.8):
+            unshared += self._run(dataset, (fraction,), unshared_journal, [])
+        assert _summaries(shared) == _summaries(unshared)
+        assert [r.timings.total > 0 for r in shared] == [
+            True, True, False, False, True, True
+        ]
+        assert journal.path.read_bytes() == unshared_journal.path.read_bytes()

@@ -8,7 +8,8 @@ import pytest
 from repro.core.api import Matcher
 from repro.data.model import Dataset, PropertyInstance
 from repro.datasets import load_dataset
-from repro.evaluation import ExperimentRunner, RunSettings, evaluate_matcher
+from repro.errors import ConfigurationError
+from repro.evaluation import ExperimentRunner, RunJournal, RunSettings, evaluate_matcher
 
 
 class NeverCalledMatcher(Matcher):
@@ -112,4 +113,35 @@ class TestCollapsingFractions:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             results = self._run(headphones, (0.2, 0.8))
+        assert len(results) == 2
+
+
+class TestDuplicateCells:
+    """A grid that lists one cell twice is refused, not journaled twice."""
+
+    def _run(self, datasets, fractions, tmp_path):
+        runner = ExperimentRunner({"constant": lambda: ConstantMatcher(0.5)})
+        return runner.run(
+            datasets,
+            train_fractions=fractions,
+            repetitions=2,
+            journal=RunJournal(tmp_path / "run.jsonl"),
+        )
+
+    def test_repeated_fraction_is_rejected(self, tiny_headphones, tmp_path):
+        with pytest.raises(ConfigurationError, match="train fraction 0.5 is listed twice"):
+            self._run([tiny_headphones], (0.5, 0.5), tmp_path)
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_repeated_dataset_is_rejected(self, tiny_headphones, tmp_path):
+        with pytest.raises(ConfigurationError, match="'headphones' is listed twice"):
+            self._run([tiny_headphones, tiny_headphones], (0.5,), tmp_path)
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_same_name_other_content_is_a_distinct_cell(
+        self, tiny_headphones, tmp_path
+    ):
+        other = tiny_headphones.restrict_to_sources(tiny_headphones.sources()[:-1])
+        assert other.name == tiny_headphones.name
+        results = self._run([tiny_headphones, other], (0.5,), tmp_path)
         assert len(results) == 2
