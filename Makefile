@@ -76,8 +76,9 @@ bench-trace:
 bench-train:
 	python3 bench/run.py --workload grid_table2 --trace 1
 
-# Evaluation-engine benchmark: serial legacy grid vs shared feature
-# store + process-pool executor.  Writes BENCH_grid.json.
+# Evaluation-engine benchmark: the one grid engine in-process
+# (workers=1) vs on a process pool, aggregates asserted equal.  Writes
+# BENCH_grid.json.
 bench:
 	PYTHONPATH=src python scripts/bench_grid.py
 

@@ -4,76 +4,16 @@ from __future__ import annotations
 
 from conftest import BENCH_REPS, bench_dataset, bench_embeddings
 
-from repro.baselines import (
-    AmlMatcher,
-    FcaMapMatcher,
-    LshMatcher,
-    NezhadiMatcher,
-    SemPropMatcher,
-)
-from repro.core import FeatureConfig, FeatureKinds, FeatureScope, LeapmeMatcher
-from repro.evaluation import RunSettings, evaluate_matcher, format_table2
-
-TRAIN_FRACTIONS = (0.2, 0.8)
-
-#: LEAPME's three headline variants per feature scope, as in Table II.
-LEAPME_KINDS = (
-    ("LEAPME", FeatureKinds.BOTH),
-    ("LEAPME(emb)", FeatureKinds.EMBEDDING),
-    ("LEAPME(-emb)", FeatureKinds.NON_EMBEDDING),
-)
+from repro.evaluation import format_table2, run_table2_block
 
 
-def leapme_factories(scope: FeatureScope, embeddings) -> dict:
-    """The three LEAPME variants for one feature scope."""
-    return {
-        label: (
-            lambda kinds=kinds: LeapmeMatcher(
-                embeddings, FeatureConfig(scope=scope, kinds=kinds)
-            )
-        )
-        for label, kinds in LEAPME_KINDS
-    }
-
-
-def baseline_factories(block: str, embeddings) -> dict:
-    """The baselines that appear in a given Table II block.
-
-    The paper runs the name-based baselines (Nezhadi, AML, FCA-Map,
-    SemProp) in the Names and Both blocks, and the instance-based LSH in
-    the Instances and Both blocks.
-    """
-    name_based = {
-        "Nezhadi": NezhadiMatcher,
-        "AML": AmlMatcher,
-        "FCA-Map": FcaMapMatcher,
-        "SemProp": lambda: SemPropMatcher(embeddings),
-    }
-    instance_based = {"LSH": LshMatcher}
-    if block == "instances":
-        return instance_based
-    if block == "names":
-        return name_based
-    return {**name_based, **instance_based}
-
-
-def run_block(block: str, scope: FeatureScope, datasets: list[str]) -> list:
+def run_block(block: str, datasets: list[str]) -> list:
     """Run one Table II block over all datasets and training fractions."""
-    results = []
-    for dataset_name in datasets:
-        dataset = bench_dataset(dataset_name)
-        embeddings = bench_embeddings(dataset_name)
-        factories = {
-            **leapme_factories(scope, embeddings),
-            **baseline_factories(block, embeddings),
-        }
-        for fraction in TRAIN_FRACTIONS:
-            settings = RunSettings(train_fraction=fraction, repetitions=BENCH_REPS)
-            for label, factory in factories.items():
-                result = evaluate_matcher(factory(), dataset, settings)
-                result.matcher_name = label
-                results.append(result)
-    return results
+    return run_table2_block(
+        block,
+        ((bench_dataset(name), bench_embeddings(name)) for name in datasets),
+        BENCH_REPS,
+    )
 
 
 def summarize(block: str, results: list) -> dict:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from bench_common import run_block, summarize
 from conftest import BENCH_REPS, STRICT_SHAPE, run_once
 
-from repro.core import FeatureScope
 from repro.datasets import DATASET_NAMES
 from repro.evaluation import compare_results
 
@@ -23,7 +22,7 @@ from repro.evaluation import compare_results
 def test_bench_table2_both_block(benchmark):
     results = run_once(
         benchmark,
-        lambda: run_block("both", FeatureScope.BOTH, list(DATASET_NAMES)),
+        lambda: run_block("both", list(DATASET_NAMES)),
     )
     benchmark.extra_info.update(summarize("both", results))
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 from bench_common import run_block, summarize
 from conftest import STRICT_SHAPE, run_once
 
-from repro.core import FeatureScope
 from repro.datasets import DATASET_NAMES
 
 
 def test_bench_table2_instances_block(benchmark):
     results = run_once(
         benchmark,
-        lambda: run_block("instances", FeatureScope.INSTANCES, list(DATASET_NAMES)),
+        lambda: run_block("instances", list(DATASET_NAMES)),
     )
     benchmark.extra_info.update(summarize("instances", results))
 

@@ -17,69 +17,18 @@ import argparse
 import sys
 import time
 
-from repro import (
-    AmlMatcher,
-    FcaMapMatcher,
-    FeatureConfig,
-    FeatureKinds,
-    FeatureScope,
-    LeapmeMatcher,
-    LshMatcher,
-    NezhadiMatcher,
-    SemPropMatcher,
-    build_domain_embeddings,
-    load_dataset,
-)
+from repro import build_domain_embeddings, load_dataset
 from repro.datasets import DATASET_NAMES
-from repro.evaluation import RunSettings, evaluate_matcher
+from repro.evaluation import TABLE2_BLOCKS, run_table2_block
 from repro.evaluation.markdown import results_to_markdown, summary_to_markdown
 from repro.ioutils import atomic_write_text
 
-LEAPME_KINDS = (
-    ("LEAPME", FeatureKinds.BOTH),
-    ("LEAPME(emb)", FeatureKinds.EMBEDDING),
-    ("LEAPME(-emb)", FeatureKinds.NON_EMBEDDING),
-)
 
-BLOCKS = (
-    ("Instances", FeatureScope.INSTANCES, ("LSH",)),
-    ("Names", FeatureScope.NAMES, ("Nezhadi", "AML", "FCA-Map", "SemProp")),
-    ("Both", FeatureScope.BOTH, ("Nezhadi", "AML", "FCA-Map", "SemProp", "LSH")),
-)
-
-
-def _baseline(label: str, embeddings):
-    return {
-        "Nezhadi": NezhadiMatcher,
-        "AML": AmlMatcher,
-        "FCA-Map": FcaMapMatcher,
-        "SemProp": lambda: SemPropMatcher(embeddings),
-        "LSH": LshMatcher,
-    }[label]()
-
-
-def run_block(scope, baselines, scale, reps, fractions):
-    results = []
-    for dataset_name in DATASET_NAMES:
-        dataset = load_dataset(dataset_name, scale=scale)
-        embeddings = build_domain_embeddings(dataset_name, scale=scale)
-        for fraction in fractions:
-            settings = RunSettings(train_fraction=fraction, repetitions=reps)
-            for label, kinds in LEAPME_KINDS:
-                matcher = LeapmeMatcher(
-                    embeddings, FeatureConfig(scope=scope, kinds=kinds)
-                )
-                result = evaluate_matcher(matcher, dataset, settings)
-                result.matcher_name = label
-                results.append(result)
-            for label in baselines:
-                result = evaluate_matcher(
-                    _baseline(label, embeddings), dataset, settings
-                )
-                result.matcher_name = label
-                results.append(result)
-        print(f"  {scope.value}: {dataset_name} done", file=sys.stderr)
-    return results
+def _inputs(block: str, scale: str):
+    """Each dataset with its embeddings, built as the block reaches it."""
+    for name in DATASET_NAMES:
+        print(f"  {block}: {name}", file=sys.stderr)
+        yield load_dataset(name, scale=scale), build_domain_embeddings(name, scale=scale)
 
 
 def main() -> int:
@@ -102,10 +51,12 @@ def main() -> int:
         f"fractions {fractions}.  Generated by `scripts/make_report.py`.",
         "",
     ]
-    for title, scope, baselines in BLOCKS:
-        print(f"running {title} block...", file=sys.stderr)
-        results = run_block(scope, baselines, args.scale, args.reps, fractions)
-        sections.append(f"## {title} block")
+    for block in TABLE2_BLOCKS:
+        print(f"running {block} block...", file=sys.stderr)
+        results = run_table2_block(
+            block, _inputs(block, args.scale), args.reps, fractions
+        )
+        sections.append(f"## {block.title()} block")
         sections.append("")
         sections.append(results_to_markdown(results))
         sections.append("")

@@ -46,6 +46,7 @@ from repro.evaluation.significance import (
     compare_results,
     paired_permutation_test,
 )
+from repro.evaluation.table2 import TABLE2_BLOCKS, run_table2_block
 from repro.evaluation.transfer import TransferResult, run_transfer_experiment
 
 __all__ = [
@@ -78,6 +79,8 @@ __all__ = [
     "results_to_markdown",
     "summary_to_markdown",
     "format_table2",
+    "TABLE2_BLOCKS",
+    "run_table2_block",
     "ComparisonResult",
     "paired_permutation_test",
     "bootstrap_confidence_interval",

@@ -1,6 +1,7 @@
 """The grid engine: one plan, run in this process or on a process pool.
 
-``ExperimentRunner.run`` lands here for every worker count.  The grid's
+``ExperimentRunner.run`` lands here for every worker count, and
+``evaluate_matcher`` as a one-cell grid at ``workers=1``.  The grid's
 unit of work is one source split: a :class:`SplitItem` is a (dataset,
 training-source count, repetition) with that split's pending cells.
 Items run in plan order -- dataset, fraction, repetition, matcher --
@@ -201,7 +202,10 @@ class _SharedFeatures:
         return store
 
     def matcher(self, cell: GridCell):
-        """A fresh, prepared matcher for ``cell``."""
+        """``cell``'s factory matcher, given the shared store or prepared.
+
+        An already prepared matcher gets the shared store too.
+        """
         matcher = self.factories[cell.label]()
         store = self.store(cell.dataset_index, matcher)
         if store is None:
@@ -211,12 +215,18 @@ class _SharedFeatures:
         return matcher
 
 
-def _item_state(shared: _SharedFeatures, retry_policy, start_queue=None) -> dict:
-    """What a process executing items keeps: features, policy, matchers."""
+def _item_state(
+    shared: _SharedFeatures, retry_policy, start_queue=None, sleep=time.sleep
+) -> dict:
+    """What a process executing items keeps: features, policy, matchers.
+
+    ``sleep`` waits out retry backoff; pool workers keep ``time.sleep``.
+    """
     return dict(
         shared=shared,
         retry_policy=retry_policy,
         start_queue=start_queue,
+        sleep=sleep,
         matchers={},
     )
 
@@ -301,7 +311,7 @@ def _execute_item(item: SplitItem, state: dict | None = None) -> dict[int, _Outc
         item.repetition,
         split,
         state["retry_policy"],
-        time.sleep,
+        state["sleep"],
         shared.universe(item.dataset_index),
     )
     by_label = dict(zip(runs, outcomes))
@@ -351,14 +361,16 @@ def run_grid(
     workers: int,
     supervisor: SupervisorPolicy | None = None,
     candidate_policy=None,
+    sleep=time.sleep,
 ) -> list[ExperimentResult]:
     """Run the experiment grid; the engine behind ``ExperimentRunner.run``.
 
-    ``workers == 1`` runs the pending split items in this process, in
+    ``evaluate_matcher`` runs it as a one-cell grid.  ``workers == 1`` runs the pending split items in this process, in
     plan order; more run them on that many supervised processes, with
     ``supervisor`` tuning the failure model (worker-death respawns,
     per-cell deadlines, poison quarantine).  Results and journal bytes
-    do not depend on the worker count.
+    do not depend on the worker count.  ``sleep`` waits out retry
+    backoff for the items run in this process.
     """
     retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
 
@@ -434,7 +446,7 @@ def run_grid(
             outcomes[(cell_index, key[2])] = outcome
         drain.advance(outcomes)
 
-    in_process = _item_state(shared, retry_policy)
+    in_process = _item_state(shared, retry_policy, sleep=sleep)
 
     def run_in_process(key: tuple[int, int, int]) -> dict:
         return _execute_item(plan[key], in_process)

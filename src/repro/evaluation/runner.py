@@ -43,18 +43,20 @@ The grid is cache-aware and parallelisable:
   (dataset, training-source count, repetition) with that split's
   pending cells -- and runs them through one engine
   (:mod:`repro.evaluation.parallel`): in-process at ``workers=1``, on
-  a supervised process pool above that.  An item resolves the split's
-  pair sets once, fits every cell (:func:`_run_split`) and scores the
-  cells sharing a store in one pass that gathers and scales each row
-  block once; each cell's outcome equals :func:`evaluate_matcher` on
-  that cell alone.  Because repetition randomness derives only from
+  a supervised process pool above that.  :func:`evaluate_matcher` is
+  the engine's one-cell grid.  An item resolves the split's pair sets
+  once, fits every cell (:func:`_run_split`) and scores the cells
+  sharing a store in one pass that gathers and scales each row block
+  once; each cell's outcome equals that cell's repetitions run alone,
+  one after another (the tests keep that loop as their oracle).
+  Because repetition randomness derives only from
   ``(seed, repetition[, attempt])`` and the parent applies and
   journals outcomes in plan order, results and journals are
   byte-identical for every worker count;
 * every executed repetition reports per-phase wall-clock
   (:class:`PhaseTimings`), aggregated on the
   :class:`ExperimentResult`, so speedups are measured rather than
-  asserted (``scripts/bench_grid.py``).
+  asserted (the end-to-end benchmark in ``bench/``).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from repro.core.api import Matcher
 from repro.core.matcher import LeapmeMatcher, score_together
 from repro.data.model import Dataset
 from repro.data.pairs import sample_training_pairs
-from repro.data.splits import repeated_source_splits, train_source_count
+from repro.data.splits import train_source_count
 from repro.errors import ConfigurationError
 from repro.evaluation.checkpoint import (
     QUARANTINE_REASONS,
@@ -81,7 +83,6 @@ from repro.evaluation.checkpoint import (
     STATUS_SKIPPED,
     JournalEntry,
     RunJournal,
-    run_key,
 )
 from repro.evaluation.metrics import MatchQuality, evaluate_scores, mean_quality
 from repro.nn.guards import assert_finite
@@ -500,12 +501,11 @@ def _run_repetition(
     one-time enumeration, and the training sample is an index draw
     from the candidates.
 
-    :func:`evaluate_matcher` and the grid engine both run this
-    function to the end: a repetition is fitted and scored in the same
-    process, so a pool's ``--cell-timeout`` deadline covers the score
-    phase too.  :func:`_run_split` continues a matcher whose shared
-    attempt 1 raised ``error`` here from ``first_attempt=2``, with the
-    ``timings`` that attempt booked.
+    This is :func:`_run_split`'s retry continuation: a matcher whose
+    shared attempt 1 raised ``error`` continues here from
+    ``first_attempt=2``, with the ``timings`` that attempt booked, in
+    the process that ran the split, so a pool's ``--cell-timeout``
+    deadline covers its retries too.
     """
     train_sources = list(split.train_sources)
     timings = timings if timings is not None else PhaseTimings()
@@ -682,7 +682,7 @@ def _apply_outcome(
 def _journal_outcome(
     journal: RunJournal, key: str, repetition: int, outcome: _Outcome
 ) -> None:
-    """Durably append one executed outcome (evaluate_matcher and the grid)."""
+    """Durably append one executed outcome (the grid's drain)."""
     journal.append(
         JournalEntry(
             key=key,
@@ -744,73 +744,33 @@ def evaluate_matcher(
     supersedes the old record.
 
     ``label`` names the run cell (result and journal key) without
-    mutating ``matcher.name``.  Pair sets come from the matcher's own
-    null-policy store universe, or from a null-policy enumeration of
-    ``dataset``.  Preparation is lazy: ``matcher.prepare(dataset)`` runs
-    before the first repetition that actually executes, so a fully
-    journaled rerun builds nothing.  Grids of matchers, and blocked
-    candidate policies, run through :class:`ExperimentRunner`.
+    mutating ``matcher.name``.  This is a one-cell grid run in this
+    process (:func:`~repro.evaluation.parallel.run_grid` at
+    ``workers=1``): pair sets are rows of a null-policy enumeration of
+    ``dataset``, and a matcher that shares feature stores gets the
+    grid's store attached before the first repetition that actually
+    executes, so a fully journaled rerun builds nothing.  Grids of
+    matchers, and blocked candidate policies, run through
+    :class:`ExperimentRunner`.
     """
+    from repro.evaluation.parallel import run_grid
+
     settings = settings if settings is not None else RunSettings()
-    retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
     cell_name = label if label is not None else matcher.name
-    result = ExperimentResult(
-        matcher_name=cell_name,
-        dataset_name=dataset.name,
-        settings=settings,
-        train_sources=train_source_count(
-            len(dataset.sources()), settings.train_fraction
-        ),
+    (result,) = run_grid(
+        {cell_name: lambda: matcher},
+        [dataset],
+        train_fractions=(settings.train_fraction,),
+        repetitions=settings.repetitions,
+        seed=settings.seed,
+        negative_ratio=settings.negative_ratio,
+        journal=journal,
+        resume=resume,
+        retry_policy=retry_policy,
+        workers=1,
+        sleep=sleep,
     )
-    key = run_key(cell_name, dataset, settings) if journal is not None else None
-    done = journal.entries(key) if (journal is not None and resume) else {}
-    splits = repeated_source_splits(
-        dataset, settings.train_fraction, settings.repetitions, settings.seed
-    )
-    universe = None
-    for repetition, split in enumerate(splits):
-        entry = done.get(repetition)
-        if entry is not None and entry.status != STATUS_FAILED:
-            _apply_journal_entry(result, entry)
-            continue
-        if universe is None:
-            matcher.prepare(dataset)
-            universe = _own_universe(matcher, dataset)
-        outcome = _run_repetition(
-            matcher,
-            dataset,
-            settings,
-            repetition,
-            split,
-            retry_policy,
-            sleep,
-            universe=universe,
-        )
-        _apply_outcome(result, repetition, outcome)
-        if journal is not None:
-            _journal_outcome(journal, key, repetition, outcome)
     return result
-
-
-def _own_universe(matcher: Matcher, dataset: Dataset):
-    """The null-policy pair universe of a one-matcher evaluation.
-
-    A prepared matcher's store universe serves when its policy is
-    null, so the pair sets index the store's rows directly; otherwise
-    (no store, or a blocked one) the dataset's full enumeration is
-    built, exactly the pairs ``build_pairs`` yields.
-    """
-    from repro.core.feature_cache import PairUniverse
-
-    store = getattr(matcher, "store", None)
-    universe = getattr(store, "universe", None)
-    if (
-        universe is not None
-        and not universe.is_blocked
-        and universe.dataset_fingerprint == dataset.fingerprint()
-    ):
-        return universe
-    return PairUniverse(dataset)
 
 
 def _reject_duplicate_cells(

@@ -21,7 +21,6 @@ from repro.evaluation import (
     RetryPolicy,
     RunJournal,
     RunSettings,
-    evaluate_matcher,
 )
 from repro.nn.schedule import TrainingSchedule
 from repro.testing import (
@@ -32,6 +31,7 @@ from repro.testing import (
     SimulatedKill,
 )
 from repro.text.normalize import token_set
+from tests.evaluation.oracle import evaluate_one_matcher
 
 
 class NameEqMatcher(Matcher):
@@ -131,7 +131,7 @@ class TestParallelDeterminism:
         # The reference cell shares nothing: it enumerates its own
         # universe.
         baseline = [
-            evaluate_matcher(
+            evaluate_one_matcher(
                 NameEqMatcher(),
                 tiny_headphones,
                 RunSettings(train_fraction=0.5, repetitions=3, seed=2),
@@ -263,7 +263,7 @@ class TestParallelLeapme:
         # The reference cell shares nothing: the matcher builds its own
         # store, and the pair sets are rows of that store's universe.
         baseline = [
-            evaluate_matcher(
+            evaluate_one_matcher(
                 factory(),
                 tiny_headphones,
                 RunSettings(train_fraction=0.5, repetitions=2, seed=3),
@@ -337,7 +337,7 @@ class TestSplitGrid:
     ):
         factories = _split_grid_factories(tiny_embeddings, mixed)
         references = [
-            evaluate_matcher(
+            evaluate_one_matcher(
                 factories[label](),
                 tiny_headphones,
                 RunSettings(train_fraction=fraction, repetitions=2, seed=self.SEED),
@@ -374,7 +374,7 @@ class TestSplitGrid:
             list(_split_grid_factories(tiny_embeddings, mixed=False).items())[:3]
         )
         references = [
-            evaluate_matcher(
+            evaluate_one_matcher(
                 factories[label](),
                 tiny_headphones,
                 RunSettings(train_fraction=0.5, repetitions=2, seed=self.SEED),
