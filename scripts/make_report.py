@@ -28,7 +28,8 @@ def _inputs(block: str, scale: str):
     """Each dataset with its embeddings, built as the block reaches it."""
     for name in DATASET_NAMES:
         print(f"  {block}: {name}", file=sys.stderr)
-        yield load_dataset(name, scale=scale), build_domain_embeddings(name, scale=scale)
+        dataset = load_dataset(name, scale=scale)
+        yield dataset, build_domain_embeddings(name, scale=scale)
 
 
 def main() -> int:

@@ -202,9 +202,9 @@ class _SharedFeatures:
         return store
 
     def matcher(self, cell: GridCell):
-        """``cell``'s factory matcher, given the shared store or prepared.
+        """``cell``'s factory matcher, attached to the shared store or prepared.
 
-        An already prepared matcher gets the shared store too.
+        A matcher prepared elsewhere gets the shared store too.
         """
         matcher = self.factories[cell.label]()
         store = self.store(cell.dataset_index, matcher)
@@ -365,12 +365,13 @@ def run_grid(
 ) -> list[ExperimentResult]:
     """Run the experiment grid; the engine behind ``ExperimentRunner.run``.
 
-    ``evaluate_matcher`` runs it as a one-cell grid.  ``workers == 1`` runs the pending split items in this process, in
-    plan order; more run them on that many supervised processes, with
-    ``supervisor`` tuning the failure model (worker-death respawns,
-    per-cell deadlines, poison quarantine).  Results and journal bytes
-    do not depend on the worker count.  ``sleep`` waits out retry
-    backoff for the items run in this process.
+    ``evaluate_matcher`` runs it as a one-cell grid.  ``workers == 1``
+    runs the pending split items in this process, in plan order; more
+    run them on that many supervised processes, with ``supervisor``
+    tuning the failure model (worker-death respawns, per-cell
+    deadlines, poison quarantine).  Results and journal bytes do not
+    depend on the worker count.  ``sleep`` waits out retry backoff for
+    the items run in this process.
     """
     retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
 
