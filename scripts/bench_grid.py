@@ -79,7 +79,7 @@ import numpy as np
 
 from repro.core import FeatureConfig, LeapmeConfig, LeapmeMatcher
 from repro.core.feature_cache import PairFeatureStore, PairUniverse
-from repro.core.pipeline import name_distance_block
+from repro.core.pipeline import FEATURE_DTYPE, name_distance_block
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.evaluation import ExperimentRunner, PhaseTimings
 from repro.ioutils import atomic_write_text
@@ -190,7 +190,11 @@ def _legacy_featurize(dataset, embeddings) -> dict:
 
 
 def _pipeline_featurize(dataset, embeddings) -> dict:
-    """The staged float32 pipeline: build the full-universe store."""
+    """The staged float32 pipeline: build the full-universe store.
+
+    The store holds no pair matrix; ``store_mb`` is its resident tables
+    (property rows, name-pair table, universe arrays).
+    """
     started = perf_counter()
     store = PairFeatureStore.build(dataset, embeddings)
     seconds = perf_counter() - started
@@ -202,9 +206,9 @@ def _pipeline_featurize(dataset, embeddings) -> dict:
             for name, value in sorted(pipeline.stage_seconds.items())
         },
         "stage_calls": dict(pipeline.stage_calls),
-        "matrix_mb": round(store.matrix.nbytes / 2**20, 2),
-        "dtype": str(store.matrix.dtype),
-        "pairs": store.matrix.shape[0],
+        "store_mb": round(store.nbytes / 2**20, 2),
+        "dtype": np.dtype(FEATURE_DTYPE).name,
+        "pairs": len(store.universe),
         "properties": len(store.table),
     }
 
@@ -281,7 +285,7 @@ def run_features_benchmark(args) -> int:
     print(
         f"pipeline float32: {pipeline['seconds']:8.2f}s  "
         f"peak {pipeline['peak_rss_kb'] / 1024:7.1f} MiB  "
-        f"matrix {pipeline['matrix_mb']:7.2f} MiB"
+        f"store  {pipeline['store_mb']:7.2f} MiB"
     )
     print(f"speedup: {speedup:.2f}x  peak-memory ratio: {memory_ratio:.2f}x")
 

@@ -1,4 +1,4 @@
-"""Shared pair-feature store: the full Table I matrix, computed once.
+"""Shared pair-feature store: Table I pair rows from two small tables.
 
 The evaluation grid of Section V re-scores the *same* candidate pairs
 under nine feature configurations, two training fractions and many
@@ -14,18 +14,19 @@ This module hoists both.  :class:`PairUniverse` enumerates all
 cross-source pairs of a dataset exactly once and serves every
 ``(sources, within)`` subset as the rows one vectorised mask selects
 from that enumeration -- element-identical to ``build_pairs``.
-:class:`PairFeatureStore` is a thin gather over the staged pipeline's
-outputs: the full-width float32 matrix over the universe is assembled
-once from the cached per-property stage columns, then any (pair set,
-config) request is one read-only ``matrix[rows, columns]`` gather.
+:class:`PairFeatureStore` never materialises the pair matrix: a pair
+row is a function of two property rows (their absolute difference,
+Table I row 7) and of the pair's name row (rows 8-15), so the store
+keeps the property rows and one distance row per distinct name pair,
+and any (pair set, columns) request is computed on gather.
 
 Stores are keyed by the dataset's content fingerprint: a store never
 answers for a dataset it was not built from, and it never changes after
 construction.  :meth:`PairFeatureStore.with_source` is the
 incremental-ingestion path: it builds a *new* store for the merged
 dataset that featurizes only the new properties (the pipeline's
-fingerprint-keyed row cache serves every old one) and only the new
-candidate pairs, copying old pair rows from the existing matrix.
+fingerprint-keyed row cache serves every old one) and sends only the
+name pairs the old store lacks to the distance kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from repro.blocking.blockers import Blocker
 from repro.blocking.policy import CandidatePolicy
 from repro.core.config import FeatureConfig
-from repro.core.pipeline import FEATURE_DTYPE, split_pairs
+from repro.core.pipeline import FEATURE_DTYPE, NUM_NAME_DISTANCES, split_pairs
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset, PropertyRef
 from repro.data.pairs import (
@@ -344,12 +345,15 @@ class PairUniverse:
 class PairFeatureStore:
     """Full-width pair features over a :class:`PairUniverse`, shared.
 
-    The matrix is assembled once at construction (a thin gather over
-    the pipeline's columnar stage outputs); every
-    ``features(pairs, config)`` call afterwards is one :meth:`gather` of
-    the requested rows and the config's columns.  The store keeps no
-    per-request state, so concurrent readers share it without a lock;
-    the full matrix and every served matrix are read-only.
+    No pair matrix: the store keeps the property rows in full-matrix
+    columns (397 on cameras) and one float32 distance row per distinct
+    name pair of the universe (17,987 × 8), which each universe row
+    addresses through an int32 id.  Every request -- universe rows
+    (:meth:`gather_columns`) or pruned pairs (:meth:`gather_pairs`) --
+    is computed from them by
+    :meth:`~repro.core.pipeline.FeatureSchema.pair_rows`.  The store
+    keeps no per-request state, so concurrent readers share it without
+    a lock; its tables and every served matrix are read-only.
     """
 
     def __init__(
@@ -357,7 +361,7 @@ class PairFeatureStore:
         table: PropertyFeatureTable,
         universe: PairUniverse,
         *,
-        matrix: np.ndarray | None = None,
+        grown_from: "PairFeatureStore | None" = None,
     ) -> None:
         if table.dataset_fingerprint != universe.dataset_fingerprint:
             raise ConfigurationError(
@@ -367,21 +371,49 @@ class PairFeatureStore:
         self.universe = universe
         self.dataset_fingerprint = universe.dataset_fingerprint
         self.schema = table.pipeline.schema
-        # A prebuilt matrix is the delta-construction path
-        # (with_source): the caller assembled it from copied old rows
-        # plus freshly featurized new ones and it is already
-        # bit-identical to a full assembly.
-        if matrix is None:
-            matrix = table.pipeline.pair_matrix(
-                table, *universe.ends(), FeatureConfig()
-            )
-            matrix.setflags(write=False)
-        self.matrix = matrix
+        self._property_rows = self.schema.property_rows(table)
+        self._property_rows.setflags(write=False)
+        left, right = universe.ends()
+        #: Sorted codes of the universe's distinct name pairs (the name
+        #: table's row order) and each universe row's name-pair id.
+        self._codes, first, pair_ids = np.unique(
+            table.name_codes(left, right), return_index=True, return_inverse=True
+        )
+        self._name_pair = pair_ids.reshape(-1).astype(np.int32)
+        self._name_rows = np.empty(
+            (len(self._codes), NUM_NAME_DISTANCES), dtype=FEATURE_DTYPE
+        )
+        fresh = np.ones(len(self._codes), dtype=bool)
+        if grown_from is not None:
+            # Old name rows carry over by name: old name ids map into our
+            # sorted names increasingly, so re-coded old codes stay sorted.
+            index = {name: i for i, name in enumerate(table.names)}
+            remap = np.array([index[name] for name in grown_from.table.names])
+            old, width = grown_from._codes, len(grown_from.table.names)
+            old = remap[old // width] * len(table.names) + remap[old % width]
+            at = _positions_in(old, self._codes)
+            fresh = at < 0
+            self._name_rows[~fresh] = grown_from._name_rows[at[~fresh]]
+        # The rest go through the kernel in the universe's first-use
+        # order: the memo order a full pass over the universe gives.
+        fresh = np.flatnonzero(fresh)
+        fresh = fresh[np.argsort(first[fresh])]
+        self._name_rows[fresh] = self.pipeline.name_pair_rows(
+            table, left[first[fresh]], right[first[fresh]]
+        )
+        self._name_rows.setflags(write=False)
 
     @property
     def pipeline(self):
         """The :class:`~repro.core.pipeline.FeaturePipeline` rows come from."""
         return self.table.pipeline
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the property and name-pair tables and the universe."""
+        own = (self._property_rows, self._codes, self._name_pair, self._name_rows)
+        universe = (self.universe._keys, self.universe.labels)
+        return sum(array.nbytes for array in own + universe)
 
     @classmethod
     def build(
@@ -407,59 +439,29 @@ class PairFeatureStore:
         """Whether this store was built from ``dataset``'s content."""
         return self.dataset_fingerprint == dataset.fingerprint()
 
-    def _delta_parts(
-        self, addition: Dataset
-    ) -> tuple[PropertyFeatureTable, PairUniverse, np.ndarray, PairSet]:
-        """The incremental merge, without touching this store.
-
-        Builds the merged table/universe/matrix beside the current
-        state: only the new properties are featurized (the pipeline's
-        fingerprint-keyed row cache serves every existing one) and only
-        the new candidate pairs are assembled -- existing pair rows are
-        copied from the current matrix.  The merged universe inherits
-        this store's candidate policy *and* its resolved blocker, so
-        under a bucket policy the old properties' sketches are memo
-        hits and re-blocking is a bucket lookup plus fresh sketches for
-        the new source -- never a new-times-all cross walk.
-        Bit-identical to rebuilding the store from scratch on the
-        merged dataset under the same policy.
-        """
-        base = self.universe.dataset
-        combined = base.merged_with(addition)
-        table = PropertyFeatureTable(
-            combined, self.table.pipeline.embeddings, pipeline=self.table.pipeline
-        )
-        universe = PairUniverse(
-            combined,
-            self.universe.policy,
-            blocker=self.universe._blocker,
-        )
-        old_rows = universe.rows_from(self.universe)
-        kept = old_rows >= 0
-        matrix = np.empty((len(universe), self.schema.total_width), dtype=FEATURE_DTYPE)
-        matrix[kept] = self.matrix[old_rows[kept]]
-        new_rows = np.flatnonzero(~kept)
-        if len(new_rows):
-            matrix[new_rows] = table.pipeline.pair_matrix(
-                table, *universe.ends(new_rows), FeatureConfig()
-            )
-        matrix.setflags(write=False)
-        return table, universe, matrix, PairSet.of_rows(universe, new_rows)
-
     def with_source(self, addition: Dataset) -> tuple["PairFeatureStore", PairSet]:
         """A *new* store with ``addition`` fused in; this store untouched.
 
         Returns the store and the new pairs, as rows of its universe.
         The only delta path (:meth:`LeapmeMatcher.with_source` wraps
-        it): the successor is built beside the live store -- through the
-        :meth:`_delta_parts` increment, so its matrix is bit-identical
-        to a cold rebuild on the merged dataset -- and callers swap it
-        in while in-flight readers keep the old one.  The two stores
-        share the staged pipeline -- and so its fingerprint-keyed row
-        cache -- but nothing mutable.
+        it): callers swap the successor in while in-flight readers keep
+        the old one.  Only the new properties are featurized (the
+        pipeline's row cache serves the rest) and only name pairs this
+        store lacks reach the distance kernel.  The merged universe
+        inherits this store's policy *and* resolved blocker, so old
+        properties' sketches are memo hits.  Every gathered row equals a
+        cold rebuild's; the stores share the pipeline, nothing mutable.
         """
-        table, universe, matrix, new_pairs = self._delta_parts(addition)
-        return PairFeatureStore(table, universe, matrix=matrix), new_pairs
+        combined = self.universe.dataset.merged_with(addition)
+        table = PropertyFeatureTable(
+            combined, self.table.pipeline.embeddings, pipeline=self.table.pipeline
+        )
+        universe = PairUniverse(
+            combined, self.universe.policy, blocker=self.universe._blocker
+        )
+        new_rows = np.flatnonzero(universe.rows_from(self.universe) < 0)
+        grown = PairFeatureStore(table, universe, grown_from=self)
+        return grown, PairSet.of_rows(universe, new_rows)
 
     def rows_of(
         self,
@@ -471,11 +473,11 @@ class PairFeatureStore:
         rows.  Anything else is looked up in the universe.  Under a
         blocking policy a request may include pairs the universe
         pruned (the incremental clusterer scores arbitrary
-        new-vs-existing links); those have no row, and :meth:`assemble`
-        featurizes the request instead.  Every pair must still join two
-        of the dataset's properties in different sources: anything else
-        raises the universe's :class:`ConfigurationError`, on every
-        policy.
+        new-vs-existing links); those have no row, and
+        :meth:`gather_pairs` serves the request from its property rows
+        instead.  Every pair must still join two of the dataset's
+        properties in different sources: anything else raises the
+        universe's :class:`ConfigurationError`, on every policy.
         """
         if isinstance(pairs, PairSet):
             if pairs.universe is self.universe:
@@ -488,45 +490,38 @@ class PairFeatureStore:
                 return None
             raise
 
-    def gather(self, rows: np.ndarray, config: FeatureConfig) -> np.ndarray:
-        """Read-only feature matrix of universe ``rows`` under ``config``.
-
-        One gather of the rows and the config's columns (a slice for
-        eight of the nine grid configs, an index array for
-        ``both/non_embedding``).
-        """
-        return self.gather_columns(rows, self.schema.active_columns(config))
-
     def gather_columns(self, rows: np.ndarray, columns) -> np.ndarray:
         """Read-only matrix of universe ``rows`` and full-matrix ``columns``.
 
         ``columns`` is a slice or an index array; a shared score pass
         gathers the union of several configs' columns this way.
         """
-        if isinstance(columns, slice):
-            served = self.matrix[rows, columns]
-        else:
-            served = self.matrix[np.ix_(rows, columns)]
-        served.setflags(write=False)
-        return served
+        left, right = self.universe.ends(rows)
+        names = self._name_rows[self._name_pair[rows]]
+        return self._served(left, right, names, columns)
 
-    def assemble(
+    def gather_pairs(
         self,
         pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]],
         config: FeatureConfig,
     ) -> np.ndarray:
-        """Read-only feature matrix of ``pairs`` from one pipeline call.
+        """Read-only feature matrix of ``pairs``, from their property rows.
 
-        The route for requests :meth:`rows_of` found pruned pairs in:
-        the store's table assembles every pair of the request, with the
-        same feature values universe rows hold.
+        The route for requests :meth:`rows_of` found pruned pairs in; a
+        name pair the universe never uses goes through the distance memo.
         """
         lefts, rights = split_pairs(pairs)
-        matrix = self.pipeline.pair_matrix(
-            self.table, self.table.rows_of(lefts), self.table.rows_of(rights), config
-        )
-        matrix.setflags(write=False)
-        return matrix
+        left, right = self.table.rows_of(lefts), self.table.rows_of(rights)
+        at = _positions_in(self._codes, self.table.name_codes(left, right))
+        names = np.empty((len(at), NUM_NAME_DISTANCES), dtype=FEATURE_DTYPE)
+        names[at >= 0] = self._name_rows[at[at >= 0]]
+        names[at < 0] = self.pipeline.name_pair_rows(self.table, left[at < 0], right[at < 0])
+        return self._served(left, right, names, self.schema.active_columns(config))
+
+    def _served(self, left, right, names, columns) -> np.ndarray:
+        served = self.schema.pair_rows(self._property_rows, left, right, names, columns)
+        served.setflags(write=False)
+        return served
 
     def features(
         self,
@@ -535,10 +530,10 @@ class PairFeatureStore:
     ) -> np.ndarray:
         """Read-only feature matrix for ``pairs`` under ``config``.
 
-        :meth:`rows_of` then :meth:`gather`, or :meth:`assemble` when a
-        blocked universe pruned some of the pairs.
+        :meth:`rows_of` then :meth:`gather_columns`, or
+        :meth:`gather_pairs` when a blocked universe pruned some pairs.
         """
         rows = self.rows_of(pairs)
         if rows is None:
-            return self.assemble(pairs, config)
-        return self.gather(rows, config)
+            return self.gather_pairs(pairs, config)
+        return self.gather_columns(rows, self.schema.active_columns(config))

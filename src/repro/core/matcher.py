@@ -94,7 +94,7 @@ class LeapmeMatcher(Matcher):
         #: Degradation label of the most recent fit (None when the
         #: classifier trained normally or does not report degradation).
         self.last_degradation: str | None = None
-        #: Cumulative seconds spent assembling pair-feature matrices;
+        #: Cumulative seconds spent gathering pair-feature rows;
         #: the runner's phase instrumentation reads deltas of this.
         self.feature_seconds: float = 0.0
 
@@ -128,8 +128,8 @@ class LeapmeMatcher(Matcher):
     def attach_store(self, store) -> None:
         """Share a precomputed :class:`PairFeatureStore`.
 
-        ``fit`` and ``score_pairs`` on the store's dataset read column
-        slices of the shared full feature matrix; any other dataset
+        ``fit`` and ``score_pairs`` on the store's dataset gather their
+        columns from the shared store; any other dataset
         gets its own store, built by :meth:`prepare`.  Pass ``None`` to
         detach.
         """
@@ -171,11 +171,11 @@ class LeapmeMatcher(Matcher):
         The one-member case of :func:`score_together`: the pairs' store
         rows are resolved once (a pair set over the store's universe
         brings its own), and each :func:`~repro.nn.network.row_blocks`
-        block of this matcher's own columns is gathered straight from
-        the store matrix and scored by the classifier's
-        ``match_scores``: no whole-set feature matrix is built.  When a blocked universe
-        pruned some of the pairs, the store assembles the whole request
-        in one pipeline call, scored in one call.  Row lookup and
+        block of this matcher's own columns is gathered from the store
+        and scored by the classifier's ``match_scores``: no whole-set
+        feature matrix is built.  When a blocked universe pruned some of
+        the pairs, the store computes the whole request from its
+        property rows, scored in one call.  Row lookup and
         gathers count toward :attr:`feature_seconds`.
         """
         (scores,) = score_together([self], dataset, pairs)
@@ -269,7 +269,7 @@ def _score_on_store(
         results = []
         for matcher in matchers:
             started = perf_counter()
-            features = store.assemble(pairs, matcher.feature_config)
+            features = store.gather_pairs(pairs, matcher.feature_config)
             matcher.feature_seconds += (
                 seconds / len(matchers) + perf_counter() - started
             )

@@ -15,8 +15,10 @@ nodes forming a small DAG::
   (rows 5-6), cached per *content fingerprint* so the same property is
   never featurized twice -- across grid cells, matchers, or
   incrementally ingested sources;
-* **pair-level** stages emit the final matrix blocks (rows 7-15):
-  absolute differences of property rows plus the eight name distances.
+* **pair-level** stages declare the pair-row column blocks (rows
+  7-15): absolute differences of property rows plus the eight name
+  distances.  No pair matrix is stored; :meth:`FeatureSchema.pair_rows`
+  computes any pair's row from its two property rows and its name row.
 
 :class:`FeatureSchema` derives the full pair-matrix column geometry
 from the registry.  It replaces both the former
@@ -29,8 +31,8 @@ on.
 Stage outputs are stored as columnar ``float32`` arrays
 (:data:`FEATURE_DTYPE`).  The float32 policy: per-row math runs in
 float64 (identical to the seed implementation), and the result is cast
-to float32 exactly once, when the row enters a column store.  Assembled
-pair matrices therefore agree with the legacy float64 path within
+to float32 exactly once, when the row enters a column store.  Pair
+rows therefore agree with the legacy float64 path within
 float32 resolution, at half the memory.
 
 Stage implementations must stay pure -- no ``repro.evaluation``
@@ -62,7 +64,7 @@ from repro.errors import ConfigurationError, DataError
 from repro.text.batch import name_distance_rows, unique_lowered_pairs
 from repro.text.similarity import PAIR_DISTANCE_NAMES, name_distance_vector
 
-#: Storage dtype of all stage outputs and assembled pair matrices.
+#: Storage dtype of all stage outputs and pair rows.
 FEATURE_DTYPE = np.float32
 
 #: Number of name string-distance features (Table I rows 8-15).
@@ -71,7 +73,7 @@ NUM_NAME_DISTANCES = len(PAIR_DISTANCE_NAMES)
 
 # ---------------------------------------------------------------------------
 # Memoised name distances (one cache shared by every layer: stores,
-# pruned-pair assembly, benchmarks).
+# pruned pairs, benchmarks).
 # ---------------------------------------------------------------------------
 
 #: Memoised distance vectors keyed on the (lowercased, sorted) name pair.
@@ -179,34 +181,6 @@ def name_distance_block(
     keys, inverse = unique_lowered_pairs(name_pairs)
     _scatter_distances(keys, inverse, block, counters)
     return block
-
-
-def name_id_distance_block(
-    names: list[str],
-    left_ids: np.ndarray,
-    right_ids: np.ndarray,
-    out: np.ndarray,
-    counters: dict | None = None,
-) -> np.ndarray:
-    """:func:`name_distance_block` over name ids instead of name strings.
-
-    ``names`` are distinct lowercased names in sorted order, so the
-    smaller id of a pair is its canonical first name.  One ``np.unique``
-    over the pair codes finds the distinct name pairs; they are probed
-    and computed in first-occurrence order, exactly as the string API
-    would, then scattered back to every pair.
-    """
-    width = len(names)
-    codes = np.minimum(left_ids, right_ids) * width + np.maximum(left_ids, right_ids)
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    keys = [
-        (names[code // width], names[code % width]) for code in distinct[order].tolist()
-    ]
-    _scatter_distances(keys, rank[inverse], out, counters)
-    return out
 
 
 def _scatter_distances(
@@ -652,10 +626,6 @@ class FeatureSchema:
             [np.arange(block.start, block.stop) for block in active]
         )
 
-    def active_slices(self, config: FeatureConfig) -> dict[str, slice]:
-        """Per-block column ranges *within the config's own matrix*."""
-        return self.resolve(config).slices()
-
     def column_names(self, config: FeatureConfig) -> list[str]:
         """Human-readable names of the active columns, in order."""
         names: list[str] = []
@@ -665,6 +635,40 @@ class FeatureSchema:
 
     def width(self, config: FeatureConfig) -> int:
         return sum(block.width for block in self.active_blocks(config))
+
+    def property_rows(self, table) -> np.ndarray:
+        """A table's property rows in full-matrix columns, float32.
+
+        Each difference block holds its source stage's columns; the
+        name-distance columns (pair level) are zero.
+        """
+        rows = np.zeros((len(table), self.total_width), dtype=FEATURE_DTYPE)
+        for block in self.blocks:
+            if block.source is not None:
+                source = table.stage_columns(block.source)
+                rows[:, block.columns] = source[:, block.source_columns]
+        return rows
+
+    def pair_rows(
+        self, property_rows: np.ndarray, left, right, name_rows: np.ndarray, columns
+    ) -> np.ndarray:
+        """Full-matrix ``columns`` (slice or index array) of the pairs.
+
+        The one pair-row kernel: a difference column is
+        ``|property_rows[left] - property_rows[right]|`` in float32, a
+        name-distance column comes from ``name_rows`` (``(n, 8)``).
+        Every route computes here, so a pair's row is the same bits
+        whichever route asked.  The right rows are the one scratch block.
+        """
+        source = property_rows[:, columns]
+        block = source[left]
+        block -= source[right]
+        np.abs(block, out=block)
+        distances = self.block("name_distances")
+        selected = np.arange(self.total_width)[columns]
+        at = np.flatnonzero((selected >= distances.start) & (selected < distances.stop))
+        block[:, at] = name_rows[:, selected[at] - distances.start]
+        return block
 
     def resolve(self, config: FeatureConfig) -> "ResolvedSchema":
         """Freeze the geometry one config sees into a portable snapshot."""
@@ -787,10 +791,11 @@ class FeaturePipeline:
     :meth:`repro.core.feature_cache.PairFeatureStore.with_source` cheap.
 
     ``stage_calls`` counts computed units per stage: property rows
-    computed, pair rows assembled, and -- for the instance stages --
-    the *distinct* values featurized, since a value shared by several
-    new properties of one :meth:`property_columns` call is featurized
-    once (cameras: 3,578 distinct of 9,520 values).  ``stage_seconds``
+    computed, name-pair rows sent to the distance kernel, and -- for
+    the instance stages -- the *distinct* values featurized, since a
+    value shared by several new properties of one
+    :meth:`property_columns` call is featurized once (cameras: 3,578
+    distinct of 9,520 values).  ``stage_seconds``
     accumulates wall-clock per stage.  Both exist so incremental
     behaviour is assertable and benchmarkable rather than assumed.
     Each call counts into its own scratch and folds it in once, under a
@@ -853,6 +858,33 @@ class FeaturePipeline:
         self._fold(context.calls, seconds)
         return columns
 
+    def name_pair_rows(
+        self, table, left_rows: np.ndarray, right_rows: np.ndarray
+    ) -> np.ndarray:
+        """Float32 name-distance rows of pairs of a table's rows, ``(n, 8)``.
+
+        Memo-backed: the distinct name pairs are probed and computed in
+        first-occurrence order (a per-pair walk's order) and scattered
+        back.  Counted and timed as the ``name_distance`` stage, split
+        into ``computed`` / ``cache_hit`` rows by memo state.
+        """
+        rows = np.empty((len(left_rows), NUM_NAME_DISTANCES), dtype=FEATURE_DTYPE)
+        if len(rows) == 0:
+            return rows
+        started = perf_counter()
+        codes = table.name_codes(left_rows, right_rows)
+        distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        width, names = len(table.names), table.names
+        keys = [(names[code // width], names[code % width]) for code in distinct[order].tolist()]
+        counts: dict[str, int] = {}
+        _scatter_distances(keys, np.argsort(order)[inverse.reshape(-1)], rows, counts)
+        self._fold(
+            {f"name_distance.{kind}": count for kind, count in counts.items()},
+            {"name_distance": perf_counter() - started},
+        )
+        return rows
+
     def pair_matrix(
         self,
         table,
@@ -860,49 +892,16 @@ class FeaturePipeline:
         right_rows: np.ndarray,
         config: FeatureConfig,
     ) -> np.ndarray:
-        """Assemble a config's pair matrix from a table's stage columns.
+        """A config's pair matrix for pairs of a table's rows, in one call.
 
-        Pair ``k`` joins table rows ``left_rows[k]`` and
-        ``right_rows[k]``.  ``table`` is any object exposing
-        ``stage_columns(stage_name)``, ``names`` (its distinct lowercased
-        property names, sorted) and ``name_ids`` (each row's index into
-        ``names``) -- in practice a
-        :class:`~repro.core.property_features.PropertyFeatureTable`.
-        The result is float32 with ``schema.width(config)`` columns.
+        Pair ``k`` joins rows ``left_rows[k]`` and ``right_rows[k]`` of
+        a :class:`~repro.core.property_features.PropertyFeatureTable`.
+        Name distances are computed only when the config uses them; the
+        rows come from :meth:`FeatureSchema.pair_rows`, as every store
+        gather's do.  Float32, ``schema.width(config)`` columns.
         """
-        active = self.schema.active_blocks(config)
-        n = len(left_rows)
-        matrix = np.empty((n, self.schema.width(config)), dtype=FEATURE_DTYPE)
-        if n == 0:
-            return matrix
-        calls: dict[str, int] = {}
-        seconds: dict[str, float] = {}
-        distance_counts: dict[str, int] = {}
-        offset = 0
-        for block in active:
-            target = matrix[:, offset : offset + block.width]
-            offset += block.width
-            started = perf_counter()
-            if block.source is not None:
-                source = table.stage_columns(block.source)[:, block.source_columns]
-                np.abs(source[left_rows] - source[right_rows], out=target)
-                # Rows assembled, once per stage however many blocks.
-                calls[block.stage] = n
-            else:  # name distances
-                name_id_distance_block(
-                    table.names,
-                    table.name_ids[left_rows],
-                    table.name_ids[right_rows],
-                    target,
-                    counters=distance_counts,
-                )
-                # The name-distance stage splits its row count by memo
-                # state so incremental work avoidance (warm with_source,
-                # persistent cache) is assertable.
-                for kind, count in distance_counts.items():
-                    calls[f"{block.stage}.{kind}"] = count
-            seconds[block.stage] = (
-                seconds.get(block.stage, 0.0) + perf_counter() - started
-            )
-        self._fold(calls, seconds)
-        return matrix
+        names = np.zeros((len(left_rows), NUM_NAME_DISTANCES), dtype=FEATURE_DTYPE)
+        if _block_active("name_distances", config):
+            names = self.name_pair_rows(table, left_rows, right_rows)
+        rows, columns = self.schema.property_rows(table), self.schema.active_columns(config)
+        return self.schema.pair_rows(rows, left_rows, right_rows, names, columns)

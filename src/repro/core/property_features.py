@@ -98,6 +98,15 @@ class PropertyFeatureTable:
                 f"no property-level stage named {stage_name!r}"
             ) from None
 
+    def name_codes(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Order-independent code of each row pair's lowercased name pair.
+
+        ``min * len(names) + max`` of the two name ids: the smaller id is
+        the canonical first name, so codes sort as the name pairs do.
+        """
+        low = np.minimum(self.name_ids[left], self.name_ids[right])
+        return low * len(self.names) + np.maximum(self.name_ids[left], self.name_ids[right])
+
     def row_of(self, ref: PropertyRef) -> int:
         """Matrix row index of a property."""
         try:

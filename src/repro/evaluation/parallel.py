@@ -57,9 +57,11 @@ arrays over its dataset's universe.  Under the ``fork`` start method
 the parent prebuilds every pending dataset's universe and stores
 before creating the pool; a prebuilt store is the staged pipeline's
 full package -- the :class:`~repro.core.pipeline.FeatureSchema`, the
-columnar float32 per-property stage outputs and the assembled
-full-width matrix, all read-only -- so children inherit them through
-copy-on-write pages and the construction cost is paid once per grid.
+columnar float32 per-property stage outputs, the property rows and the
+name-pair distance table, all read-only and about 2 MB on cameras --
+so children inherit them through copy-on-write pages and the
+construction cost is paid once per grid.  Pair rows are computed from
+those tables on each gather, in the process that gathers.
 Under ``spawn`` each worker builds its own, at most once per dataset.
 
 Failure model: the pool is run by
@@ -139,9 +141,10 @@ class _SharedFeatures:
 
     A dataset's universe is enumerated once, under the grid's candidate
     policy.  Matchers exposing ``build_feature_store``/``attach_store``
-    share one full-width store per ``(dataset_index, id(embeddings))``,
-    built on that universe; ids survive fork, so a worker's
-    factory-made matcher finds the store the parent prebuilt.
+    share one store per ``(dataset_index, id(embeddings))``, built on
+    that universe; ids survive fork, so a worker's factory-made matcher
+    finds the store the parent prebuilt.  A matcher whose own store
+    already serves the dataset (one prepared before the grid) keeps it.
     """
 
     def __init__(self, factories: dict, datasets: list[Dataset], policy=None) -> None:
@@ -183,14 +186,17 @@ class _SharedFeatures:
     def store(self, dataset_index: int, matcher):
         """``matcher``'s shared store, built on first use.
 
-        ``None`` for a matcher that keeps its own features.
+        ``None`` for a matcher that keeps its own features: one without
+        a store route, or one whose own store serves the dataset.
         """
         build = getattr(matcher, "build_feature_store", None)
         embeddings = getattr(matcher, "embeddings", None)
+        own = getattr(matcher, "store", None)
         if (
             build is None
             or embeddings is None
             or getattr(matcher, "attach_store", None) is None
+            or (own is not None and own.serves(self.datasets[dataset_index]))
         ):
             return None
         key = (dataset_index, id(embeddings))
@@ -204,7 +210,8 @@ class _SharedFeatures:
     def matcher(self, cell: GridCell):
         """``cell``'s factory matcher, attached to the shared store or prepared.
 
-        A matcher prepared elsewhere gets the shared store too.
+        Preparing is a no-op for a matcher whose own store serves the
+        dataset, so it keeps that store and nothing is built.
         """
         matcher = self.factories[cell.label]()
         store = self.store(cell.dataset_index, matcher)

@@ -18,7 +18,8 @@ Three probes, deliberately decoupled from the HTTP plumbing so tests
     Operational counters: admission queue depth and shed/expired
     totals, per-tenant status with featurization ``stage_calls``
     (including the ``name_distance.computed`` / ``cache_hit`` split),
-    and quarantine state.  ``instance_meta`` / ``instance_embedding``
+    ``feature_store_bytes`` of each LEAPME tenant's store, and
+    quarantine state.  ``instance_meta`` / ``instance_embedding``
     count the *distinct* values featurized per table build, not every
     instance.  Diagnostics only -- no determinism contract.
 """

@@ -645,7 +645,12 @@ class TenantRegistry:
         }
 
     def tenant_summaries(self) -> dict:
-        """Per-tenant ``/statz`` section: status, sources, stage counters."""
+        """Per-tenant ``/statz`` section: status, sources, stage counters.
+
+        A LEAPME tenant also reports its store: policy, candidate pairs
+        and ``feature_store_bytes``, the resident bytes of its property
+        rows, name-pair table and universe arrays.
+        """
         summaries: dict[str, dict] = {}
         for tenant in self.tenants():
             entry: dict = {
@@ -671,6 +676,7 @@ class TenantRegistry:
                         universe = matcher.store.universe
                         entry["blocking"] = universe.policy.label
                         entry["candidate_pairs"] = len(universe)
+                        entry["feature_store_bytes"] = matcher.store.nbytes
                         if universe.is_blocked:
                             stats = universe.blocking_stats()
                             entry["total_cross_pairs"] = stats["total_pairs"]

@@ -20,7 +20,7 @@ from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, PairFeatureStore, PairUniverse
 from repro.data.pairs import build_pairs
 
-from tests.conftest import direct_pair_matrix
+from tests.conftest import direct_pair_matrix, full_matrix
 
 MINHASH = CandidatePolicy.from_label("minhash")
 
@@ -161,7 +161,7 @@ class TestBlockedAddSourceEquivalence:
 
     def test_matrix_bit_identical_to_cold_rebuild(self, delta):
         store, _, rebuilt = delta
-        assert store.matrix.tobytes() == rebuilt.matrix.tobytes()
+        assert full_matrix(store).tobytes() == full_matrix(rebuilt).tobytes()
 
     def test_pair_enumeration_matches_rebuild(self, delta):
         store, _, rebuilt = delta
@@ -208,19 +208,20 @@ class TestBlockedAddSourceEquivalence:
         base_keys = {p.key for p in store.universe.pairs}
         assert base_keys - {p.key for p in grown.universe.pairs}
         old_rows = grown.universe.rows_from(store.universe)
+        grown_matrix, store_matrix = full_matrix(grown), full_matrix(store)
         for row, pair in enumerate(grown.universe.pairs):
             if pair.key in base_keys:
                 assert old_rows[row] == store.universe.row_of(pair)
                 assert (
-                    grown.matrix[row].tobytes()
-                    == store.matrix[old_rows[row]].tobytes()
+                    grown_matrix[row].tobytes()
+                    == store_matrix[old_rows[row]].tobytes()
                 )
             else:
                 assert old_rows[row] == -1
         rebuilt = PairFeatureStore.build(
             base.merged_with(addition), tiny_embeddings, policy=MINHASH
         )
-        assert grown.matrix.tobytes() == rebuilt.matrix.tobytes()
+        assert grown_matrix.tobytes() == full_matrix(rebuilt).tobytes()
 
     def test_config_views_match_rebuild(self, delta):
         store, _, rebuilt = delta

@@ -61,6 +61,11 @@ def direct_pair_matrix(table, pairs, config):
     )
 
 
+def full_matrix(store):
+    """Every universe row of ``store`` at full width, one gather."""
+    return store.gather_columns(np.arange(len(store.universe)), slice(None))
+
+
 @pytest.fixture(scope="session")
 def tiny_headphones():
     """A small but realistic multi-source dataset."""

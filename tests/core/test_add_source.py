@@ -22,6 +22,8 @@ from repro.ingest.watcher import alignment_sidecar
 from repro.serve import RegistryJournal, TenantRegistry, TenantSpec
 from repro.systems import build_system_matcher, fallback_embeddings
 
+from tests.conftest import full_matrix
+
 #: (system, blocking, sources in the addition).  LSH adds two sources,
 #: so pairs between the two new sources count as new too.
 CASES = [("leapme", None, 1), ("leapme", "minhash", 1), ("lsh", None, 2)]
@@ -73,7 +75,7 @@ def test_with_source_leaves_the_old_matcher_untouched(case):
     candidates = matcher.candidates(base)
     scores = matcher.score_pairs(base, candidates)
     store = getattr(matcher, "store", None)
-    matrix = None if store is None else store.matrix.tobytes()
+    matrix = None if store is None else full_matrix(store).tobytes()
 
     successor, merged, new_pairs = matcher.with_source(base, addition)
 
@@ -82,7 +84,7 @@ def test_with_source_leaves_the_old_matcher_untouched(case):
     assert getattr(matcher, "store", None) is store
     if store is not None:
         assert store.serves(base)
-        assert store.matrix.tobytes() == matrix
+        assert full_matrix(store).tobytes() == matrix
         assert successor.store is not store
         assert successor.store.serves(merged)
     assert keys(matcher.candidates(base)) == keys(candidates)

@@ -25,7 +25,7 @@ from repro.core.pipeline import FeatureSchema
 from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.errors import ConfigurationError
 
-from tests.conftest import direct_pair_matrix
+from tests.conftest import direct_pair_matrix, full_matrix
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ class TestPairFeatureStore:
         for config in FeatureConfig.grid():
             np.testing.assert_array_equal(
                 store.features(pairs, config),
-                store.matrix[rows][:, store.schema.active_columns(config)],
+                full_matrix(store)[rows][:, store.schema.active_columns(config)],
             )
 
     def test_only_split_scope_non_embedding_needs_a_copy(self, store_fixture):
@@ -232,5 +232,5 @@ class TestMatcherIntegration:
     def test_schema_total_width_covers_all_blocks(self, store_fixture):
         table, _, store = store_fixture
         schema = FeatureSchema(table.embedding_dimension)
-        assert store.matrix.shape[1] == schema.total_width
+        assert full_matrix(store).shape[1] == schema.total_width
         assert schema.total_width == 29 + 2 * table.embedding_dimension + 8

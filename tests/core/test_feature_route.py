@@ -2,10 +2,11 @@
 
 ``prepare`` builds the matcher's :class:`PairFeatureStore` once; after
 that, training, scoring universe pairs and permutation importance are
-gathers from the store matrix -- no pipeline call and no new property
-table.  Only pairs a blocked universe pruned are assembled again, and
-only when they are cross-source pairs of the store's own dataset: any
-other pair is rejected the same way under every candidate policy.
+gathers from the store's tables -- no pipeline call, no name-distance
+kernel call and no new property table.  Only pairs a blocked universe
+pruned are computed from their property rows, and only when they are
+cross-source pairs of the store's own dataset: any other pair is
+rejected the same way under every candidate policy.
 """
 
 import numpy as np
@@ -26,6 +27,8 @@ from repro.data.pairs import LabeledPair, sample_training_pairs
 from repro.errors import ConfigurationError
 from repro.nn.schedule import TrainingSchedule
 
+from tests.conftest import full_matrix
+
 LIGHT = LeapmeConfig(hidden_sizes=(8,), schedule=TrainingSchedule.constant(1, 1e-3))
 
 POLICIES = ("null", "minhash")
@@ -33,20 +36,26 @@ POLICIES = ("null", "minhash")
 
 @pytest.fixture()
 def featurization_calls(monkeypatch):
-    """Counts ``pair_matrix`` calls and ``PropertyFeatureTable`` builds."""
-    calls = {"pair_matrix": 0, "table": 0}
+    """Counts ``pair_matrix`` and name-distance kernel calls and table builds."""
+    calls = {"pair_matrix": 0, "name_pair_rows": 0, "table": 0}
     pair_matrix = FeaturePipeline.pair_matrix
+    name_pair_rows = FeaturePipeline.name_pair_rows
     table_init = PropertyFeatureTable.__init__
 
     def counted_pair_matrix(self, *args, **kwargs):
         calls["pair_matrix"] += 1
         return pair_matrix(self, *args, **kwargs)
 
+    def counted_name_pair_rows(self, *args, **kwargs):
+        calls["name_pair_rows"] += 1
+        return name_pair_rows(self, *args, **kwargs)
+
     def counted_table_init(self, *args, **kwargs):
         calls["table"] += 1
         table_init(self, *args, **kwargs)
 
     monkeypatch.setattr(FeaturePipeline, "pair_matrix", counted_pair_matrix)
+    monkeypatch.setattr(FeaturePipeline, "name_pair_rows", counted_name_pair_rows)
     monkeypatch.setattr(PropertyFeatureTable, "__init__", counted_table_init)
     return calls
 
@@ -68,7 +77,7 @@ def test_prepared_matcher_only_gathers(
     )
     matcher.prepare(tiny_headphones)
     universe = matcher.store.universe
-    featurization_calls.update(pair_matrix=0, table=0)
+    featurization_calls.update(pair_matrix=0, name_pair_rows=0, table=0)
 
     training = sample_training_pairs(
         universe.subset(), 2.0, np.random.default_rng([0, 1])
@@ -81,7 +90,7 @@ def test_prepared_matcher_only_gathers(
 
     assert scores.shape == (len(universe),)
     assert importances
-    assert featurization_calls == {"pair_matrix": 0, "table": 0}
+    assert featurization_calls == {"pair_matrix": 0, "name_pair_rows": 0, "table": 0}
 
 
 def test_fit_without_prepare_builds_the_store(tiny_headphones, tiny_embeddings):
@@ -94,7 +103,7 @@ def test_fit_without_prepare_builds_the_store(tiny_headphones, tiny_embeddings):
     matcher.fit(tiny_headphones, training)
     assert matcher.store.serves(tiny_headphones)
     assert np.array_equal(
-        matcher.store.matrix.view(np.uint32), store.matrix.view(np.uint32)
+        full_matrix(matcher.store).view(np.uint32), full_matrix(store).view(np.uint32)
     )
 
 

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError, DataError
 from repro.ingest import IngestPipeline, cold_rebuild, source_fingerprint
 from repro.ingest.watcher import alignment_sidecar
 
+from tests.conftest import full_matrix
 from tests.ingest.conftest import (
     PROPS_A,
     PROPS_B,
@@ -175,7 +176,7 @@ class TestBootstrapModes:
         assert [p.key for p in universe.pairs] == [
             p.key for p in cold.universe.pairs
         ]
-        assert matcher.store.matrix.tobytes() == cold.matrix.tobytes()
+        assert full_matrix(matcher.store).tobytes() == full_matrix(cold).tobytes()
 
         run(tmp_path / "two")
         assert (tmp_path / "one/m.csv").read_bytes() == (

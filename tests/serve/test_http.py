@@ -63,6 +63,25 @@ class TestProbes:
         assert stats["admission"]["completed"] == 1
         assert stats["tenants"]["t1"]["status"] == "ready"
 
+    def test_statz_reports_the_feature_store_size(self, service, tmp_path):
+        create_tenant(service, tmp_path, system="leapme")
+        before = json.loads(request(service, "GET", "/statz")[2])["tenants"]["t1"]
+        assert before["feature_store_bytes"] > 0
+        extra = write_extra_source(tmp_path)
+        status, _, _ = request(
+            service, "POST", "/tenants/t1/add-source", {"path": str(extra)}
+        )
+        assert status == 200
+        after = json.loads(request(service, "GET", "/statz")[2])["tenants"]["t1"]
+        assert after["candidate_pairs"] > before["candidate_pairs"]
+        assert after["feature_store_bytes"] > before["feature_store_bytes"]
+        # No pair matrix: with three sources (6 properties, 12 pairs) the
+        # store is already smaller than the pairs' full-width rows.  At
+        # two sources a property row per pair makes the two sizes equal.
+        store = service.registry.get("t1").state.matcher.store
+        assert after["feature_store_bytes"] == store.nbytes
+        assert store.nbytes < len(store.universe) * store.schema.total_width * 4
+
     def test_unknown_endpoint_is_404(self, service):
         assert request(service, "GET", "/nope")[0] == 404
         assert request(service, "POST", "/tenants/a/b/c")[0] == 404

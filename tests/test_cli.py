@@ -118,13 +118,19 @@ class TestEvaluate:
         assert main(argv) == 0
         first_out = capsys.readouterr().out
         calls = []
-        pair_matrix = FeaturePipeline.pair_matrix
+        name_pair_rows = FeaturePipeline.name_pair_rows
+        property_columns = FeaturePipeline.property_columns
 
-        def counted(self, table, left_rows, right_rows, config):
+        def counted_distances(self, table, left_rows, right_rows):
             calls.append(len(left_rows))
-            return pair_matrix(self, table, left_rows, right_rows, config)
+            return name_pair_rows(self, table, left_rows, right_rows)
 
-        monkeypatch.setattr(FeaturePipeline, "pair_matrix", counted)
+        def counted_columns(self, dataset):
+            calls.append(dataset.name)
+            return property_columns(self, dataset)
+
+        monkeypatch.setattr(FeaturePipeline, "name_pair_rows", counted_distances)
+        monkeypatch.setattr(FeaturePipeline, "property_columns", counted_columns)
         assert main(argv + ["--resume"]) == 0
         resumed_out = capsys.readouterr().out
         assert "1 resumed" in resumed_out
