@@ -14,16 +14,23 @@ import time
 import numpy as np
 from conftest import STRICT_SHAPE, bench_dataset, bench_embeddings, run_once
 
-from repro.blocking import MinHashBlocker, NullBlocker, TokenBlocker, blocking_quality
-from repro.core import LeapmeMatcher
-from repro.data.pairs import PairSet, build_pairs, sample_training_pairs
+from repro.blocking import CandidatePolicy, MinHashBlocker
+from repro.core import LeapmeMatcher, PairUniverse
+from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.data.splits import split_sources
 from repro.metrics import evaluate_scores
 
+#: label -> (candidate policy, blocker instance or None to resolve it).
+#: ``minhash`` here is the plain banded :class:`MinHashBlocker`, which no
+#: policy label resolves to (the ``minhash`` policy is ``SketchBlocker``),
+#: so its universe is handed the instance.
 BLOCKERS = {
-    "none": NullBlocker,
-    "token": TokenBlocker,
-    "minhash": lambda: MinHashBlocker(num_hashes=32, band_size=2),
+    "none": lambda: (CandidatePolicy.null(), None),
+    "token": lambda: (CandidatePolicy.from_label("token"), None),
+    "minhash": lambda: (
+        CandidatePolicy.from_label("minhash:num_hashes=32,band_size=2"),
+        MinHashBlocker(num_hashes=32, band_size=2),
+    ),
 }
 
 
@@ -37,36 +44,34 @@ def test_bench_blocking_tradeoff(benchmark):
     )
     matcher = LeapmeMatcher(embeddings)
     matcher.fit(dataset, training)
-    test_keys = {pair.key for pair in build_pairs(dataset, list(split.train_sources), within=False)}
+    train_sources = list(split.train_sources)
 
     def run():
         rows = {}
         for label, factory in BLOCKERS.items():
-            blocker = factory()
+            policy, blocker = factory()
             start = time.perf_counter()
-            keys = blocker.candidate_keys(dataset)
+            universe = PairUniverse(dataset, policy, blocker=blocker)
             blocking_seconds = time.perf_counter() - start
-            quality = blocking_quality(dataset, keys)
+            stats = universe.blocking_stats()
             # Score only the surviving held-out pairs.
-            candidates = PairSet(
-                [pair for pair in blocker.candidate_pairs(dataset) if pair.key in test_keys]
-            )
+            candidates = universe.subset(train_sources, within=False)
             start = time.perf_counter()
             scores = matcher.score_pairs(dataset, candidates.pairs)
             scoring_seconds = time.perf_counter() - start
             match_quality = evaluate_scores(scores, candidates.labels(), matcher.threshold)
             # Pairs pruned by blocking are implicit non-matches: recall is
             # evaluated against ALL held-out true pairs.
-            kept_true = sum(1 for pair in candidates.pairs if pair.label)
-            total_true = sum(
-                1 for key in test_keys for pair in [sorted(key)] if dataset.is_match(*pair)
+            kept_true = int(candidates.labels().sum())
+            total_true = kept_true + universe.missed_true_pairs(
+                train_sources, within=False
             )
             effective_recall = (
                 match_quality.recall * (kept_true / total_true) if total_true else 1.0
             )
             rows[label] = {
-                "rr": quality.reduction_ratio,
-                "pc": quality.pair_completeness,
+                "rr": stats["reduction_ratio"],
+                "pc": stats["pair_recall"],
                 "precision": match_quality.precision,
                 "effective_recall": effective_recall,
                 "blocking_s": blocking_seconds,

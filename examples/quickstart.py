@@ -72,12 +72,11 @@ def main() -> None:
 
     # 4. Show a few confident matches the classifier found.
     print("\nTop predicted matches:")
-    order = np.argsort(-scores)
-    for index in order[:8]:
-        pair = test.pairs[int(index)]
+    top = np.argsort(-scores)[:8]
+    for pair, score in zip(test.take(top), scores[top]):
         marker = "+" if pair.label else "-"
         print(
-            f"  [{marker}] {scores[index]:.2f}  "
+            f"  [{marker}] {score:.2f}  "
             f"{pair.left.source}::{pair.left.name}  <->  "
             f"{pair.right.source}::{pair.right.name}"
         )

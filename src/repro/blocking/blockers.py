@@ -29,7 +29,7 @@ from collections.abc import Hashable, Iterable, Sequence
 import numpy as np
 
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair, PairSet, cross_source_index_pairs
+from repro.data.pairs import cross_source_index_pairs
 from repro.errors import ConfigurationError
 from repro.text.minhash import MinHasher
 from repro.text.normalize import token_set
@@ -66,20 +66,6 @@ class Blocker(ABC):
             frozenset((properties[i], properties[j]))
             for i, j in self.candidate_index_pairs(dataset, properties)
         }
-
-    def candidate_pairs(self, dataset: Dataset) -> PairSet:
-        """Labelled candidate pairs (ground truth from the dataset)."""
-        properties = dataset.properties()
-        return PairSet(
-            [
-                LabeledPair(
-                    properties[i],
-                    properties[j],
-                    dataset.is_match(properties[i], properties[j]),
-                )
-                for i, j in self.candidate_index_pairs(dataset, properties)
-            ]
-        )
 
 
 class NullBlocker(Blocker):

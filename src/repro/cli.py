@@ -425,7 +425,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         training = sample_training_pairs(
             matcher.candidates(dataset, train_sources), rng=rng
         )
-        if not training.positives():
+        if not training.labels().any():
             raise ReproError(
                 "no positive training pairs in the chosen sources; "
                 "provide an alignment file or pick other --train-sources"
@@ -507,7 +507,7 @@ def _match_with_added_source(
     try:
         rng = np.random.default_rng(args.seed)
         training = sample_training_pairs(matcher.candidates(dataset), rng=rng)
-        if not training.positives():
+        if not training.labels().any():
             raise ReproError(
                 "no positive training pairs in the base dataset; "
                 "provide an alignment file"

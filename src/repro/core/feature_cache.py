@@ -4,8 +4,8 @@ The evaluation grid of Section V re-scores the *same* candidate pairs
 under nine feature configurations, two training fractions and many
 repetitions.  The seed implementation recomputed, per grid cell:
 
-* the cross-source pair enumeration (``build_pairs``, quadratic in the
-  property count), once per repetition per cell;
+* the cross-source pair enumeration (a Python loop over every pair,
+  quadratic in the property count), once per repetition per cell;
 * the pair feature matrix, even though every config's matrix is a
   column subset of one full matrix (see
   :class:`repro.core.pipeline.FeatureSchema`).
@@ -13,7 +13,8 @@ repetitions.  The seed implementation recomputed, per grid cell:
 This module hoists both.  :class:`PairUniverse` enumerates all
 cross-source pairs of a dataset exactly once and serves every
 ``(sources, within)`` subset as the rows one vectorised mask selects
-from that enumeration -- element-identical to ``build_pairs``.
+from that enumeration; every pair set is such rows, and ``build_pairs``
+is the null-policy universe's subset.
 :class:`PairFeatureStore` never materialises the pair matrix: a pair
 row is a function of two property rows (their absolute difference,
 Table I row 7) and of the pair's name row (rows 8-15), so the store
@@ -63,9 +64,9 @@ class PairUniverse:
 
     Candidate generation is policy-driven: under the default ``null``
     :class:`~repro.blocking.policy.CandidatePolicy` the universe holds
-    every cross-source pair and ``subset`` reproduces
-    :func:`repro.data.pairs.build_pairs` exactly (same pairs, same
-    order).  Under a blocking policy only the blocker's candidates
+    every cross-source pair, in the order of the seed nested loop, and
+    :func:`repro.data.pairs.build_pairs` is its ``subset``.  Under a
+    blocking policy only the blocker's candidates
     are enumerated -- the full cross product is never materialised --
     and every downstream consumer (subsets, feature stores, scoring)
     automatically operates on the pruned universe.  Pair identity is
@@ -76,9 +77,9 @@ class PairUniverse:
     sorted, so row lookup is one ``searchsorted``.
 
     The universe holds arrays only: the keys, a label per row and the
-    sorted property refs.  Pair sets are row arrays over it
-    (:meth:`subset`), and :class:`LabeledPair` objects are built only
-    for the rows a caller asks for (:meth:`pairs_at`).
+    sorted property refs.  Every :class:`PairSet` is a row array over a
+    universe (:meth:`subset`), and :class:`LabeledPair` objects are
+    built only for the rows a caller asks for (:meth:`pairs_at`).
     """
 
     def __init__(
@@ -195,12 +196,13 @@ class PairUniverse:
     def subset(
         self, sources: list[str] | None = None, *, within: bool = True
     ) -> PairSet:
-        """The ``build_pairs(dataset, sources, within=...)`` pair set.
+        """The pairs whose sources are both in ``sources`` (``within``), or not.
 
-        A fresh universe-backed :class:`PairSet` on every call: one
-        vectorised mask over the rows, no pair objects.
+        A fresh :class:`PairSet` on every call: one vectorised mask over
+        the rows, no pair objects.  ``sources=None`` selects every
+        source; an unknown one raises :class:`ConfigurationError`.
         """
-        return PairSet.of_rows(self, self._rows_in(sources, within))
+        return PairSet(self, self._rows_in(sources, within))
 
     @property
     def is_blocked(self) -> bool:
@@ -461,7 +463,7 @@ class PairFeatureStore:
         )
         new_rows = np.flatnonzero(universe.rows_from(self.universe) < 0)
         grown = PairFeatureStore(table, universe, grown_from=self)
-        return grown, PairSet.of_rows(universe, new_rows)
+        return grown, PairSet(universe, new_rows)
 
     def rows_of(
         self,

@@ -38,41 +38,33 @@ class LabeledPair:
 
 
 class PairSet:
-    """Labelled pairs: a plain list, or rows of a pair universe.
+    """Labelled pairs: rows of a pair universe.
 
-    A set made by :meth:`repro.core.feature_cache.PairUniverse.subset`
-    (or sampled from one) carries its ``universe`` and a read-only
-    ``intp`` array of universe ``rows``.  Its labels gather from the
-    universe's label array, and its :class:`LabeledPair` objects are
-    built only on the first access to :attr:`pairs` -- by baselines,
-    CSV/JSON output or the graph; the LEAPME path reads rows and labels
-    only.  A set made from a list holds that list; ``universe`` and
-    ``rows`` are then ``None``.
+    Every set is made by
+    :meth:`repro.core.feature_cache.PairUniverse.subset` (which
+    :func:`build_pairs` wraps), sampled from one or selected from one:
+    it carries its ``universe`` and a read-only ``intp`` array of
+    universe ``rows``.  Its labels gather from the universe's label
+    array, and :class:`LabeledPair` objects are built only for a caller
+    that asks for them -- baselines, CSV/JSON output or the graph; the
+    LEAPME path reads rows and labels only.  :attr:`pairs` builds the
+    objects afresh on each access, so index a list taken once, not
+    ``pairs[i]`` in a loop.
     """
 
-    def __init__(
-        self, pairs: list[LabeledPair] | None = None, *, universe=None, rows=None
-    ) -> None:
-        self._pairs = pairs
+    def __init__(self, universe, rows: np.ndarray) -> None:
+        rows = np.asarray(rows, dtype=np.intp)
+        rows.setflags(write=False)
         self.universe = universe
         self.rows = rows
 
-    @classmethod
-    def of_rows(cls, universe, rows: np.ndarray) -> PairSet:
-        """The pairs at ``rows`` of ``universe`` (rows become read-only)."""
-        rows = np.asarray(rows, dtype=np.intp)
-        rows.setflags(write=False)
-        return cls(universe=universe, rows=rows)
-
     @property
     def pairs(self) -> list[LabeledPair]:
-        """The pairs as objects, built from the universe on first access."""
-        if self._pairs is None:
-            self._pairs = self.universe.pairs_at(self.rows)
-        return self._pairs
+        """The pairs as objects, built from the universe now."""
+        return self.universe.pairs_at(self.rows)
 
     def __len__(self) -> int:
-        return len(self.rows) if self._pairs is None else len(self._pairs)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -80,30 +72,23 @@ class PairSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairSet):
             return NotImplemented
-        if self.universe is not None and self.universe is other.universe:
-            return bool(np.array_equal(self.rows, other.rows))
-        return self.pairs == other.pairs
+        return self.universe is other.universe and bool(
+            np.array_equal(self.rows, other.rows)
+        )
 
     def take(self, positions: np.ndarray) -> list[LabeledPair]:
         """The pairs at ``positions`` of this set, as objects."""
-        if self._pairs is None:
-            return self.universe.pairs_at(self.rows[positions])
-        return [self._pairs[index] for index in np.asarray(positions).tolist()]
+        return self.universe.pairs_at(self.rows[positions])
 
     def sides(
         self, positions: np.ndarray
     ) -> tuple[list[PropertyRef], list[PropertyRef]]:
         """Left and right refs of the pairs at ``positions``; builds no pair."""
-        if self._pairs is None:
-            return self.universe.sides(self.rows[positions])
-        taken = self.take(positions)
-        return [pair.left for pair in taken], [pair.right for pair in taken]
+        return self.universe.sides(self.rows[positions])
 
     def select(self, positions: np.ndarray) -> PairSet:
-        """The sub-set at ``positions``; universe-backed if this set is."""
-        if self.universe is not None:
-            return PairSet.of_rows(self.universe, self.rows[positions])
-        return PairSet(self.take(positions))
+        """The sub-set at ``positions``, rows of the same universe."""
+        return PairSet(self.universe, self.rows[positions])
 
     def positives(self) -> list[LabeledPair]:
         """Only the matching pairs."""
@@ -115,22 +100,14 @@ class PairSet:
 
     def labels(self) -> np.ndarray:
         """Labels as a read-only int array (1 = match)."""
-        if self.universe is not None:
-            labels = self.universe.labels[self.rows].astype(np.int64)
-        else:
-            labels = np.array(
-                [int(pair.label) for pair in self._pairs], dtype=np.int64
-            )
+        labels = self.universe.labels[self.rows].astype(np.int64)
         labels.setflags(write=False)
         return labels
 
     def refs(self) -> list[PropertyRef]:
         """All distinct property refs mentioned by the pairs, sorted."""
-        seen: set[PropertyRef] = set()
-        for pair in self.pairs:
-            seen.add(pair.left)
-            seen.add(pair.right)
-        return sorted(seen)
+        left, right = self.universe.sides(self.rows)
+        return sorted(set(left) | set(right))
 
 
 def source_block_bounds(
@@ -180,12 +157,19 @@ def build_pairs(
 ) -> PairSet:
     """Enumerate labelled cross-source pairs.
 
+    The rows of a null-policy
+    :class:`~repro.core.feature_cache.PairUniverse` of ``dataset``
+    that ``subset(sources, within=within)`` selects: every
+    cross-source pair, in lexicographic ``(i, j)`` order over the
+    sorted properties.
+
     Parameters
     ----------
     dataset:
         The dataset providing properties and ground truth.
     sources:
-        When given, restricts which sources participate.
+        When given, restricts which sources participate; an unknown
+        source raises :class:`ConfigurationError`.
     within:
         ``True`` (default) keeps pairs where *both* sources are in
         ``sources`` -- the paper's training regime ("examples that involve
@@ -193,23 +177,10 @@ def build_pairs(
         complement: pairs where at least one source is outside
         ``sources`` -- the paper's test regime ("test it with the rest").
     """
-    all_sources = dataset.sources()
-    if sources is None:
-        selected = set(all_sources)
-    else:
-        unknown = set(sources) - set(all_sources)
-        if unknown:
-            raise ConfigurationError(f"unknown sources: {sorted(unknown)}")
-        selected = set(sources)
-    properties = dataset.properties()
-    inside = [ref.source in selected for ref in properties]
-    pairs: list[LabeledPair] = []
-    for i, j in cross_source_index_pairs(properties):
-        if within != (inside[i] and inside[j]):
-            continue
-        left, right = properties[i], properties[j]
-        pairs.append(LabeledPair(left, right, dataset.is_match(left, right)))
-    return PairSet(pairs)
+    # repro.core imports this module, so the universe is imported here.
+    from repro.core.feature_cache import PairUniverse
+
+    return PairUniverse(dataset).subset(sources, within=within)
 
 
 def sample_training_pairs(
@@ -222,8 +193,8 @@ def sample_training_pairs(
     All positives are kept.  When there are fewer negatives than the ratio
     requires, all negatives are kept.  Order is shuffled so mini-batch
     training does not see label blocks.  The draw is an index selection
-    over ``candidates.labels()``, so a sample of a universe-backed set
-    is universe-backed and builds no pair objects.
+    over ``candidates.labels()``: the sample is rows of the same
+    universe, and no pair object is built.
     """
     if negative_ratio < 0:
         raise ConfigurationError(f"negative_ratio must be >= 0, got {negative_ratio}")

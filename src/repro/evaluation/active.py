@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.api import Matcher
 from repro.data.model import Dataset
-from repro.data.pairs import LabeledPair, PairSet
+from repro.data.pairs import PairSet
 from repro.errors import ConfigurationError
 from repro.metrics import MatchQuality, evaluate_scores
 
@@ -47,11 +47,11 @@ class ActiveLearningCurve:
 
 
 def _seed_pool(
-    pool: list[LabeledPair], seed_size: int, rng: np.random.Generator
+    labels: np.ndarray, seed_size: int, rng: np.random.Generator
 ) -> list[int]:
     """A class-balanced starting pool (annotators always seed with both)."""
-    positives = [i for i, pair in enumerate(pool) if pair.label]
-    negatives = [i for i, pair in enumerate(pool) if not pair.label]
+    positives = np.flatnonzero(labels).tolist()
+    negatives = np.flatnonzero(labels == 0).tolist()
     if not positives or not negatives:
         raise ConfigurationError("pool must contain both classes")
     half = max(1, seed_size // 2)
@@ -97,25 +97,23 @@ def run_active_learning(
         raise ConfigurationError("first budget must cover the seed pool")
     rng = rng if rng is not None else np.random.default_rng(0)
     matcher.prepare(dataset)
-    labelled = _seed_pool(pool.pairs, seed_size, rng)
+    labelled = _seed_pool(pool.labels(), seed_size, rng)
     labelled_set = set(labelled)
     f1_scores: list[float] = []
     for budget in budgets:
-        while len(labelled) < min(budget, len(pool.pairs)):
-            unlabelled = [i for i in range(len(pool.pairs)) if i not in labelled_set]
+        while len(labelled) < min(budget, len(pool)):
+            unlabelled = [i for i in range(len(pool)) if i not in labelled_set]
             if not unlabelled:
                 break
             if strategy == "random":
                 pick = unlabelled[int(rng.integers(len(unlabelled)))]
             else:
-                matcher.fit(dataset, PairSet([pool.pairs[i] for i in labelled]))
-                scores = matcher.score_pairs(
-                    dataset, [pool.pairs[i] for i in unlabelled]
-                )
+                matcher.fit(dataset, pool.select(labelled))
+                scores = matcher.score_pairs(dataset, pool.select(unlabelled))
                 # Most uncertain = closest to the decision threshold; take a
                 # small batch per refit to keep the simulation tractable.
                 order = np.argsort(np.abs(scores - matcher.threshold))
-                batch = min(10, min(budget, len(pool.pairs)) - len(labelled))
+                batch = min(10, min(budget, len(pool)) - len(labelled))
                 for position in order[:batch]:
                     pick = unlabelled[int(position)]
                     labelled.append(pick)
@@ -123,7 +121,7 @@ def run_active_learning(
                 continue
             labelled.append(pick)
             labelled_set.add(pick)
-        matcher.fit(dataset, PairSet([pool.pairs[i] for i in labelled]))
+        matcher.fit(dataset, pool.select(labelled))
         scores = matcher.score_pairs(dataset, evaluation)
         quality: MatchQuality = evaluate_scores(
             scores, evaluation.labels(), matcher.threshold

@@ -147,7 +147,7 @@ class IngestPipeline:
             # for LEAPME): the pairs it will score, which keeps warm
             # restarts and streaming bit-identical to a cold rebuild.
             training = sample_training_pairs(self.matcher.candidates(base), rng=rng)
-            if not training.positives():
+            if not training.labels().any():
                 raise ConfigurationError(
                     "no positive training pairs in the bootstrap dataset; "
                     "provide an alignment file"

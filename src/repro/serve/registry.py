@@ -393,7 +393,7 @@ class TenantRegistry:
             # serve -- so warm restarts stay bit-identical to this
             # bootstrap.
             training = sample_training_pairs(matcher.candidates(dataset), rng=rng)
-            if not training.positives():
+            if not training.labels().any():
                 raise ConfigurationError(
                     f"tenant {spec.tenant!r}: {spec.system} is supervised and "
                     "the bootstrap dataset has no positive training pairs; "

@@ -4,11 +4,13 @@ import pytest
 
 from repro.blocking import (
     BlockingQuality,
+    CandidatePolicy,
     MinHashBlocker,
     NullBlocker,
     TokenBlocker,
     blocking_quality,
 )
+from repro.core import PairUniverse
 from repro.data.model import Dataset, PropertyInstance, PropertyRef
 from repro.data.pairs import build_pairs
 from repro.errors import ConfigurationError
@@ -38,7 +40,7 @@ class TestNullBlocker:
         assert len(keys) == len(build_pairs(dataset))
 
     def test_candidate_pairs_labelled(self, dataset):
-        pairs = NullBlocker().candidate_pairs(dataset)
+        pairs = PairUniverse(dataset, CandidatePolicy.null()).subset()
         assert len(pairs.positives()) == len(dataset.matching_pairs())
 
 

@@ -3,8 +3,8 @@
 Two invariants carry the whole refactor:
 
 * the **null** policy is not "approximately" the seed behaviour -- a
-  :class:`PairUniverse` built with it must reproduce
-  :func:`repro.data.pairs.build_pairs` element for element, and a store
+  :class:`PairUniverse` built with it must reproduce the seed
+  enumeration (``tests.data.oracle.seed_pairs``) element for element, and a store
   over it must serve byte-identical feature matrices for every one of
   the nine grid configs;
 * a **blocked** universe is a strict subset of the full cross product,
@@ -21,6 +21,7 @@ from repro.core import FeatureConfig, PairFeatureStore, PairUniverse
 from repro.data.pairs import build_pairs
 
 from tests.conftest import direct_pair_matrix, full_matrix
+from tests.data.oracle import seed_pairs
 
 MINHASH = CandidatePolicy.from_label("minhash")
 
@@ -37,11 +38,10 @@ def blocked_universe(tiny_headphones):
 
 class TestNullPolicyIsSeed:
     def test_pairs_equal_build_pairs(self, tiny_headphones, null_universe):
-        seed = build_pairs(tiny_headphones)
-        assert [p.key for p in null_universe.pairs] == [p.key for p in seed.pairs]
-        assert [p.label for p in null_universe.pairs] == [
-            p.label for p in seed.pairs
-        ]
+        seed = seed_pairs(tiny_headphones)
+        assert [p.key for p in null_universe.pairs] == [p.key for p in seed]
+        assert [p.label for p in null_universe.pairs] == [p.label for p in seed]
+        assert build_pairs(tiny_headphones).pairs == seed
 
     def test_default_policy_is_null(self, tiny_headphones):
         universe = PairUniverse(tiny_headphones)
@@ -52,8 +52,9 @@ class TestNullPolicyIsSeed:
     def test_subsets_equal_build_pairs(self, tiny_headphones, null_universe, within):
         sources = sorted(tiny_headphones.sources())[:2]
         got = null_universe.subset(sources, within=within)
-        want = build_pairs(tiny_headphones, sources, within=within)
-        assert [p.key for p in got.pairs] == [p.key for p in want.pairs]
+        want = seed_pairs(tiny_headphones, sources, within=within)
+        assert [p.key for p in got.pairs] == [p.key for p in want]
+        assert build_pairs(tiny_headphones, sources, within=within).pairs == want
 
     @pytest.mark.parametrize(
         "config", FeatureConfig.grid(), ids=lambda config: config.label()

@@ -2,8 +2,9 @@
 
 Every matrix the store serves must equal what one direct
 ``FeaturePipeline.pair_matrix`` call produces, for every config of the 3x3
-grid; the pair universe must reproduce ``build_pairs`` for every
-``(sources, within)`` request, with the rows of the subset known
+grid; the pair universe must reproduce the seed enumeration
+(``tests.data.oracle.seed_pairs``) for every ``(sources, within)``
+request, with the rows of the subset known
 without a per-pair lookup.
 """
 
@@ -26,6 +27,7 @@ from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.errors import ConfigurationError
 
 from tests.conftest import direct_pair_matrix, full_matrix
+from tests.data.oracle import seed_pairs
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +40,7 @@ def store_fixture(tiny_headphones, tiny_embeddings):
 class TestPairUniverse:
     def test_universe_is_all_cross_source_pairs(self, tiny_headphones):
         universe = PairUniverse(tiny_headphones)
-        reference = build_pairs(tiny_headphones)
-        assert list(universe.pairs) == reference.pairs
+        assert list(universe.pairs) == seed_pairs(tiny_headphones)
 
     @pytest.mark.parametrize("within", [True, False])
     def test_subset_matches_build_pairs(self, tiny_headphones, within):
@@ -47,9 +48,9 @@ class TestPairUniverse:
         sources = tiny_headphones.sources()
         for cut in range(1, len(sources)):
             selected = sources[:cut]
-            expected = build_pairs(tiny_headphones, selected, within=within)
+            expected = seed_pairs(tiny_headphones, selected, within=within)
             actual = universe.subset(selected, within=within)
-            assert actual.pairs == expected.pairs
+            assert actual.pairs == expected
 
     @given(data=st.data(), within=st.booleans())
     @settings(max_examples=25, deadline=None)
@@ -71,9 +72,7 @@ class TestPairUniverse:
             )
             subset = universe.subset(selected, within=within)
         assert calls == []
-        assert subset.pairs == build_pairs(
-            tiny_headphones, selected, within=within
-        ).pairs
+        assert subset.pairs == seed_pairs(tiny_headphones, selected, within=within)
         np.testing.assert_array_equal(subset.rows, universe.lookup_rows(subset.pairs))
 
     def test_subset_rejects_unknown_sources(self, tiny_headphones):

@@ -1,11 +1,13 @@
 """Pair sets are row arrays over their universe.
 
-A :class:`PairSet` from :meth:`PairUniverse.subset` carries its universe
-rows; the LEAPME path -- subset, training sample, fit, score -- reads
-those rows and the universe's label array and never builds a
-:class:`LabeledPair` or looks a pair up.  A plain pair list has no rows
-of its own, so the store looks it up on every request and the rows it
-serves follow the list as it is now.
+Every :class:`PairSet` carries its universe rows; the LEAPME path --
+subset, training sample, fit, score -- reads those rows and the
+universe's label array and never builds a :class:`LabeledPair` or looks
+a pair up.  Sets and samples must hold the pairs the seed enumeration
+(``tests.data.oracle.seed_pairs``) and an object walk give.  A plain
+pair list passed to the store has no rows of its own, so the store
+looks it up on every request and the rows it serves follow the list as
+it is now.
 """
 
 import numpy as np
@@ -19,15 +21,11 @@ from repro.core import (
     PairFeatureStore,
     PairUniverse,
 )
-from repro.data.pairs import (
-    LabeledPair,
-    PairSet,
-    build_pairs,
-    sample_training_pairs,
-)
+from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
 from repro.nn.schedule import TrainingSchedule
 
 from tests.conftest import direct_pair_matrix
+from tests.data.oracle import seed_pairs
 
 LIGHT = LeapmeConfig(hidden_sizes=(8,), schedule=TrainingSchedule.constant(1, 1e-3))
 
@@ -104,17 +102,17 @@ class TestSubsets:
         with pytest.raises(ValueError):
             first.rows[0] = 0
         first.pairs.pop()
-        assert second.pairs == build_pairs(
-            tiny_headphones, sources, within=False
-        ).pairs
+        assert second.pairs == seed_pairs(tiny_headphones, sources, within=False)
 
     def test_labels_gather_from_the_universe(self, tiny_headphones, store):
         subset = store.universe.subset(tiny_headphones.sources()[:2])
-        listed = PairSet(list(subset.pairs))
-        np.testing.assert_array_equal(subset.labels(), listed.labels())
-        assert subset.labels().dtype == listed.labels().dtype == np.int64
-        assert subset.positives() == listed.positives()
-        assert subset.negatives() == listed.negatives()
+        listed = seed_pairs(tiny_headphones, tiny_headphones.sources()[:2])
+        np.testing.assert_array_equal(
+            subset.labels(), [int(pair.label) for pair in listed]
+        )
+        assert subset.labels().dtype == np.int64
+        assert subset.positives() == [pair for pair in listed if pair.label]
+        assert subset.negatives() == [pair for pair in listed if not pair.label]
 
     def test_new_pairs_of_a_delta_are_universe_rows(
         self, tiny_headphones, store
@@ -137,19 +135,22 @@ class TestSampler:
     def test_draws_are_identical_over_lists_and_universe_rows(
         self, tiny_headphones, store, ratio
     ):
-        candidates = store.universe.subset(tiny_headphones.sources()[:4])
-        listed = PairSet(list(candidates.pairs))
+        sources = tiny_headphones.sources()[:4]
+        candidates = store.universe.subset(sources)
+        built = build_pairs(tiny_headphones, sources)
         from_rows = sample_training_pairs(
             candidates, ratio, np.random.default_rng([4, 1709])
         )
-        from_list = sample_training_pairs(
-            listed, ratio, np.random.default_rng([4, 1709])
+        from_built = sample_training_pairs(
+            built, ratio, np.random.default_rng([4, 1709])
         )
         assert from_rows.universe is store.universe
-        assert from_list.universe is None
-        assert from_rows.pairs == from_list.pairs
+        assert from_built.universe is built.universe
+        assert from_rows.pairs == from_built.pairs
         assert from_rows.pairs == _object_sample(
-            listed.pairs, ratio, np.random.default_rng([4, 1709])
+            seed_pairs(tiny_headphones, sources),
+            ratio,
+            np.random.default_rng([4, 1709]),
         )
 
 
