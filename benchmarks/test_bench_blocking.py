@@ -25,9 +25,9 @@ from repro.metrics import evaluate_scores
 #: policy label resolves to (the ``minhash`` policy is ``SketchBlocker``),
 #: so its universe is handed the instance.
 BLOCKERS = {
-    "none": lambda: (CandidatePolicy.null(), None),
-    "token": lambda: (CandidatePolicy.from_label("token"), None),
-    "minhash": lambda: (
+    "none": (CandidatePolicy.null(), None),
+    "token": (CandidatePolicy.from_label("token"), None),
+    "minhash": (
         CandidatePolicy.from_label("minhash:num_hashes=32,band_size=2"),
         MinHashBlocker(num_hashes=32, band_size=2),
     ),
@@ -48,8 +48,7 @@ def test_bench_blocking_tradeoff(benchmark):
 
     def run():
         rows = {}
-        for label, factory in BLOCKERS.items():
-            policy, blocker = factory()
+        for label, (policy, blocker) in BLOCKERS.items():
             start = time.perf_counter()
             universe = PairUniverse(dataset, policy, blocker=blocker)
             blocking_seconds = time.perf_counter() - start

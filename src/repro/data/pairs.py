@@ -70,6 +70,7 @@ class PairSet:
         return iter(self.pairs)
 
     def __eq__(self, other) -> bool:
+        """The same rows of the same universe."""
         if not isinstance(other, PairSet):
             return NotImplemented
         return self.universe is other.universe and bool(
