@@ -148,7 +148,7 @@ def test_bench_store_build(benchmark):
         iterations=1,
     )
     clear_distance_memo()
-    matrix = store.gather_columns(np.arange(len(store.universe)), slice(None))
+    matrix = store.gather(store.universe.subset(), slice(None))
     assert matrix.shape == (len(store.universe), store.schema.total_width)
     assert store.pipeline.stage_calls["name_distance.cache_hit"] == 0
 

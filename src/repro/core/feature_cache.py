@@ -18,8 +18,10 @@ is the null-policy universe's subset.
 :class:`PairFeatureStore` never materialises the pair matrix: a pair
 row is a function of two property rows (their absolute difference,
 Table I row 7) and of the pair's name row (rows 8-15), so the store
-keeps the property rows and one distance row per distinct name pair,
-and any (pair set, columns) request is computed on gather.
+keeps the property rows and one distance row per distinct name pair.
+Every request -- a pair set over any universe of the dataset, or a pair
+list -- resolves once to two property rows and a name row per pair, and
+its (rows, columns) blocks are computed on gather.
 
 Stores are keyed by the dataset's content fingerprint: a store never
 answers for a dataset it was not built from, and it never changes after
@@ -32,6 +34,7 @@ name pairs the old store lacks to the distance kernel.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
@@ -39,7 +42,7 @@ import numpy as np
 from repro.blocking.blockers import Blocker
 from repro.blocking.policy import CandidatePolicy
 from repro.core.config import FeatureConfig
-from repro.core.pipeline import FEATURE_DTYPE, NUM_NAME_DISTANCES, split_pairs
+from repro.core.pipeline import FEATURE_DTYPE, NUM_NAME_DISTANCES
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset, PropertyRef
 from repro.data.pairs import (
@@ -49,6 +52,13 @@ from repro.data.pairs import (
     source_block_bounds,
 )
 from repro.errors import ConfigurationError
+
+
+#: Pairs as objects or as ``(left, right)`` ref tuples.
+PairList = list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
+#: What a store serves: a pair set over any universe of its dataset, or
+#: a pair list.
+Request = PairSet | PairList
 
 
 def _positions_in(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -258,13 +268,11 @@ class PairUniverse:
         kept_true = int(self.labels[self._rows_in(sources, within)].sum())
         return slice_true - kept_true
 
-    def lookup_rows(
-        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
-    ) -> np.ndarray:
-        """Universe row of each (unordered) pair, ``-1`` where it has none.
+    def ends_of(self, pairs: PairList) -> tuple[np.ndarray, np.ndarray]:
+        """Property indices ``(left, right)`` of pair objects or ref tuples.
 
-        A pair has no row when either property is foreign to the
-        dataset, both sit in one source, or the policy pruned it.
+        One walk over the pairs, in their own orientation; a property
+        foreign to the dataset has index ``-1``.
         """
         get = self._index_of.get
         ends = np.array(
@@ -276,7 +284,16 @@ class PairUniverse:
             ],
             dtype=np.int64,
         ).reshape(-1, 2)
-        low, high = ends.min(axis=1), ends.max(axis=1)
+        return ends[:, 0], ends[:, 1]
+
+    def lookup_rows(self, pairs: PairList) -> np.ndarray:
+        """Universe row of each (unordered) pair, ``-1`` where it has none.
+
+        A pair has no row when either property is foreign to the
+        dataset, both sit in one source, or the policy pruned it.
+        """
+        left, right = self.ends_of(pairs)
+        low, high = np.minimum(left, right), np.maximum(left, right)
         rows = _positions_in(self._keys, low * len(self._index_of) + high)
         rows[low < 0] = -1
         return rows
@@ -307,42 +324,6 @@ class PairUniverse:
         rows[found] = present[hits[found]]
         return rows
 
-    def row_of(self, pair: LabeledPair | tuple[PropertyRef, PropertyRef]) -> int:
-        """Universe row of an (unordered) pair."""
-        return int(self._require_rows(self.lookup_rows([pair]))[0])
-
-    def are_cross_source(
-        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
-    ) -> bool:
-        """Whether every pair joins two of the dataset's properties in two sources."""
-        get = self._index_of.get
-        source = self._property_source
-        for left, right in zip(*split_pairs(pairs)):
-            i, j = get(left, -1), get(right, -1)
-            if i < 0 or j < 0 or source[i] == source[j]:
-                return False
-        return True
-
-    def _require_rows(self, rows: np.ndarray) -> np.ndarray:
-        if (rows < 0).any():
-            raise ConfigurationError(
-                "pair is not part of this dataset's cross-source universe"
-                + (
-                    f" under blocking policy {self.policy.label!r}"
-                    if self.is_blocked
-                    else ""
-                )
-            )
-        return rows
-
-    def rows_of(
-        self, pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
-    ) -> np.ndarray:
-        """Universe rows of many pairs, in order (read-only)."""
-        rows = self._require_rows(self.lookup_rows(pairs))
-        rows.setflags(write=False)
-        return rows
-
 
 class PairFeatureStore:
     """Full-width pair features over a :class:`PairUniverse`, shared.
@@ -350,10 +331,11 @@ class PairFeatureStore:
     No pair matrix: the store keeps the property rows in full-matrix
     columns (397 on cameras) and one float32 distance row per distinct
     name pair of the universe (17,987 × 8), which each universe row
-    addresses through an int32 id.  Every request -- universe rows
-    (:meth:`gather_columns`) or pruned pairs (:meth:`gather_pairs`) --
-    is computed from them by
-    :meth:`~repro.core.pipeline.FeatureSchema.pair_rows`.  The store
+    addresses through an int32 id.  Every request -- a pair set over
+    any universe of the dataset, or a pair list that may hold pairs a
+    blocked universe pruned -- resolves once to left and right property
+    rows and a name row per pair, and every gather computes from those
+    by :meth:`~repro.core.pipeline.FeatureSchema.pair_rows`.  The store
     keeps no per-request state, so concurrent readers share it without
     a lock; its tables and every served matrix are read-only.
     """
@@ -465,77 +447,87 @@ class PairFeatureStore:
         grown = PairFeatureStore(table, universe, grown_from=self)
         return grown, PairSet(universe, new_rows)
 
-    def rows_of(
-        self,
-        pairs: PairSet | list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]],
-    ) -> np.ndarray | None:
-        """Universe rows of ``pairs``, or ``None`` when some were pruned.
+    def _resolve(
+        self, pairs: Request
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``pairs`` as property rows, name-pair ids and the name table.
 
-        A :class:`PairSet` over this store's universe brings its own
-        rows.  Anything else is looked up in the universe.  Under a
-        blocking policy a request may include pairs the universe
-        pruned (the incremental clusterer scores arbitrary
-        new-vs-existing links); those have no row, and
-        :meth:`gather_pairs` serves the request from its property rows
-        instead.  Every pair must still join two of the dataset's
-        properties in different sources: anything else raises the
-        universe's :class:`ConfigurationError`, on every policy.
+        The one place a request's kind matters.  A :class:`PairSet`
+        over this store's universe reads its rows' ends and name ids; a
+        set over another universe of the same dataset reads its own
+        universe's ends; a pair list is looked up once in the property
+        index (:meth:`PairUniverse.ends_of`).  The last two find their
+        name ids by name-pair code; a name pair the table lacks (only
+        pairs a blocked universe pruned can have one) goes through the
+        distance memo into rows appended to this request's table.  Every
+        pair must join two of the dataset's properties in different
+        sources: anything else -- a set over another dataset included --
+        raises :class:`ConfigurationError`, on every policy.
         """
+        universe = self.universe
         if isinstance(pairs, PairSet):
-            if pairs.universe is self.universe:
-                return pairs.rows
-            pairs = pairs.pairs
-        try:
-            return self.universe.rows_of(pairs)
-        except ConfigurationError:
-            if self.universe.is_blocked and self.universe.are_cross_source(pairs):
-                return None
-            raise
+            if pairs.universe is universe:
+                left, right = universe.ends(pairs.rows)
+                return left, right, self._name_pair[pairs.rows], self._name_rows
+            if pairs.universe.dataset_fingerprint != self.dataset_fingerprint:
+                raise self._not_in_universe()
+            left, right = pairs.universe.ends(pairs.rows)
+        else:
+            left, right = universe.ends_of(pairs)
+            source = universe._property_source
+            if ((left < 0) | (right < 0)).any() or (
+                source[left] == source[right]
+            ).any():
+                raise self._not_in_universe()
+        names = _positions_in(self._codes, self.table.name_codes(left, right))
+        absent = np.flatnonzero(names < 0)
+        if len(absent) == 0:
+            return left, right, names, self._name_rows
+        names[absent] = len(self._codes) + np.arange(len(absent))
+        extra = self.pipeline.name_pair_rows(self.table, left[absent], right[absent])
+        return left, right, names, np.concatenate([self._name_rows, extra])
 
-    def gather_columns(self, rows: np.ndarray, columns) -> np.ndarray:
-        """Read-only matrix of universe ``rows`` and full-matrix ``columns``.
+    def _not_in_universe(self) -> ConfigurationError:
+        return ConfigurationError(
+            "pair is not part of this dataset's cross-source universe"
+            + (
+                f" under blocking policy {self.universe.policy.label!r}"
+                if self.universe.is_blocked
+                else ""
+            )
+        )
 
-        ``columns`` is a slice or an index array; a shared score pass
-        gathers the union of several configs' columns this way.
+    def block_reader(
+        self, pairs: Request, columns
+    ) -> tuple[int, Callable[[int, int], np.ndarray]]:
+        """Resolve ``pairs`` once: their count and a reader of their rows.
+
+        ``read(start, stop)`` is the read-only matrix of pairs
+        ``start:stop`` over full-matrix ``columns`` (a slice or an index
+        array), computed by
+        :meth:`~repro.core.pipeline.FeatureSchema.pair_rows`; a shared
+        score pass reads the union of several configs' columns this way.
         """
-        left, right = self.universe.ends(rows)
-        names = self._name_rows[self._name_pair[rows]]
-        return self._served(left, right, names, columns)
+        left, right, names, name_rows = self._resolve(pairs)
 
-    def gather_pairs(
-        self,
-        pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]],
-        config: FeatureConfig,
-    ) -> np.ndarray:
-        """Read-only feature matrix of ``pairs``, from their property rows.
+        def read(start: int, stop: int) -> np.ndarray:
+            served = self.schema.pair_rows(
+                self._property_rows,
+                left[start:stop],
+                right[start:stop],
+                name_rows[names[start:stop]],
+                columns,
+            )
+            served.setflags(write=False)
+            return served
 
-        The route for requests :meth:`rows_of` found pruned pairs in; a
-        name pair the universe never uses goes through the distance memo.
-        """
-        lefts, rights = split_pairs(pairs)
-        left, right = self.table.rows_of(lefts), self.table.rows_of(rights)
-        at = _positions_in(self._codes, self.table.name_codes(left, right))
-        names = np.empty((len(at), NUM_NAME_DISTANCES), dtype=FEATURE_DTYPE)
-        names[at >= 0] = self._name_rows[at[at >= 0]]
-        names[at < 0] = self.pipeline.name_pair_rows(self.table, left[at < 0], right[at < 0])
-        return self._served(left, right, names, self.schema.active_columns(config))
+        return len(left), read
 
-    def _served(self, left, right, names, columns) -> np.ndarray:
-        served = self.schema.pair_rows(self._property_rows, left, right, names, columns)
-        served.setflags(write=False)
-        return served
+    def gather(self, pairs: Request, columns) -> np.ndarray:
+        """Read-only matrix of ``pairs`` over full-matrix ``columns``."""
+        count, read = self.block_reader(pairs, columns)
+        return read(0, count)
 
-    def features(
-        self,
-        pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]] | PairSet,
-        config: FeatureConfig,
-    ) -> np.ndarray:
-        """Read-only feature matrix for ``pairs`` under ``config``.
-
-        :meth:`rows_of` then :meth:`gather_columns`, or
-        :meth:`gather_pairs` when a blocked universe pruned some pairs.
-        """
-        rows = self.rows_of(pairs)
-        if rows is None:
-            return self.gather_pairs(pairs, config)
-        return self.gather_columns(rows, self.schema.active_columns(config))
+    def features(self, pairs: Request, config: FeatureConfig) -> np.ndarray:
+        """Read-only feature matrix for ``pairs`` under ``config``."""
+        return self.gather(pairs, self.schema.active_columns(config))

@@ -168,15 +168,14 @@ class LeapmeMatcher(Matcher):
     ) -> np.ndarray:
         """Positive-class probabilities for candidate pairs.
 
-        The one-member case of :func:`score_together`: the pairs' store
-        rows are resolved once (a pair set over the store's universe
-        brings its own), and each :func:`~repro.nn.network.row_blocks`
-        block of this matcher's own columns is gathered from the store
-        and scored by the classifier's ``match_scores``: no whole-set
-        feature matrix is built.  When a blocked universe pruned some of
-        the pairs, the store computes the whole request from its
-        property rows, scored in one call.  Row lookup and
-        gathers count toward :attr:`feature_seconds`.
+        The one-member case of :func:`score_together`: the store
+        resolves the pairs once to property rows and name rows (pairs a
+        blocked universe pruned included), and each
+        :func:`~repro.nn.network.row_blocks` block of this matcher's own
+        columns is gathered from the store and scored by the
+        classifier's ``match_scores``: no whole-set feature matrix is
+        built.  Resolution and gathers count toward
+        :attr:`feature_seconds`.
         """
         (scores,) = score_together([self], dataset, pairs)
         return scores
@@ -240,7 +239,7 @@ def score_together(
     it once for all members whose scalers agree; every network reads
     its own columns from that block.  The scores are bit-identical to
     scoring each matcher alone, which is the one-member case.  The
-    pass's row lookup and gathers count toward each member's
+    pass's resolution and gathers count toward each member's
     :attr:`~LeapmeMatcher.feature_seconds` in equal shares.
     """
     by_store: dict[int, list[int]] = {}
@@ -262,33 +261,23 @@ def _score_on_store(
 ) -> list[np.ndarray]:
     """One shared score pass over the matchers' common store."""
     store = matchers[0]._store
-    started = perf_counter()
-    rows = store.rows_of(pairs)
-    seconds = perf_counter() - started
-    if rows is None:
-        results = []
-        for matcher in matchers:
-            started = perf_counter()
-            features = store.gather_pairs(pairs, matcher.feature_config)
-            matcher.feature_seconds += (
-                seconds / len(matchers) + perf_counter() - started
-            )
-            results.append(matcher._classifier.match_scores(features))
-        return results
     columns, width, positions = _column_union(
         [store.schema.active_columns(m.feature_config) for m in matchers],
         store.schema.total_width,
     )
+    started = perf_counter()
+    count, read = store.block_reader(pairs, columns)
+    seconds = perf_counter() - started
 
     def read_block(start: int, stop: int) -> np.ndarray:
         nonlocal seconds
         began = perf_counter()
-        block = store.gather_columns(rows[start:stop], columns)
+        block = read(start, stop)
         seconds += perf_counter() - began
         return block
 
     results = blocked_scores(
-        len(rows),
+        count,
         width,
         read_block,
         [

@@ -58,7 +58,6 @@ from repro.core.instance_features import (
     instance_meta_matrix,
 )
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair
 from repro.embeddings.base import WordEmbeddings
 from repro.errors import ConfigurationError, DataError
 from repro.text.batch import name_distance_rows, unique_lowered_pairs
@@ -762,23 +761,6 @@ def describe_stages(dimension: int) -> str:
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
-
-
-def split_pairs(
-    pairs: list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]],
-) -> tuple[list[PropertyRef], list[PropertyRef]]:
-    """Left and right refs of a pair list (labeled or plain tuples)."""
-    lefts: list[PropertyRef] = []
-    rights: list[PropertyRef] = []
-    for pair in pairs:
-        if isinstance(pair, LabeledPair):
-            lefts.append(pair.left)
-            rights.append(pair.right)
-        else:
-            left, right = pair
-            lefts.append(left)
-            rights.append(right)
-    return lefts, rights
 
 
 class FeaturePipeline:

@@ -24,7 +24,7 @@ from repro.core.instance_features import NUM_META_FEATURES
 from repro.core.pipeline import FeaturePipeline
 from repro.data.model import Dataset, PropertyRef
 from repro.embeddings.base import WordEmbeddings
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError
 
 
 class PropertyFeatureTable:
@@ -67,9 +67,6 @@ class PropertyFeatureTable:
         #: Content fingerprint of the dataset the table was built from.
         self.dataset_fingerprint: str = dataset.fingerprint()
         self.refs: list[PropertyRef] = dataset.properties()
-        self._row_of: dict[PropertyRef, int] = {
-            ref: i for i, ref in enumerate(self.refs)
-        }
         lowered = [ref.name.lower() for ref in self.refs]
         self.names: list[str] = sorted(set(lowered))
         name_id = {name: i for i, name in enumerate(self.names)}
@@ -106,14 +103,3 @@ class PropertyFeatureTable:
         """
         low = np.minimum(self.name_ids[left], self.name_ids[right])
         return low * len(self.names) + np.maximum(self.name_ids[left], self.name_ids[right])
-
-    def row_of(self, ref: PropertyRef) -> int:
-        """Matrix row index of a property."""
-        try:
-            return self._row_of[ref]
-        except KeyError:
-            raise DataError(f"property not in feature table: {ref}") from None
-
-    def rows_of(self, refs: list[PropertyRef]) -> np.ndarray:
-        """Row indices for a list of properties."""
-        return np.array([self.row_of(ref) for ref in refs], dtype=np.int64)

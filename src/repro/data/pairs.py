@@ -47,9 +47,10 @@ class PairSet:
     universe ``rows``.  Its labels gather from the universe's label
     array, and :class:`LabeledPair` objects are built only for a caller
     that asks for them -- baselines, CSV/JSON output or the graph; the
-    LEAPME path reads rows and labels only.  :attr:`pairs` builds the
-    objects afresh on each access, so index a list taken once, not
-    ``pairs[i]`` in a loop.
+    LEAPME path reads rows and labels only, and a feature store reads a
+    set over any universe of its dataset by the rows' property ends.
+    :attr:`pairs` builds the objects afresh on each access, so index a
+    list taken once, not ``pairs[i]`` in a loop.
     """
 
     def __init__(self, universe, rows: np.ndarray) -> None:

@@ -130,15 +130,25 @@ class TestBlockedUniverse:
             assert missed >= 0
             assert kept_true + missed == slice_true
 
-    def test_row_of_pruned_pair_names_policy(self, null_universe, blocked_universe):
+    def test_row_of_pruned_pair_names_policy(
+        self, tiny_headphones, tiny_embeddings, null_universe, blocked_universe
+    ):
         from repro.errors import ConfigurationError
 
         pruned_keys = {p.key for p in blocked_universe.pairs}
         dropped = next(
             pair for pair in null_universe.pairs if pair.key not in pruned_keys
         )
+        # A pruned pair has no row; its store still serves it, and the
+        # store's rejection of a pair it cannot serve names the policy.
+        assert blocked_universe.lookup_rows([dropped]).tolist() == [-1]
+        store = PairFeatureStore.build(
+            tiny_headphones, tiny_embeddings, blocked_universe
+        )
+        assert store.features([dropped], FeatureConfig()).shape[0] == 1
+        same_source = tuple(tiny_headphones.properties(dropped.left.source)[:2])
         with pytest.raises(ConfigurationError, match="minhash"):
-            blocked_universe.row_of(dropped)
+            store.features([same_source], FeatureConfig())
 
     def test_subsets_partition_universe(self, tiny_headphones, blocked_universe):
         sources = sorted(tiny_headphones.sources())[:2]
@@ -210,9 +220,11 @@ class TestBlockedAddSourceEquivalence:
         assert base_keys - {p.key for p in grown.universe.pairs}
         old_rows = grown.universe.rows_from(store.universe)
         grown_matrix, store_matrix = full_matrix(grown), full_matrix(store)
+        store_rows = store.universe.lookup_rows(grown.universe.pairs)
         for row, pair in enumerate(grown.universe.pairs):
             if pair.key in base_keys:
-                assert old_rows[row] == store.universe.row_of(pair)
+                assert store_rows[row] >= 0
+                assert old_rows[row] == store_rows[row]
                 assert (
                     grown_matrix[row].tobytes()
                     == store_matrix[old_rows[row]].tobytes()

@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.pipeline import split_pairs
+from repro.data.pairs import LabeledPair
 from repro.datasets import build_domain_embeddings, load_dataset
 
 TEST_TIMEOUT_SECONDS = float(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
@@ -55,15 +55,19 @@ def direct_pair_matrix(table, pairs, config):
     each pair's ends go straight to ``FeaturePipeline.pair_matrix``,
     with no pair universe or store in between.
     """
-    lefts, rights = split_pairs(pairs)
-    return table.pipeline.pair_matrix(
-        table, table.rows_of(lefts), table.rows_of(rights), config
-    )
+    row = {ref: index for index, ref in enumerate(table.refs)}
+    ends = [
+        (pair.left, pair.right) if isinstance(pair, LabeledPair) else pair
+        for pair in pairs
+    ]
+    left = np.array([row[left] for left, _ in ends], dtype=np.int64)
+    right = np.array([row[right] for _, right in ends], dtype=np.int64)
+    return table.pipeline.pair_matrix(table, left, right, config)
 
 
 def full_matrix(store):
     """Every universe row of ``store`` at full width, one gather."""
-    return store.gather_columns(np.arange(len(store.universe)), slice(None))
+    return store.gather(store.universe.subset(), slice(None))
 
 
 @pytest.fixture(scope="session")

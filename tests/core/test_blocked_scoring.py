@@ -147,7 +147,7 @@ def test_scoring_time_splits_into_gather_and_forward(headphones):
 
 
 def test_pruned_pairs_are_looked_up_once(monkeypatch):
-    """Pairs a blocked universe pruned take the direct route in one lookup."""
+    """Pairs a blocked universe pruned resolve in one property-index lookup."""
     dataset = load_dataset("headphones", scale="tiny", seed=0)
     embeddings = build_domain_embeddings("headphones", scale="tiny")
     store = PairFeatureStore.build(
@@ -161,13 +161,13 @@ def test_pruned_pairs_are_looked_up_once(monkeypatch):
     kept = {pair.key for pair in store.universe.pairs}
     assert any(pair.key not in kept for pair in pairs)
     lookups = []
-    original = PairUniverse.lookup_rows
+    original = PairUniverse.ends_of
 
     def counted(self, requested):
         lookups.append(len(requested))
         return original(self, requested)
 
-    monkeypatch.setattr(PairUniverse, "lookup_rows", counted)
+    monkeypatch.setattr(PairUniverse, "ends_of", counted)
     scores = matcher.score_pairs(dataset, pairs)
     assert lookups == [len(pairs)]
     direct = direct_pair_matrix(store.table, pairs, FeatureConfig())

@@ -6,9 +6,10 @@ here is compared, as ``uint32`` views, with
 ``pipeline.pair_matrix(table, *universe.ends(rows), FeatureConfig())``
 restricted to the requested columns -- for empty, unsorted and repeated
 row subsets, slice and index-array columns, and all nine configs.
-Pruned pairs (computed from their property rows) must equal the
-null-policy store's rows, and a grown store's gathers must equal a cold
-rebuild's.
+``build_pairs`` sets, rows of another universe of the same dataset,
+gather their own pairs' reference rows through either store.  Pruned
+pairs (computed from their property rows) must equal the null-policy
+store's rows, and a grown store's gathers must equal a cold rebuild's.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, PairFeatureStore
+from repro.data.pairs import PairSet, build_pairs
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +30,9 @@ def stores(tiny_headphones, tiny_embeddings):
     }
 
 
-def reference(store, rows, columns):
+def reference(store, pairs, columns):
     full = store.pipeline.pair_matrix(
-        store.table, *store.universe.ends(rows), FeatureConfig()
+        store.table, *pairs.universe.ends(pairs.rows), FeatureConfig()
     )
     return full[:, columns]
 
@@ -53,6 +55,25 @@ def row_cases(n):
     }
 
 
+def request_cases(store):
+    """Row subsets of the store's universe, plus ``build_pairs`` sets.
+
+    ``build_pairs`` enumerates its own null-policy universe of the same
+    dataset, a different object from any store's.
+    """
+    dataset = store.universe.dataset
+    cases = {
+        name: PairSet(store.universe, rows)
+        for name, rows in row_cases(len(store.universe)).items()
+    }
+    cases["build_pairs"] = build_pairs(dataset)
+    cases["build_pairs_across"] = build_pairs(
+        dataset, dataset.sources()[:3], within=False
+    )
+    assert cases["build_pairs"].universe is not store.universe
+    return cases
+
+
 def column_cases(width):
     """Slices and index arrays over a ``width``-column full matrix."""
     return {
@@ -73,10 +94,10 @@ COLUMN_CASES = list(column_cases(0))
 def test_gather_columns_equals_reference(stores, policy, columns):
     store = stores[policy]
     selection = column_cases(store.schema.total_width)[columns]
-    for rows in row_cases(len(store.universe)).values():
-        served = store.gather_columns(rows, selection)
+    for pairs in request_cases(store).values():
+        served = store.gather(pairs, selection)
         assert not served.flags.writeable
-        assert_bits_equal(served, reference(store, rows, selection))
+        assert_bits_equal(served, reference(store, pairs, selection))
 
 
 @pytest.mark.parametrize("policy", ["null", "minhash"])
@@ -84,9 +105,9 @@ def test_gather_columns_equals_reference(stores, policy, columns):
 def test_every_config_equals_reference(stores, policy, config):
     store = stores[policy]
     columns = store.schema.active_columns(config)
-    for rows in row_cases(len(store.universe)).values():
+    for pairs in request_cases(store).values():
         assert_bits_equal(
-            store.gather_columns(rows, columns), reference(store, rows, columns)
+            store.features(pairs, config), reference(store, pairs, columns)
         )
 
 
@@ -107,7 +128,6 @@ def test_pruned_pairs_equal_the_null_store_rows(stores):
     requests = [absent[:25], present[:25], absent[:10] + present[:10]]
     for config in FeatureConfig.grid():
         for request in requests:
-            assert blocked.rows_of(request) is None
             assert_bits_equal(
                 blocked.features(request, config), null.features(request, config)
             )
@@ -130,5 +150,6 @@ def test_with_source_gathers_equal_cold_rebuild(
     for rows in row_cases(len(cold.universe)).values():
         for columns in column_cases(cold.schema.total_width).values():
             assert_bits_equal(
-                grown.gather_columns(rows, columns), cold.gather_columns(rows, columns)
+                grown.gather(PairSet(grown.universe, rows), columns),
+                cold.gather(PairSet(cold.universe, rows), columns),
             )

@@ -83,14 +83,18 @@ class TestPairUniverse:
     def test_row_lookup_is_orientation_independent(self, tiny_headphones):
         universe = PairUniverse(tiny_headphones)
         pair = universe.pairs[3]
-        assert universe.row_of((pair.left, pair.right)) == 3
-        assert universe.row_of((pair.right, pair.left)) == 3
+        rows = universe.lookup_rows([(pair.left, pair.right), (pair.right, pair.left)])
+        assert rows.tolist() == [3, 3]
 
-    def test_foreign_pair_is_rejected(self, tiny_headphones, tiny_cameras):
+    def test_foreign_pair_is_rejected(
+        self, tiny_headphones, tiny_cameras, tiny_embeddings
+    ):
         universe = PairUniverse(tiny_headphones)
         foreign = PairUniverse(tiny_cameras).pairs[0]
+        assert universe.lookup_rows([foreign]).tolist() == [-1]
+        store = PairFeatureStore.build(tiny_headphones, tiny_embeddings, universe)
         with pytest.raises(ConfigurationError):
-            universe.row_of(foreign)
+            store.features([foreign], FeatureConfig())
 
     def test_lookup_rows_marks_pairs_without_a_row(
         self, tiny_headphones, tiny_cameras
@@ -113,9 +117,11 @@ class TestPairUniverse:
         grown = PairUniverse(tiny_headphones)
         old_rows = grown.rows_from(base)
         base_keys = {pair.key for pair in base.pairs}
+        base_rows = base.lookup_rows(grown.pairs)
         for row, pair in enumerate(grown.pairs):
             if pair.key in base_keys:
-                assert old_rows[row] == base.row_of(pair)
+                assert base_rows[row] >= 0
+                assert old_rows[row] == base_rows[row]
             else:
                 assert sources[-1] in (pair.left.source, pair.right.source)
                 assert old_rows[row] == -1
@@ -154,7 +160,8 @@ class TestPairFeatureStore:
         )
         sources = tiny_headphones.sources()
         pairs = universe.subset(sources[: len(sources) // 2], within=False)
-        rows = universe.rows_of(pairs.pairs)
+        rows = universe.lookup_rows(pairs.pairs)
+        assert (rows >= 0).all()
         for config in FeatureConfig.grid():
             np.testing.assert_array_equal(
                 store.features(pairs, config),

@@ -3,10 +3,13 @@
 ``prepare`` builds the matcher's :class:`PairFeatureStore` once; after
 that, training, scoring universe pairs and permutation importance are
 gathers from the store's tables -- no pipeline call, no name-distance
-kernel call and no new property table.  Only pairs a blocked universe
-pruned are computed from their property rows, and only when they are
-cross-source pairs of the store's own dataset: any other pair is
-rejected the same way under every candidate policy.
+kernel call and no new property table.  Only name pairs of pairs a
+blocked universe pruned reach the distance kernel, and only when the
+pairs are cross-source pairs of the store's own dataset: any other pair,
+or a pair set over another dataset, is rejected the same way under every
+candidate policy.  A pair set over another universe of the same dataset
+-- ``build_pairs``' sets in active learning and transfer -- is read by
+its property ends: no pair object is built and no row looked up.
 """
 
 import numpy as np
@@ -23,11 +26,16 @@ from repro.core import (
 )
 from repro.core.pipeline import FeaturePipeline
 from repro.data.model import PropertyRef
-from repro.data.pairs import LabeledPair, sample_training_pairs
+from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
+from repro.data.splits import split_sources
+from repro.datasets import build_domain_embeddings, load_dataset
 from repro.errors import ConfigurationError
+from repro.evaluation import run_transfer_experiment
+from repro.evaluation.active import run_active_learning
 from repro.nn.schedule import TrainingSchedule
 
 from tests.conftest import full_matrix
+from tests.core.test_pair_sets import pair_work  # noqa: F401 -- shared fixture
 
 LIGHT = LeapmeConfig(hidden_sizes=(8,), schedule=TrainingSchedule.constant(1, 1e-3))
 
@@ -120,15 +128,17 @@ def test_same_source_pairs_are_rejected_by_the_store(
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_foreign_pairs_are_rejected_by_the_store(
-    tiny_headphones, tiny_embeddings, policy
+    tiny_headphones, tiny_cameras, tiny_embeddings, policy
 ):
     store = PairFeatureStore.build(
         tiny_headphones, tiny_embeddings, policy=CandidatePolicy.from_label(policy)
     )
     known = tiny_headphones.properties()[0]
     foreign = (known, PropertyRef("elsewhere", "weight"))
-    with pytest.raises(ConfigurationError, match="cross-source universe"):
-        store.features([foreign], FeatureConfig())
+    # A pair set over another dataset's universe is foreign as a whole.
+    for request in ([foreign], build_pairs(tiny_cameras)):
+        with pytest.raises(ConfigurationError, match="cross-source universe"):
+            store.features(request, FeatureConfig())
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -148,3 +158,27 @@ def test_same_source_pairs_are_rejected_by_score_pairs(
     )
     with pytest.raises(ConfigurationError, match="cross-source universe"):
         matcher.score_pairs(tiny_headphones, [_same_source_pair(tiny_headphones)])
+
+
+def test_active_learning_and_transfer_build_no_pairs(
+    tiny_headphones, tiny_embeddings, pair_work
+):
+    """``build_pairs``' sets reach the matcher's store as property ends."""
+    rng = np.random.default_rng([7, 31])
+    train = list(split_sources(tiny_headphones, 0.6, rng).train_sources)
+    curve = run_active_learning(
+        LeapmeMatcher(tiny_embeddings, config=LIGHT),
+        tiny_headphones,
+        build_pairs(tiny_headphones, train, within=True),
+        build_pairs(tiny_headphones, train, within=False),
+        budgets=[10, 30, 50],
+        strategy="uncertainty",
+        rng=rng,
+    )
+    assert len(curve.f1_scores) == 3
+    phones = load_dataset("phones", scale="tiny", seed=0)
+    embeddings = build_domain_embeddings(["headphones", "phones"], scale="tiny")
+    run_transfer_experiment(
+        LeapmeMatcher(embeddings, config=LIGHT), tiny_headphones, phones, seed=3
+    )
+    assert pair_work == {"pairs": 0, "lookups": 0}

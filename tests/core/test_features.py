@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FeatureConfig, FeatureKinds, FeatureScope
+from repro.core.feature_cache import PairFeatureStore, PairUniverse
 from repro.core.instance_features import (
     NUM_META_FEATURES,
     instance_meta_features,
@@ -14,7 +15,7 @@ from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset, PropertyInstance, PropertyRef
 from repro.data.pairs import LabeledPair
 from repro.embeddings.hashing import hash_embeddings
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError
 
 from tests.conftest import direct_pair_matrix
 
@@ -81,22 +82,26 @@ class TestPropertyFeatureTable:
     def test_meta_is_instance_average(self, table, dataset):
         ref = PropertyRef("s1", "resolution")
         expected = instance_meta_matrix(dataset.values_of(ref)).mean(axis=0)
-        assert np.allclose(table.meta[table.row_of(ref)], expected)
+        assert np.allclose(table.meta[table.refs.index(ref)], expected)
 
     def test_name_embedding_matches_lookup(self, table, embeddings):
         ref = PropertyRef("s2", "megapixels")
         assert np.allclose(
-            table.name_embedding[table.row_of(ref)],
+            table.name_embedding[table.refs.index(ref)],
             embeddings.embed_text("megapixels"),
         )
 
-    def test_unknown_ref_raises(self, table):
-        with pytest.raises(DataError):
-            table.row_of(PropertyRef("nope", "nope"))
+    def test_unknown_ref_raises(self, table, dataset):
+        store = PairFeatureStore(table, PairUniverse(dataset))
+        unknown = (PropertyRef("nope", "nope"), PropertyRef("s1", "resolution"))
+        with pytest.raises(ConfigurationError):
+            store.features([unknown], FeatureConfig())
 
     def test_rows_of(self, table, dataset):
-        rows = table.rows_of(dataset.properties())
-        assert sorted(rows.tolist()) == [0, 1, 2]
+        # Table rows follow dataset.properties(), the order pair-universe
+        # property indices address.
+        assert table.refs == dataset.properties()
+        assert len(table) == 3
 
 
 class TestPairFeatureMatrix:

@@ -127,7 +127,9 @@ class TestSubsets:
         )
         assert new_pairs.universe is grown.universe
         assert all(sources[-1] in (p.left.source, p.right.source) for p in new_pairs)
-        np.testing.assert_array_equal(grown.rows_of(new_pairs), new_pairs.rows)
+        np.testing.assert_array_equal(
+            grown.universe.lookup_rows(new_pairs.pairs), new_pairs.rows
+        )
 
 
 class TestSampler:

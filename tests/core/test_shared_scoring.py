@@ -16,12 +16,14 @@ contiguous copy, so that is pinned here too.
 import numpy as np
 import pytest
 
-from repro.core import FeatureConfig, LeapmeMatcher
+from repro.blocking import CandidatePolicy
+from repro.core import FeatureConfig, LeapmeMatcher, PairFeatureStore
 from repro.core import classifier as classifier_module
 from repro.core.classifier import scoring_state
 from repro.core.matcher import score_together
-from repro.data.pairs import sample_training_pairs
+from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.data.splits import split_sources
+from repro.nn.network import ROW_BLOCK
 
 from tests.core.test_blocked_scoring import (  # noqa: F401 -- shared fixture
     CLASSIFIERS,
@@ -88,6 +90,35 @@ def test_mixed_kinds_in_one_pass_equal_whole_matrix_scores(headphones, members):
     _assert_oracle(
         store, matchers, test.pairs, score_together(matchers, dataset, test)
     )
+
+
+@pytest.mark.parametrize("kind", ["light", "classical-fallback"])
+def test_one_pass_over_pruned_pairs_equals_each_lone_score(headphones, kind):
+    """Pairs a blocked universe pruned join the shared pass too.
+
+    A pruned-pair list and a ``build_pairs`` set (rows of another
+    universe, pruned pairs among them) score in one pass over nine
+    configs; every member equals its own ``score_pairs``.
+    """
+    dataset, embeddings, _ = headphones
+    store = PairFeatureStore.build(
+        dataset, embeddings, policy=CandidatePolicy.from_label("minhash")
+    )
+    training, _ = _cell(dataset, store.universe, 0.8)
+    matchers = [
+        _fitted((dataset, embeddings, store), config, kind, training)
+        for config in GRID
+    ]
+    everything = build_pairs(dataset)
+    kept = {pair.key for pair in store.universe.pairs}
+    pruned = [pair for pair in everything.pairs if pair.key not in kept]
+    assert len(pruned) > ROW_BLOCK
+    for pairs in (pruned, everything):
+        shared = score_together(matchers, dataset, pairs)
+        for matcher, got in zip(matchers, shared):
+            assert np.array_equal(got, matcher.score_pairs(dataset, pairs)), (
+                f"{matcher.name} changed over {type(pairs).__name__}"
+            )
 
 
 def _count_blocks(monkeypatch) -> list:
