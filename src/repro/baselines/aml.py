@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import Matcher
+from repro.core.api import Matcher, Pairs, name_pairs, pair_ends
 from repro.data.model import Dataset
-from repro.data.pairs import LabeledPair
 from repro.text.jaro import jaro_winkler_similarity
 from repro.text.normalize import token_set
 
@@ -36,18 +35,9 @@ class AmlMatcher(Matcher):
 
     def __init__(self, threshold: float = 0.8) -> None:
         self.threshold = threshold
-        self._token_sets: dict[str, frozenset[str]] = {}
 
-    def _tokens(self, name: str) -> frozenset[str]:
-        cached = self._token_sets.get(name)
-        if cached is None:
-            cached = token_set(name)
-            self._token_sets[name] = cached
-        return cached
-
-    def _similarity(self, left: str, right: str) -> float:
-        tokens_left = self._tokens(left)
-        tokens_right = self._tokens(right)
+    @staticmethod
+    def _similarity(tokens_left: frozenset[str], tokens_right: frozenset[str]) -> float:
         if not tokens_left or not tokens_right:
             return 0.0
         if tokens_left == tokens_right:
@@ -62,8 +52,9 @@ class AmlMatcher(Matcher):
         # above threshold without promoting loose word overlaps.
         return max(overlap, 0.9 * string_sim)
 
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
-        scores = np.empty(len(pairs))
-        for i, pair in enumerate(pairs):
-            scores[i] = self._similarity(pair.left.name, pair.right.name)
-        return scores
+    def score_pairs(self, dataset: Dataset, pairs: Pairs) -> np.ndarray:
+        """Each distinct (ordered) name pair is scored once."""
+        names, distinct, inverse = name_pairs(*pair_ends(pairs))
+        tokens = {name: token_set(name) for name in names}
+        scores = [self._similarity(tokens[a], tokens[b]) for a, b in distinct]
+        return np.array(scores, dtype=np.float64)[inverse]

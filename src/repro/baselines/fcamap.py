@@ -24,9 +24,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.core.api import Matcher
+from repro.core.api import Matcher, Pairs, pair_ends
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair
 from repro.text.normalize import token_set
 
 
@@ -42,27 +41,26 @@ class FcaMapMatcher(Matcher):
         self._prepared_for: str | None = None
 
     def prepare(self, dataset: Dataset) -> None:
-        """Build the formal context and assign object concepts."""
-        intents: dict[frozenset[str], int] = {}
-        self._concept_of = {}
-        extents: dict[int, list[PropertyRef]] = defaultdict(list)
-        for ref in dataset.properties():
-            intent = token_set(ref.name)
-            concept = intents.setdefault(intent, len(intents))
-            self._concept_of[ref] = concept
-            extents[concept].append(ref)
-        self._prepared_for = dataset.name
+        """Build the formal context and assign object concepts.
 
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
-        if self._prepared_for != dataset.name:
-            self.prepare(dataset)
-        scores = np.zeros(len(pairs))
-        for i, pair in enumerate(pairs):
-            left = self._concept_of.get(pair.left)
-            right = self._concept_of.get(pair.right)
-            if left is not None and left == right:
-                scores[i] = 1.0
-        return scores
+        Keyed on the content fingerprint: a merged dataset keeps its name.
+        """
+        if self._prepared_for == dataset.fingerprint():
+            return
+        intents: dict[frozenset[str], int] = {}
+        self._concept_of = {
+            ref: intents.setdefault(token_set(ref.name), len(intents))
+            for ref in dataset.properties()
+        }
+        self._prepared_for = dataset.fingerprint()
+
+    def score_pairs(self, dataset: Dataset, pairs: Pairs) -> np.ndarray:
+        """1 where both ends share an object concept; a foreign ref gets 0."""
+        self.prepare(dataset)
+        refs, left, right = pair_ends(pairs)
+        concept = np.array([self._concept_of.get(ref, -1) for ref in refs], dtype=np.intp)
+        same = (concept[left] == concept[right]) & (concept[left] >= 0)
+        return same.astype(np.float64)
 
     def concepts(self) -> dict[int, list[PropertyRef]]:
         """The object concepts of the last prepared dataset (diagnostics)."""

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import Matcher
+from repro.core.api import Matcher, Pairs, pair_ends
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair
 from repro.errors import ConfigurationError
 
 # Re-exported for compatibility: the signature machinery moved to
@@ -27,6 +26,9 @@ from repro.errors import ConfigurationError
 # (and transitively the whole core) in its import graph.
 from repro.text.minhash import MinHasher, hash_token  # noqa: F401
 from repro.text.tokenize import tokenize
+
+#: Pairs compared per step (a 2 MiB signature block at 64 hashes).
+_PAIR_BLOCK = 4096
 
 
 class LshMatcher(Matcher):
@@ -47,37 +49,38 @@ class LshMatcher(Matcher):
         self.threshold = threshold
         self.band_size = band_size
         self._hasher = MinHasher(num_hashes=num_hashes, seed=seed)
-        self._signatures: dict[PropertyRef, np.ndarray] = {}
+        self._row_of: dict[PropertyRef, int] = {}
+        self._minhash = np.empty((0, num_hashes), dtype=np.int64)
         self._prepared_for: str | None = None
 
     def prepare(self, dataset: Dataset) -> None:
-        """Compute minhash signatures for every property's token set."""
-        self._signatures = {}
-        for ref in dataset.properties():
-            tokens: set[str] = set()
-            for value in dataset.values_of(ref):
-                tokens.update(token.lower() for token in tokenize(value))
-            self._signatures[ref] = self._hasher.signature(tokens)
-        self._prepared_for = dataset.name
+        """One minhash signature row per property's instance-token set.
 
-    def _candidate(self, sig_a: np.ndarray, sig_b: np.ndarray) -> bool:
-        """LSH banding: candidate when any band agrees fully."""
-        bands = len(sig_a) // self.band_size
-        for band in range(bands):
-            start = band * self.band_size
-            stop = start + self.band_size
-            if np.array_equal(sig_a[start:stop], sig_b[start:stop]):
-                return True
-        return False
+        Keyed on the content fingerprint: a merged dataset keeps its name.
+        """
+        if self._prepared_for == dataset.fingerprint():
+            return
+        properties = dataset.properties()
+        minhash = np.empty((len(properties), self._hasher.num_hashes), dtype=np.int64)
+        for row, ref in enumerate(properties):
+            values = dataset.values_of(ref)
+            tokens = {token.lower() for value in values for token in tokenize(value)}
+            minhash[row] = self._hasher.signature(tokens)
+        self._row_of = {ref: row for row, ref in enumerate(properties)}
+        self._minhash = minhash
+        self._prepared_for = dataset.fingerprint()
 
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
-        if self._prepared_for != dataset.name:
-            self.prepare(dataset)
-        scores = np.zeros(len(pairs))
-        for i, pair in enumerate(pairs):
-            sig_left = self._signatures[pair.left]
-            sig_right = self._signatures[pair.right]
-            if not self._candidate(sig_left, sig_right):
-                continue
-            scores[i] = self._hasher.estimate_jaccard(sig_left, sig_right)
+    def score_pairs(self, dataset: Dataset, pairs: Pairs) -> np.ndarray:
+        """Estimated Jaccard where any band agrees fully, else 0; foreign refs raise."""
+        self.prepare(dataset)
+        refs, left, right = pair_ends(pairs)
+        rows = np.array([self._row_of[ref] for ref in refs], dtype=np.intp)
+        left, right = rows[left], rows[right]
+        scores = np.zeros(len(left))
+        bands = self._minhash.shape[1] // self.band_size
+        for start in range(0, len(left), _PAIR_BLOCK):
+            stop = start + _PAIR_BLOCK
+            agree = self._minhash[left[start:stop]] == self._minhash[right[start:stop]]
+            candidate = agree.reshape(len(agree), bands, self.band_size).all(-1).any(-1)
+            scores[start:stop] = np.where(candidate, agree.mean(1), 0.0)
         return scores

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import Matcher
+from repro.core.api import Matcher, Pairs, name_pairs, pair_ends
+from repro.core.pipeline import name_distance_block
 from repro.data.model import Dataset
-from repro.data.pairs import LabeledPair, PairSet
+from repro.data.pairs import PairSet
 from repro.errors import ConfigurationError, NotFittedError
 from repro.ml.adaboost import AdaBoostClassifier
 from repro.ml.base import Classifier
@@ -25,7 +26,6 @@ from repro.ml.knn import KNeighborsClassifier
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.tree import DecisionTreeClassifier
 from repro.text.normalize import token_set
-from repro.text.similarity import name_distance_vector
 
 _CLASSIFIERS = {
     "adaboost": lambda: AdaBoostClassifier(n_estimators=40, max_depth=2),
@@ -35,15 +35,10 @@ _CLASSIFIERS = {
 }
 
 
-def _pair_features(left: str, right: str) -> np.ndarray:
-    distances = name_distance_vector(left, right)
-    tokens_left = token_set(left)
-    tokens_right = token_set(right)
+def _jaccard_distance(tokens_left: frozenset[str], tokens_right: frozenset[str]) -> float:
     if tokens_left or tokens_right:
-        jaccard = 1.0 - len(tokens_left & tokens_right) / len(tokens_left | tokens_right)
-    else:
-        jaccard = 0.0
-    return np.array(distances + [jaccard])
+        return 1.0 - len(tokens_left & tokens_right) / len(tokens_left | tokens_right)
+    return 0.0
 
 
 class NezhadiMatcher(Matcher):
@@ -61,20 +56,18 @@ class NezhadiMatcher(Matcher):
         self.classifier_kind = classifier
         self.threshold = threshold
         self._model: Classifier | None = None
-        self._cache: dict[tuple[str, str], np.ndarray] = {}
 
-    def _features(self, pairs: list[LabeledPair]) -> np.ndarray:
-        rows = np.empty((len(pairs), 9))
-        for i, pair in enumerate(pairs):
-            key = (pair.left.name, pair.right.name)
-            if key[0] > key[1]:
-                key = (key[1], key[0])
-            cached = self._cache.get(key)
-            if cached is None:
-                cached = _pair_features(*key)
-                self._cache[key] = cached
-            rows[i] = cached
-        return rows
+    @staticmethod
+    def _features(pairs: Pairs) -> np.ndarray:
+        """The 9 features of each pair, computed once per distinct name pair.
+
+        The eight distances come from the process-wide distance memo
+        (:func:`~repro.core.pipeline.name_distance_block`, float64).
+        """
+        names, distinct, inverse = name_pairs(*pair_ends(pairs), ordered=False)
+        tokens = {name: token_set(name) for name in names}
+        jaccard = [_jaccard_distance(tokens[a], tokens[b]) for a, b in distinct]
+        return np.column_stack([name_distance_block(distinct), jaccard])[inverse]
 
     @property
     def is_fitted(self) -> bool:
@@ -82,11 +75,11 @@ class NezhadiMatcher(Matcher):
         return self._model is not None
 
     def fit(self, dataset: Dataset, training_pairs: PairSet) -> None:
-        features = self._features(training_pairs.pairs)
+        features = self._features(training_pairs)
         self._model = _CLASSIFIERS[self.classifier_kind]()
         self._model.fit(features, training_pairs.labels())
 
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
+    def score_pairs(self, dataset: Dataset, pairs: Pairs) -> np.ndarray:
         if self._model is None:
             raise NotFittedError("NezhadiMatcher must be fitted before scoring")
         features = self._features(pairs)

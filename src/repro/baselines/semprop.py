@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.api import Matcher
-from repro.data.model import Dataset
-from repro.data.pairs import LabeledPair
+from repro.core.api import Matcher, Pairs, name_pairs, pair_ends
+from repro.data.model import Dataset, PropertyRef
 from repro.embeddings.base import WordEmbeddings, cosine
 from repro.errors import ConfigurationError
 from repro.text.ngrams import ngram_cosine_distance
@@ -66,36 +65,23 @@ class SemPropMatcher(Matcher):
         self.sema_positive = sema_positive
         self.threshold = threshold
         self.reciprocal_best = reciprocal_best
-        self._word_vectors: dict[str, list[np.ndarray]] = {}
 
-    def _vectors(self, name: str) -> list[np.ndarray]:
-        cached = self._word_vectors.get(name)
-        if cached is None:
-            cached = [self.embeddings.vector(word) for word in words(name)]
-            self._word_vectors[name] = cached
-        return cached
-
-    def _coherence(self, left: str, right: str) -> float:
+    @staticmethod
+    def _coherence(vectors_left: list, vectors_right: list) -> float:
         """Symmetric best-match coherence of the two names' word groups."""
-        vectors_left = self._vectors(left)
-        vectors_right = self._vectors(right)
         if not vectors_left or not vectors_right:
             return 0.0
 
-        def directed(sources: list[np.ndarray], targets: list[np.ndarray]) -> float:
-            best_scores = [
-                max(cosine(source, target) for target in targets)
-                for source in sources
-            ]
-            return float(np.mean(best_scores))
+        def directed(sources: list, targets: list) -> float:
+            return float(np.mean([max(cosine(s, t) for t in targets) for s in sources]))
 
         return min(
             directed(vectors_left, vectors_right),
             directed(vectors_right, vectors_left),
         )
 
-    def _score(self, left: str, right: str) -> float:
-        sema = self._coherence(left, right)
+    def _score(self, left: str, right: str, vectors: dict[str, list]) -> float:
+        sema = self._coherence(vectors[left], vectors[right])
         if sema >= self.sema_positive:
             # Semantic link; map [positive, 1] onto [threshold, 1] so any
             # accepted link clears the decision threshold.
@@ -111,16 +97,26 @@ class SemPropMatcher(Matcher):
             return self.threshold + (1.0 - self.threshold) * synm_similarity * 0.99
         return min(synm_similarity, self.threshold * 0.9)
 
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
-        scores = np.empty(len(pairs))
-        for i, pair in enumerate(pairs):
-            scores[i] = self._score(pair.left.name, pair.right.name)
+    def score_pairs(self, dataset: Dataset, pairs: Pairs) -> np.ndarray:
+        """Each distinct (ordered) name pair is scored once."""
+        refs, left, right = pair_ends(pairs)
+        names, distinct, inverse = name_pairs(refs, left, right)
+        vectors = {
+            name: [self.embeddings.vector(word) for word in words(name)] for name in names
+        }
+        distinct_scores = [self._score(a, b, vectors) for a, b in distinct]
+        scores = np.array(distinct_scores, dtype=np.float64)[inverse]
         if self.reciprocal_best:
-            return self._reciprocal_best(pairs, scores)
+            return self._reciprocal_best(refs, left, right, scores)
         return scores
 
     def _reciprocal_best(
-        self, pairs: list[LabeledPair], scores: np.ndarray, slack: float = 0.02
+        self,
+        refs: list[PropertyRef],
+        left: np.ndarray,
+        right: np.ndarray,
+        scores: np.ndarray,
+        slack: float = 0.02,
     ) -> np.ndarray:
         """Demote links that are not (near-)best for both endpoints.
 
@@ -128,19 +124,11 @@ class SemPropMatcher(Matcher):
         a pair whose score trails either directional best by more than
         ``slack`` is pushed below the decision threshold.
         """
-        best: dict[tuple, float] = {}
-        for pair, score in zip(pairs, scores):
-            for anchor, other in (
-                (pair.left, pair.right.source),
-                (pair.right, pair.left.source),
-            ):
-                key = (anchor, other)
-                if score > best.get(key, -1.0):
-                    best[key] = float(score)
-        adjusted = scores.copy()
-        for i, pair in enumerate(pairs):
-            left_best = best[(pair.left, pair.right.source)]
-            right_best = best[(pair.right, pair.left.source)]
-            if scores[i] < max(left_best, right_best) - slack:
-                adjusted[i] = min(scores[i], self.threshold * 0.9)
-        return adjusted
+        sources, source = np.unique([ref.source for ref in refs], return_inverse=True)
+        best = np.full((len(refs), len(sources)), -1.0)
+        np.maximum.at(best, (left, source[right]), scores)
+        np.maximum.at(best, (right, source[left]), scores)
+        leading = np.maximum(best[left, source[right]], best[right, source[left]])
+        return np.where(
+            scores < leading - slack, np.minimum(scores, self.threshold * 0.9), scores
+        )

@@ -12,9 +12,51 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.data.model import Dataset
+from repro.data.model import Dataset, PropertyRef
 from repro.data.pairs import LabeledPair, PairSet, build_pairs
 from repro.graph.simgraph import SimilarityGraph
+
+
+#: What a matcher scores: a pair set, or a list of pair objects.
+Pairs = PairSet | list[LabeledPair]
+
+
+def pair_ends(pairs: Pairs) -> tuple[list[PropertyRef], np.ndarray, np.ndarray]:
+    """``pairs`` as ``(refs, left, right)``: each pair's ends index ``refs``.
+
+    A :class:`PairSet` reads its universe's ends over the dataset's
+    sorted properties and builds no object; a pair list factorises its
+    own refs in its own orientation, so foreign refs keep their names.
+    """
+    if isinstance(pairs, PairSet):
+        return pairs.universe.dataset.properties(), *pairs.universe.ends(pairs.rows)
+    ids: dict[PropertyRef, int] = {}
+    flat = [
+        ids.setdefault(ref, len(ids)) for pair in pairs for ref in (pair.left, pair.right)
+    ]
+    ends = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    return list(ids), ends[:, 0], ends[:, 1]
+
+
+def name_pairs(
+    refs: list[PropertyRef], left: np.ndarray, right: np.ndarray, *, ordered: bool = True
+) -> tuple[list[str], list[tuple[str, str]], np.ndarray]:
+    """The distinct exact (not lowercased) name pairs of :func:`pair_ends`' output.
+
+    Returns ``(names, distinct, inverse)``: the distinct names, the
+    distinct name pairs, and the distinct pair of each request pair.
+    ``ordered=False`` puts the smaller name first.
+    """
+    names, ids = np.unique(
+        np.array([ref.name for ref in refs], dtype=object), return_inverse=True
+    )
+    first, second = ids[left], ids[right]
+    if not ordered:
+        first, second = np.minimum(first, second), np.maximum(first, second)
+    width = max(len(names), 1)
+    codes, inverse = np.unique(first * width + second, return_inverse=True)
+    distinct = [(names[code // width], names[code % width]) for code in codes.tolist()]
+    return names.tolist(), distinct, inverse
 
 
 class Matcher(ABC):
@@ -23,8 +65,9 @@ class Matcher(ABC):
     Lifecycle: :meth:`prepare` is called once per dataset (feature
     precomputation), :meth:`fit` once per training split (a no-op for
     unsupervised matchers) and :meth:`score_pairs` on any pair list or
-    :class:`PairSet`.  Pair arguments are only sized with ``len()``
-    and iterated.
+    :class:`PairSet`.  Matchers read a request as property indices
+    (:func:`pair_ends`, or a feature store's request path) and build no
+    pair object for a set; only :meth:`match` iterates the pairs.
     """
 
     #: Display name used in result tables.
@@ -84,14 +127,10 @@ class Matcher(ABC):
         return successor, merged, build_pairs(merged, dataset.sources(), within=False)
 
     @abstractmethod
-    def score_pairs(
-        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
-    ) -> np.ndarray:
+    def score_pairs(self, dataset: Dataset, pairs: Pairs) -> np.ndarray:
         """Similarity scores in [0, 1], aligned with ``pairs``."""
 
-    def match(
-        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
-    ) -> SimilarityGraph:
+    def match(self, dataset: Dataset, pairs: Pairs) -> SimilarityGraph:
         """Score pairs and collect them into a similarity graph."""
         scores = self.score_pairs(dataset, pairs)
         graph = SimilarityGraph()

@@ -61,7 +61,7 @@ from repro.data.model import Dataset, PropertyRef
 from repro.embeddings.base import WordEmbeddings
 from repro.errors import ConfigurationError, DataError
 from repro.text.batch import name_distance_rows, unique_lowered_pairs
-from repro.text.similarity import PAIR_DISTANCE_NAMES, name_distance_vector
+from repro.text.similarity import PAIR_DISTANCE_NAMES
 
 #: Storage dtype of all stage outputs and pair rows.
 FEATURE_DTYPE = np.float32
@@ -72,7 +72,7 @@ NUM_NAME_DISTANCES = len(PAIR_DISTANCE_NAMES)
 
 # ---------------------------------------------------------------------------
 # Memoised name distances (one cache shared by every layer: stores,
-# pruned pairs, benchmarks).
+# pruned pairs, the Nezhadi baseline, benchmarks).
 # ---------------------------------------------------------------------------
 
 #: Memoised distance vectors keyed on the (lowercased, sorted) name pair.
@@ -138,45 +138,20 @@ def flush_persistent_distances() -> bool:
     return _PERSISTENT_DISTANCES.save()
 
 
-def _canonical_name_pair(a: str, b: str) -> tuple[str, str]:
-    a = a.lower()
-    b = b.lower()
-    return (b, a) if a > b else (a, b)
-
-
-def name_distances(a: str, b: str) -> np.ndarray:
-    """Memoised, order-independent name distance vector."""
-    key = _canonical_name_pair(a, b)
-    cached = _DISTANCE_CACHE.get(key)
-    if cached is None:
-        cached = _DISTANCE_CACHE[key] = np.array(name_distance_vector(*key))
-        cached.setflags(write=False)
-        if _PERSISTENT_DISTANCES is not None:
-            _PERSISTENT_DISTANCES.record([key], [cached])
-        _evict_distance_overflow()
-    return cached
-
-
 def name_distance_block(
-    name_pairs: list[tuple[str, str]],
-    *,
-    dtype: np.dtype | type = np.float64,
-    out: np.ndarray | None = None,
-    counters: dict | None = None,
+    name_pairs: list[tuple[str, str]], *, counters: dict | None = None
 ) -> np.ndarray:
-    """Distance vectors for many name pairs, ``(n_pairs, 8)``.
+    """Float64 distance vectors for many name pairs, ``(n_pairs, 8)``.
 
     Cache-aware: each distinct canonical pair is probed once, pairs
     already memoised are served from the cache and only the missing
-    ones go through the batched kernel.  Pass ``out`` to fill a
-    preallocated block (its dtype wins over ``dtype``).  ``counters``,
+    ones go through the batched kernel.  ``counters``,
     when given, has ``"cache_hit"`` incremented by the number of rows
     served from the memo and ``"computed"`` by the rows that needed the
     kernel -- the split the pipeline surfaces as ``stage_calls`` so
     incremental work avoidance is assertable.
     """
-    n = len(name_pairs)
-    block = out if out is not None else np.empty((n, NUM_NAME_DISTANCES), dtype=dtype)
+    block = np.empty((len(name_pairs), NUM_NAME_DISTANCES))
     keys, inverse = unique_lowered_pairs(name_pairs)
     _scatter_distances(keys, inverse, block, counters)
     return block

@@ -17,8 +17,9 @@ import numpy as np
 
 from repro.core.api import Matcher
 from repro.data.model import Dataset
-from repro.data.pairs import build_pairs, sample_training_pairs
+from repro.data.pairs import sample_training_pairs
 from repro.evaluation.metrics import MatchQuality, evaluate_scores
+from repro.evaluation.runner import blocked_test_quality
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,21 @@ def run_transfer_experiment(
     """Train on all of ``source``, evaluate on all pairs of ``target``.
 
     The matcher must share one embedding space across both domains (build
-    it with ``build_domain_embeddings([source, target])``).
+    it with ``build_domain_embeddings([source, target])``).  Both sets are
+    its ``candidates``; the target's pruned true matches count as misses.
     """
     rng = np.random.default_rng([seed, 2207])
     if matcher.is_supervised:
         matcher.prepare(source)
-        candidates = build_pairs(source)
+        candidates = matcher.candidates(source)
         training = sample_training_pairs(candidates, negative_ratio, rng)
         matcher.fit(source, training)
     matcher.prepare(target)
-    test = build_pairs(target)
+    test = matcher.candidates(target)
     scores = matcher.score_pairs(target, test)
-    quality = evaluate_scores(scores, test.labels(), matcher.threshold)
+    quality = blocked_test_quality(
+        evaluate_scores(scores, test.labels(), matcher.threshold), test.universe, []
+    )
     return TransferResult(
         source_dataset=source.name,
         target_dataset=target.name,

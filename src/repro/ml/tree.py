@@ -177,11 +177,12 @@ class DecisionTreeClassifier(Classifier):
     # -- prediction ---------------------------------------------------------
     def _predict_proba(self, inputs: np.ndarray) -> np.ndarray:
         probs = np.empty((len(inputs), self._n_encoded_classes))
-        for i, row in enumerate(inputs):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            probs[i] = node.probabilities
+        routes = [(self._root, np.arange(len(inputs)))]
+        for node, rows in routes:  # splits append their children; leaves write last
+            probs[rows] = node.probabilities
+            if not node.is_leaf:
+                left = inputs[rows, node.feature] <= node.threshold
+                routes += [(node.left, rows[left]), (node.right, rows[~left])]
         return probs
 
     def depth(self) -> int:

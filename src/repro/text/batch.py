@@ -28,9 +28,9 @@ Four layers of work avoidance:
 * **batched Jaro-Winkler** -- the greedy window matching, transposition
   ranking and common-prefix boost run across a whole band at once.
 
-The scalar :func:`~repro.text.similarity.name_distance_vector` remains
-the reference implementation; ``tests/text/test_batch_distances.py``
-asserts exact (bit-level) equivalence on randomised unicode inputs.
+The scalar :func:`~repro.text.similarity.name_distance_vector` is only
+this kernel's test oracle (no ``src/`` scorer calls it);
+``tests/text/test_batch_distances.py`` asserts bit-level equivalence.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Registry of normalised name distances (Table I rows 8-15).
 
 LEAPME's pair feature vector contains eight string distances between the two
-property names.  :func:`name_distance_vector` computes them in a fixed,
-documented order so that feature indices are stable across runs, and
-:func:`normalized_distance` exposes each by name for baselines that want a
-single measure.
+property names.  :func:`name_distance_vector` computes them one pair at a
+time in a fixed, documented order; it is the test oracle of the batched
+kernel (:mod:`repro.text.batch`), which every ``src/`` caller goes through.
+:func:`normalized_distance` exposes each distance by name.
 
 All values are scaled into [0, 1] where 0 means identical; the three raw edit
 distances are normalised by the longer string length.

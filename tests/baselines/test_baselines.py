@@ -238,3 +238,27 @@ class TestLsh:
         # Instance-based matching is meaningfully better than chance on
         # the value-rich camera domain.
         assert quality.f1 > 0.3
+
+
+class TestPreparedStateFollowsContent:
+    """FCA-Map and LSH re-prepare when a dataset's content changes.
+
+    ``Dataset.merged_with`` keeps the base's name, so state keyed on the
+    name served the base's concepts and signatures to the merged
+    dataset: FCA-Map scored some pairs differently from a fresh
+    matcher, and LSH raised on the new source's first property.
+    """
+
+    @pytest.mark.parametrize("factory", [FcaMapMatcher, LshMatcher])
+    def test_merged_dataset_scores_like_a_fresh_matcher(self, tiny_headphones, factory):
+        sources = tiny_headphones.sources()
+        base = tiny_headphones.restrict_to_sources(sources[:-1])
+        merged = base.merged_with(tiny_headphones.restrict_to_sources(sources[-1:]))
+        assert merged.name == base.name
+        matcher = factory()
+        matcher.prepare(base)
+        pairs = build_pairs(merged)
+        np.testing.assert_array_equal(
+            matcher.score_pairs(merged, pairs), factory().score_pairs(merged, pairs)
+        )
+

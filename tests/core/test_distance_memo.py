@@ -16,7 +16,6 @@ from repro.core.pipeline import (
     enable_persistent_distances,
     flush_persistent_distances,
     name_distance_block,
-    name_distances,
 )
 from repro.text.distance_cache import DistanceCache
 from repro.text.similarity import name_distance_vector
@@ -44,10 +43,10 @@ class TestBoundedMemo:
 
     def test_eviction_is_first_in_first_out(self, monkeypatch):
         monkeypatch.setattr(pipeline_module, "_DISTANCE_MEMO_CAP", 4)
-        for a, b in _pairs(4):
-            name_distances(a, b)
+        for pair in _pairs(4):
+            name_distance_block([pair])
         oldest = next(iter(pipeline_module._DISTANCE_CACHE))
-        name_distances("fresh", "entry")
+        name_distance_block([("fresh", "entry")])
         assert oldest not in pipeline_module._DISTANCE_CACHE
         assert len(pipeline_module._DISTANCE_CACHE) == 4
 
@@ -59,10 +58,10 @@ class TestBoundedMemo:
 
     def test_evicted_pairs_are_recomputed_identically(self, monkeypatch):
         monkeypatch.setattr(pipeline_module, "_DISTANCE_MEMO_CAP", 2)
-        first = np.array(name_distances("height", "width"))
+        first = name_distance_block([("height", "width")])[0]
         name_distance_block(_pairs(10))  # evicts the first entry
         np.testing.assert_array_equal(
-            name_distances("height", "width"), first
+            name_distance_block([("height", "width")])[0], first
         )
 
 
@@ -126,10 +125,10 @@ class TestPersistentWiring:
             row, np.array(name_distance_vector("resolution", "resolution dpi"))
         )
 
-    def test_scalar_path_records_to_the_persistent_cache(self, tmp_path):
+    def test_single_pair_block_records_to_the_persistent_cache(self, tmp_path):
         path = tmp_path / "distances.npz"
         enable_persistent_distances(path)
-        name_distances("Gain", "gain db")
+        name_distance_block([("Gain", "gain db")])
         assert flush_persistent_distances()
         assert ("gain", "gain db") in DistanceCache(path)
 

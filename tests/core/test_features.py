@@ -10,7 +10,7 @@ from repro.core.instance_features import (
     instance_meta_features,
     instance_meta_matrix,
 )
-from repro.core.pipeline import NUM_NAME_DISTANCES, FeatureSchema, name_distances
+from repro.core.pipeline import NUM_NAME_DISTANCES, FeatureSchema, name_distance_block
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset, PropertyInstance, PropertyRef
 from repro.data.pairs import LabeledPair
@@ -173,7 +173,7 @@ class TestPairFeatureMatrix:
             [(PropertyRef("s1", "resolution"), PropertyRef("s2", "megapixels"))],
             config,
         )
-        identical = name_distances("resolution", "resolution")
+        identical = name_distance_block([("resolution", "resolution")])[0]
         assert np.allclose(identical, 0.0)
         assert (same > 0).any()
 

@@ -101,6 +101,53 @@ class TestDecisionTree:
         assert (tree.predict(inputs) == labels).mean() > 0.95
 
 
+def _walked_proba(tree, inputs):
+    """The per-row walk prediction once was: one root-to-leaf path per row."""
+    probs = np.empty((len(inputs), tree._n_encoded_classes))
+    for i, row in enumerate(inputs):
+        node = tree._root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        probs[i] = node.probabilities
+    return probs
+
+
+def _thresholds(node):
+    if node.is_leaf:
+        return []
+    return [node.threshold, *_thresholds(node.left), *_thresholds(node.right)]
+
+
+class TestRoutedPrediction:
+    """Index-array routing equals the per-row walk, bit for bit."""
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 8, None])
+    def test_random_inputs(self, rng, max_depth):
+        inputs = rng.standard_normal((300, 4))
+        labels = rng.integers(0, 3, size=300)
+        tree = DecisionTreeClassifier(max_depth=max_depth).fit(inputs, labels)
+        queries = rng.standard_normal((500, 4))
+        assert np.array_equal(tree._predict_proba(queries), _walked_proba(tree, queries))
+
+    def test_ties_at_the_threshold(self, rng):
+        inputs, labels = _xor(rng)
+        inputs = np.round(inputs, 1)
+        tree = DecisionTreeClassifier(max_depth=5).fit(inputs, labels)
+        cuts = np.array(_thresholds(tree._root))
+        assert len(cuts) > 1
+        queries = rng.choice(cuts, size=(400, 2))
+        queries[::3] = np.nextafter(queries[::3], np.inf)
+        routed = tree._predict_proba(queries)
+        assert np.array_equal(routed, _walked_proba(tree, queries))
+
+    def test_single_leaf_tree(self, rng):
+        tree = DecisionTreeClassifier().fit(rng.standard_normal((20, 2)), np.ones(20, dtype=int))
+        assert tree.node_count() == 1
+        queries = rng.standard_normal((7, 2))
+        assert np.array_equal(tree._predict_proba(queries), _walked_proba(tree, queries))
+        assert tree._predict_proba(queries[:0]).shape == (0, 1)
+
+
 class TestAdaBoost:
     def test_fits_separable_data(self, rng):
         inputs, labels = _blobs(rng)
