@@ -65,6 +65,11 @@ def direct_pair_matrix(table, pairs, config):
     return table.pipeline.pair_matrix(table, left, right, config)
 
 
+def pair_request(dataset, pairs):
+    """Pair objects as a request ``score_pairs`` takes, in their orientation."""
+    return list(pairs)
+
+
 def full_matrix(store):
     """Every universe row of ``store`` at full width, one gather."""
     return store.gather(store.universe.subset(), slice(None))
