@@ -143,12 +143,6 @@ class CallGraph:
 
         visit(ctx.tree, None, module, None)
 
-    def class_exists(self, module: str, name: str) -> bool:
-        return (module, name) in self._classes
-
-    def class_def(self, module: str, name: str) -> ast.ClassDef | None:
-        return self._classes.get((module, name))
-
     def classes(self):
         """Iterate ``((module, class name), ClassDef)`` pairs."""
         return self._classes.items()

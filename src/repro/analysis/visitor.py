@@ -109,15 +109,6 @@ class ModuleContext:
     def parent(self, node: ast.AST) -> ast.AST | None:
         return self._parents.get(id(node))
 
-    def enclosing_function(self, node: ast.AST) -> ast.AST | None:
-        """Nearest enclosing function/async-function definition, if any."""
-        current = self.parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return current
-            current = self.parent(current)
-        return None
-
     def top_level_function(self, node: ast.AST) -> ast.AST | None:
         """The outermost function definition containing ``node``."""
         found = None

@@ -82,10 +82,6 @@ class WordEmbeddings:
         """Cosine similarity of two words' vectors (0.0 when either is zero)."""
         return cosine(self.vector(a), self.vector(b))
 
-    def text_similarity(self, a: str, b: str) -> float:
-        """Cosine similarity of the averaged text embeddings."""
-        return cosine(self.embed_text(a), self.embed_text(b))
-
     def nearest(self, word: str, k: int = 5) -> list[tuple[str, float]]:
         """The ``k`` vocabulary words most cosine-similar to ``word``.
 

@@ -271,8 +271,3 @@ class IngestPipeline:
             "clusters": clusters,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @property
-    def fused_batches(self) -> int:
-        """Batches fused so far (the journal's ``order`` counter)."""
-        return self._fused_batches
