@@ -56,7 +56,7 @@ def test_bench_blocking_tradeoff(benchmark):
             # Score only the surviving held-out pairs.
             candidates = universe.subset(train_sources, within=False)
             start = time.perf_counter()
-            scores = matcher.score_pairs(dataset, candidates.pairs)
+            scores = matcher.score_pairs(dataset, candidates)
             scoring_seconds = time.perf_counter() - start
             match_quality = evaluate_scores(scores, candidates.labels(), matcher.threshold)
             # Pairs pruned by blocking are implicit non-matches: recall is

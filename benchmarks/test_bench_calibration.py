@@ -43,7 +43,7 @@ def test_bench_operating_points(benchmark):
             test = build_pairs(dataset, list(split.train_sources), within=False)
             matcher = LeapmeMatcher(embeddings)
             matcher.fit(dataset, training)
-            scores = matcher.score_pairs(dataset, test.pairs)
+            scores = matcher.score_pairs(dataset, test)
             labels = test.labels()
             curve = precision_recall_curve(scores, labels)
             best_f1, best_threshold = curve.best_f1()

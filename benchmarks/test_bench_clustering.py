@@ -40,7 +40,7 @@ def test_bench_clustering_strategies(benchmark):
     )
     matcher = LeapmeMatcher(embeddings)
     matcher.fit(dataset, training)
-    graph = matcher.match(dataset, build_pairs(dataset).pairs)
+    graph = matcher.match(dataset, build_pairs(dataset))
 
     def run():
         return {

@@ -126,7 +126,7 @@ def test_bench_engine_cell_scoring(benchmark):
     )
     matcher.attach_store(store)
     matcher.fit(dataset, training)
-    scores = benchmark(lambda: matcher.score_pairs(dataset, test.pairs))
+    scores = benchmark(lambda: matcher.score_pairs(dataset, test))
     assert scores.shape == (len(test),)
     assert np.isfinite(scores).all()
 

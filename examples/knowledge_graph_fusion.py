@@ -44,7 +44,7 @@ def main() -> None:
     matcher.fit(dataset, training)
 
     all_pairs = build_pairs(dataset)
-    graph = matcher.match(dataset, all_pairs.pairs)
+    graph = matcher.match(dataset, all_pairs)
     print(f"similarity graph: {len(graph)} scored pairs, "
           f"{len(graph.matches(0.5))} matches at threshold 0.5\n")
 

@@ -62,7 +62,7 @@ def main() -> None:
     matcher = LeapmeMatcher(embeddings)
     matcher.prepare(dataset)
     matcher.fit(dataset, training)
-    scores = matcher.score_pairs(dataset, test.pairs)
+    scores = matcher.score_pairs(dataset, test)
 
     quality = evaluate_scores(scores, test.labels())
     print(

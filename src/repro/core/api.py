@@ -13,29 +13,21 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair, PairSet, build_pairs
+from repro.data.pairs import PairSet, build_pairs
 from repro.graph.simgraph import SimilarityGraph
 
 
-#: What a matcher scores: a pair set, or a list of pair objects.
-Pairs = PairSet | list[LabeledPair]
+#: What a matcher scores.
+Pairs = PairSet
 
 
 def pair_ends(pairs: Pairs) -> tuple[list[PropertyRef], np.ndarray, np.ndarray]:
     """``pairs`` as ``(refs, left, right)``: each pair's ends index ``refs``.
 
-    A :class:`PairSet` reads its universe's ends over the dataset's
-    sorted properties and builds no object; a pair list factorises its
-    own refs in its own orientation, so foreign refs keep their names.
+    ``refs`` are the dataset's sorted properties and the ends are read
+    from the set's universe in its own orientation; no object is built.
     """
-    if isinstance(pairs, PairSet):
-        return pairs.universe.dataset.properties(), *pairs.universe.ends(pairs.rows)
-    ids: dict[PropertyRef, int] = {}
-    flat = [
-        ids.setdefault(ref, len(ids)) for pair in pairs for ref in (pair.left, pair.right)
-    ]
-    ends = np.array(flat, dtype=np.intp).reshape(-1, 2)
-    return list(ids), ends[:, 0], ends[:, 1]
+    return pairs.universe.dataset.properties(), *pairs.ends()
 
 
 def name_pairs(
@@ -64,10 +56,12 @@ class Matcher(ABC):
 
     Lifecycle: :meth:`prepare` is called once per dataset (feature
     precomputation), :meth:`fit` once per training split (a no-op for
-    unsupervised matchers) and :meth:`score_pairs` on any pair list or
-    :class:`PairSet`.  Matchers read a request as property indices
-    (:func:`pair_ends`, or a feature store's request path) and build no
-    pair object for a set; only :meth:`match` iterates the pairs.
+    unsupervised matchers) and :meth:`score_pairs` on any
+    :class:`PairSet` of the dataset: rows of a candidate universe, or
+    pairs a caller names (:func:`~repro.data.pairs.explicit_pairs`).
+    Matchers read a request as property indices (:func:`pair_ends`, or
+    a feature store's request path) and build no pair object; only
+    :meth:`match` iterates the pairs.
     """
 
     #: Display name used in result tables.

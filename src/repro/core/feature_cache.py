@@ -19,9 +19,9 @@ is the null-policy universe's subset.
 row is a function of two property rows (their absolute difference,
 Table I row 7) and of the pair's name row (rows 8-15), so the store
 keeps the property rows and one distance row per distinct name pair.
-Every request -- a pair set over any universe of the dataset, or a pair
-list -- resolves once to two property rows and a name row per pair, and
-its (rows, columns) blocks are computed on gather.
+Every request -- a pair set over the store's universe or over other
+pairs of the dataset -- resolves once to two property rows and a name
+row per pair, and its (rows, columns) blocks are computed on gather.
 
 Stores are keyed by the dataset's content fingerprint: a store never
 answers for a dataset it was not built from, and it never changes after
@@ -45,20 +45,8 @@ from repro.core.config import FeatureConfig
 from repro.core.pipeline import FEATURE_DTYPE, NUM_NAME_DISTANCES
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import (
-    LabeledPair,
-    PairSet,
-    cross_source_index_pairs,
-    source_block_bounds,
-)
+from repro.data.pairs import PairSet, PropertyPairs, cross_source_index_pairs
 from repro.errors import ConfigurationError
-
-
-#: Pairs as objects or as ``(left, right)`` ref tuples.
-PairList = list[LabeledPair] | list[tuple[PropertyRef, PropertyRef]]
-#: What a store serves: a pair set over any universe of its dataset, or
-#: a pair list.
-Request = PairSet | PairList
 
 
 def _positions_in(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -69,7 +57,7 @@ def _positions_in(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(sorted_keys[positions] == keys, positions, -1).astype(np.intp)
 
 
-class PairUniverse:
+class PairUniverse(PropertyPairs):
     """The candidate cross-source pairs of a dataset, enumerated once.
 
     Candidate generation is policy-driven: under the default ``null``
@@ -87,9 +75,9 @@ class PairUniverse:
     sorted, so row lookup is one ``searchsorted``.
 
     The universe holds arrays only: the keys, a label per row and the
-    sorted property refs.  Every :class:`PairSet` is a row array over a
-    universe (:meth:`subset`), and :class:`LabeledPair` objects are
-    built only for the rows a caller asks for (:meth:`pairs_at`).
+    sorted property refs.  A :class:`PairSet` of its candidates is a
+    row array over it (:meth:`subset`), and pair objects are built only
+    for the rows a caller asks for (:meth:`pairs_at`).
     """
 
     def __init__(
@@ -100,11 +88,10 @@ class PairUniverse:
         embeddings=None,
         blocker: Blocker | None = None,
     ) -> None:
-        self.dataset = dataset
-        self.dataset_fingerprint = dataset.fingerprint()
+        super().__init__(dataset)
         self.policy = policy if policy is not None else CandidatePolicy.null()
         self._all_sources = set(dataset.sources())
-        properties = dataset.properties()
+        properties = self._refs.tolist()
         if self.policy.is_null:
             # The exact-equivalence path: lexicographic (i, j) index
             # order is the seed nested-loop enumeration order.
@@ -121,41 +108,13 @@ class PairUniverse:
         self._index_of: dict[PropertyRef, int] = {
             ref: index for index, ref in enumerate(properties)
         }
-        bounds = source_block_bounds(properties)
-        self._block_sizes = [end - start for start, end in bounds]
-        #: Source name of each source id; ``_property_source[i]`` is the
-        #: source id of property ``i`` (sources sort as their blocks do).
-        self._source_names = [properties[start].source for start, _ in bounds]
-        self._property_source = np.repeat(
-            np.arange(len(bounds), dtype=np.intp), self._block_sizes
-        )
         ends = np.fromiter(chain.from_iterable(index_pairs), dtype=np.int64)
         ends = ends.reshape(-1, 2)
         left, right = ends[:, 0], ends[:, 1]
         self._keys = left * len(properties) + right
         self._keys.setflags(write=False)
-        # Dataset.is_match over index arrays: both ends aligned to the
-        # same reference property, in two different sources.
-        reference_ids: dict[str, int] = {}
-        reference = np.array(
-            [
-                -1
-                if (aligned := dataset.reference_of(ref)) is None
-                else reference_ids.setdefault(aligned, len(reference_ids))
-                for ref in properties
-            ],
-            dtype=np.int64,
-        )
-        labels = (
-            (reference[left] >= 0)
-            & (reference[left] == reference[right])
-            & (self._property_source[left] != self._property_source[right])
-        )
         #: Ground truth of each row, read-only.
-        self.labels = labels
-        self.labels.setflags(write=False)
-        self._refs = np.empty(len(properties), dtype=object)
-        self._refs[:] = properties
+        self.labels = self._labels_of(left, right)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -169,20 +128,6 @@ class PairUniverse:
         keys = self._keys if rows is None else self._keys[rows]
         width = max(len(self._index_of), 1)
         return keys // width, keys % width
-
-    def sides(self, rows: np.ndarray) -> tuple[list[PropertyRef], list[PropertyRef]]:
-        """Left and right property refs of universe ``rows``."""
-        left, right = self.ends(rows)
-        return self._refs[left].tolist(), self._refs[right].tolist()
-
-    def pairs_at(self, rows: np.ndarray) -> list[LabeledPair]:
-        """The :class:`LabeledPair` objects of universe ``rows``, built now."""
-        return list(map(LabeledPair, *self.sides(rows), self.labels[rows].tolist()))
-
-    @property
-    def pairs(self) -> list[LabeledPair]:
-        """Every candidate pair as an object, built afresh on each access."""
-        return self.pairs_at(np.arange(len(self)))
 
     def _selected(self, sources: list[str] | None) -> set[str]:
         if sources is None:
@@ -268,35 +213,15 @@ class PairUniverse:
         kept_true = int(self.labels[self._rows_in(sources, within)].sum())
         return slice_true - kept_true
 
-    def ends_of(self, pairs: PairList) -> tuple[np.ndarray, np.ndarray]:
-        """Property indices ``(left, right)`` of pair objects or ref tuples.
-
-        One walk over the pairs, in their own orientation; a property
-        foreign to the dataset has index ``-1``.
-        """
-        get = self._index_of.get
-        ends = np.array(
-            [
-                (get(pair.left, -1), get(pair.right, -1))
-                if isinstance(pair, LabeledPair)
-                else (get(pair[0], -1), get(pair[1], -1))
-                for pair in pairs
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        return ends[:, 0], ends[:, 1]
-
-    def lookup_rows(self, pairs: PairList) -> np.ndarray:
+    def lookup_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Universe row of each (unordered) pair, ``-1`` where it has none.
 
-        A pair has no row when either property is foreign to the
-        dataset, both sit in one source, or the policy pruned it.
+        ``left`` and ``right`` index ``dataset.properties()``.  A pair
+        has no row when both ends sit in one source or the policy
+        pruned it.
         """
-        left, right = self.ends_of(pairs)
         low, high = np.minimum(left, right), np.maximum(left, right)
-        rows = _positions_in(self._keys, low * len(self._index_of) + high)
-        rows[low < 0] = -1
-        return rows
+        return _positions_in(self._keys, low * len(self._index_of) + high)
 
     def rows_from(self, previous: "PairUniverse") -> np.ndarray:
         """Row of each of this universe's pairs in ``previous``, or ``-1``.
@@ -331,13 +256,16 @@ class PairFeatureStore:
     No pair matrix: the store keeps the property rows in full-matrix
     columns (397 on cameras) and one float32 distance row per distinct
     name pair of the universe (17,987 × 8), which each universe row
-    addresses through an int32 id.  Every request -- a pair set over
-    any universe of the dataset, or a pair list that may hold pairs a
-    blocked universe pruned -- resolves once to left and right property
-    rows and a name row per pair, and every gather computes from those
-    by :meth:`~repro.core.pipeline.FeatureSchema.pair_rows`.  The store
-    keeps no per-request state, so concurrent readers share it without
-    a lock; its tables and every served matrix are read-only.
+    addresses through an int32 id.  A request is a :class:`PairSet`
+    over this store's universe or over other pairs of the same dataset:
+    another universe's, or explicit pairs
+    (:func:`~repro.data.pairs.explicit_pairs`) that may hold pairs a
+    blocked universe pruned.  It resolves once to left and right
+    property rows and a name row per pair, and every gather computes
+    from those by :meth:`~repro.core.pipeline.FeatureSchema.pair_rows`.
+    The store keeps no per-request state, so concurrent readers share
+    it without a lock; its tables and every served matrix are
+    read-only.
     """
 
     def __init__(
@@ -448,37 +376,23 @@ class PairFeatureStore:
         return grown, PairSet(universe, new_rows)
 
     def _resolve(
-        self, pairs: Request
+        self, pairs: PairSet
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``pairs`` as property rows, name-pair ids and the name table.
 
-        The one place a request's kind matters.  A :class:`PairSet`
-        over this store's universe reads its rows' ends and name ids; a
-        set over another universe of the same dataset reads its own
-        universe's ends; a pair list is looked up once in the property
-        index (:meth:`PairUniverse.ends_of`).  The last two find their
-        name ids by name-pair code; a name pair the table lacks (only
-        pairs a blocked universe pruned can have one) goes through the
-        distance memo into rows appended to this request's table.  Every
-        pair must join two of the dataset's properties in different
-        sources: anything else -- a set over another dataset included --
-        raises :class:`ConfigurationError`, on every policy.
+        The one place a request's kind matters.  A set over another
+        dataset raises :class:`ConfigurationError`, on every policy.  A
+        set over this store's universe reads its rows' name ids.  Any
+        other set of the dataset finds its name ids by name-pair code; a
+        name pair the table lacks (only pairs a blocked universe pruned
+        can have one) goes through the distance memo into rows appended
+        to this request's table.
         """
-        universe = self.universe
-        if isinstance(pairs, PairSet):
-            if pairs.universe is universe:
-                left, right = universe.ends(pairs.rows)
-                return left, right, self._name_pair[pairs.rows], self._name_rows
-            if pairs.universe.dataset_fingerprint != self.dataset_fingerprint:
-                raise self._not_in_universe()
-            left, right = pairs.universe.ends(pairs.rows)
-        else:
-            left, right = universe.ends_of(pairs)
-            source = universe._property_source
-            if ((left < 0) | (right < 0)).any() or (
-                source[left] == source[right]
-            ).any():
-                raise self._not_in_universe()
+        if pairs.universe.dataset_fingerprint != self.dataset_fingerprint:
+            raise self._not_in_universe()
+        left, right = pairs.ends()
+        if pairs.universe is self.universe:
+            return left, right, self._name_pair[pairs.rows], self._name_rows
         names = _positions_in(self._codes, self.table.name_codes(left, right))
         absent = np.flatnonzero(names < 0)
         if len(absent) == 0:
@@ -498,7 +412,7 @@ class PairFeatureStore:
         )
 
     def block_reader(
-        self, pairs: Request, columns
+        self, pairs: PairSet, columns
     ) -> tuple[int, Callable[[int, int], np.ndarray]]:
         """Resolve ``pairs`` once: their count and a reader of their rows.
 
@@ -523,11 +437,11 @@ class PairFeatureStore:
 
         return len(left), read
 
-    def gather(self, pairs: Request, columns) -> np.ndarray:
+    def gather(self, pairs: PairSet, columns) -> np.ndarray:
         """Read-only matrix of ``pairs`` over full-matrix ``columns``."""
         count, read = self.block_reader(pairs, columns)
         return read(0, count)
 
-    def features(self, pairs: Request, config: FeatureConfig) -> np.ndarray:
+    def features(self, pairs: PairSet, config: FeatureConfig) -> np.ndarray:
         """Read-only feature matrix for ``pairs`` under ``config``."""
         return self.gather(pairs, self.schema.active_columns(config))

@@ -23,7 +23,7 @@ from repro.core.config import FeatureConfig, LeapmeConfig
 from repro.core.pipeline import FeaturePipeline, FeatureSchema
 from repro.core.property_features import PropertyFeatureTable
 from repro.data.model import Dataset
-from repro.data.pairs import LabeledPair, PairSet
+from repro.data.pairs import PairSet
 from repro.embeddings.base import WordEmbeddings
 from repro.errors import NotFittedError
 
@@ -163,9 +163,7 @@ class LeapmeMatcher(Matcher):
         self._classifier.fit(features, labels)
         self.last_degradation = getattr(self._classifier, "degradation", None)
 
-    def score_pairs(
-        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
-    ) -> np.ndarray:
+    def score_pairs(self, dataset: Dataset, pairs: PairSet) -> np.ndarray:
         """Positive-class probabilities for candidate pairs.
 
         The one-member case of :func:`score_together`: the store
@@ -180,9 +178,7 @@ class LeapmeMatcher(Matcher):
         (scores,) = score_together([self], dataset, pairs)
         return scores
 
-    def predict(
-        self, dataset: Dataset, pairs: PairSet | list[LabeledPair]
-    ) -> np.ndarray:
+    def predict(self, dataset: Dataset, pairs: PairSet) -> np.ndarray:
         """Boolean match decisions at the configured decision threshold."""
         return self.score_pairs(dataset, pairs) >= self.threshold
 
@@ -229,7 +225,7 @@ class LeapmeMatcher(Matcher):
 def score_together(
     matchers: list[LeapmeMatcher],
     dataset: Dataset,
-    pairs: PairSet | list[LabeledPair],
+    pairs: PairSet,
 ) -> list[np.ndarray]:
     """Each fitted matcher's :meth:`~LeapmeMatcher.score_pairs` scores.
 
@@ -256,9 +252,7 @@ def score_together(
     return scores
 
 
-def _score_on_store(
-    matchers: list[LeapmeMatcher], pairs: PairSet | list[LabeledPair]
-) -> list[np.ndarray]:
+def _score_on_store(matchers: list[LeapmeMatcher], pairs: PairSet) -> list[np.ndarray]:
     """One shared score pass over the matchers' common store."""
     store = matchers[0]._store
     columns, width, positions = _column_union(

@@ -102,6 +102,7 @@ class Dataset:
         self._instances_by_ref: dict[PropertyRef, list[PropertyInstance]] = defaultdict(list)
         for instance in self.instances:
             self._instances_by_ref[instance.ref].append(instance)
+        self._sorted_refs = sorted(self._instances_by_ref)
         unknown = [ref for ref in self.alignment if ref not in self._instances_by_ref]
         if unknown:
             sample = ", ".join(str(ref) for ref in unknown[:3])
@@ -173,10 +174,9 @@ class Dataset:
 
     def properties(self, source: str | None = None) -> list[PropertyRef]:
         """All properties, optionally restricted to one source, sorted."""
-        refs = self._instances_by_ref.keys()
         if source is not None:
-            refs = (ref for ref in refs if ref.source == source)
-        return sorted(refs)
+            return [ref for ref in self._sorted_refs if ref.source == source]
+        return list(self._sorted_refs)
 
     def schema_of(self, source: str) -> list[str]:
         """The class schema of a source: its distinct property names."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,23 +38,120 @@ class LabeledPair:
         return frozenset((self.left, self.right))
 
 
-class PairSet:
-    """Labelled pairs: rows of a pair universe.
+class PropertyPairs:
+    """Pairs of one dataset's properties as index arrays: a set's universe.
 
-    Every set is made by
-    :meth:`repro.core.feature_cache.PairUniverse.subset` (which
-    :func:`build_pairs` wraps), sampled from one or selected from one:
-    it carries its ``universe`` and a read-only ``intp`` array of
-    universe ``rows``.  Its labels gather from the universe's label
-    array, and :class:`LabeledPair` objects are built only for a caller
-    that asks for them -- baselines, CSV/JSON output or the graph; the
-    LEAPME path reads rows and labels only, and a feature store reads a
-    set over any universe of its dataset by the rows' property ends.
+    Row ``r`` joins the properties ``ends(r)`` indexes in
+    ``dataset.properties()``.  Subclasses define ``ends`` and set a
+    read-only ``labels``: :class:`repro.core.feature_cache.PairUniverse`
+    enumerates candidates, :class:`ExplicitPairs` holds pairs a caller
+    names.  Refs, labels and :class:`LabeledPair` objects are built here.
+    """
+
+    def __init__(self, dataset: Dataset) -> None:
+        self.dataset = dataset
+        self.dataset_fingerprint = dataset.fingerprint()
+        properties = dataset.properties()
+        bounds = source_block_bounds(properties)
+        self._block_sizes = [end - start for start, end in bounds]
+        #: Source name of each source id; ``_property_source[i]`` is the
+        #: source id of property ``i`` (sources sort as their blocks do).
+        self._source_names = [properties[start].source for start, _ in bounds]
+        self._property_source = np.repeat(
+            np.arange(len(bounds), dtype=np.intp), self._block_sizes
+        )
+        self._refs = np.empty(len(properties), dtype=object)
+        self._refs[:] = properties
+
+    def _labels_of(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """:meth:`Dataset.is_match` over index arrays, read-only."""
+        reference_ids: dict[str, int] = {}
+        reference = np.array(
+            [
+                -1
+                if (aligned := self.dataset.reference_of(ref)) is None
+                else reference_ids.setdefault(aligned, len(reference_ids))
+                for ref in self._refs.tolist()
+            ],
+            dtype=np.int64,
+        )
+        labels = (
+            (reference[left] >= 0)
+            & (reference[left] == reference[right])
+            & (self._property_source[left] != self._property_source[right])
+        )
+        labels.setflags(write=False)
+        return labels
+
+    def sides(self, rows: np.ndarray) -> tuple[list[PropertyRef], list[PropertyRef]]:
+        """Left and right property refs of ``rows``."""
+        left, right = self.ends(rows)
+        return self._refs[left].tolist(), self._refs[right].tolist()
+
+    def pairs_at(self, rows: np.ndarray) -> list[LabeledPair]:
+        """The :class:`LabeledPair` objects of ``rows``, built now."""
+        return list(map(LabeledPair, *self.sides(rows), self.labels[rows].tolist()))
+
+    @property
+    def pairs(self) -> list[LabeledPair]:
+        """Every pair as an object, built afresh on each access."""
+        return self.pairs_at(np.arange(len(self)))
+
+
+class ExplicitPairs(PropertyPairs):
+    """Pairs a caller names, ``(left[r], right[r])``: an index-only universe.
+
+    The caller's orientation is kept (SemProp and AML score ordered
+    name pairs, the clusterer (new, existing)).  An index outside
+    ``dataset.properties()`` or a same-source pair raises
+    :class:`ConfigurationError`.
+    """
+
+    def __init__(self, dataset: Dataset, left, right) -> None:
+        super().__init__(dataset)
+        ends = np.array([left, right], dtype=np.intp).reshape(2, -1)
+        source = self._property_source
+        if not ((ends >= 0) & (ends < len(source))).all() or (
+            source[ends[0]] == source[ends[1]]
+        ).any():
+            raise ConfigurationError(
+                "pair is not part of this dataset's cross-source universe"
+            )
+        ends.setflags(write=False)
+        self._left, self._right = ends
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Ground truth of each row, read-only, computed on first use."""
+        return self._labels_of(self._left, self._right)
+
+    def __len__(self) -> int:
+        return len(self._left)
+
+    def ends(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Property indices ``(left, right)`` of ``rows`` (default all)."""
+        if rows is None:
+            return self._left, self._right
+        return self._left[rows], self._right[rows]
+
+
+class PairSet:
+    """Labelled pairs: rows of a :class:`PropertyPairs`.
+
+    The one pair request every matcher and feature store accepts: a
+    ``universe`` and a read-only ``intp`` array of its ``rows``.  Sets
+    come from :meth:`repro.core.feature_cache.PairUniverse.subset`
+    (which :func:`build_pairs` wraps), sampled from one or selected
+    from one, or -- for pairs a caller names -- from
+    :func:`explicit_pairs`, built once at the edge.  Labels gather from
+    the universe's label array, and :class:`LabeledPair` objects are
+    built only for a caller that asks for them -- CSV/JSON output or
+    the graph; matchers read rows and property ends only.
     :attr:`pairs` builds the objects afresh on each access, so index a
     list taken once, not ``pairs[i]`` in a loop.
     """
 
-    def __init__(self, universe, rows: np.ndarray) -> None:
+    def __init__(self, universe: PropertyPairs, rows: np.ndarray) -> None:
         rows = np.asarray(rows, dtype=np.intp)
         rows.setflags(write=False)
         self.universe = universe
@@ -77,6 +175,10 @@ class PairSet:
         return self.universe is other.universe and bool(
             np.array_equal(self.rows, other.rows)
         )
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Property indices ``(left, right)`` of the pairs; builds no pair."""
+        return self.universe.ends(self.rows)
 
     def take(self, positions: np.ndarray) -> list[LabeledPair]:
         """The pairs at ``positions`` of this set, as objects."""
@@ -110,6 +212,12 @@ class PairSet:
         """All distinct property refs mentioned by the pairs, sorted."""
         left, right = self.universe.sides(self.rows)
         return sorted(set(left) | set(right))
+
+
+def explicit_pairs(dataset: Dataset, left, right) -> PairSet:
+    """Every pair of ``ExplicitPairs(dataset, left, right)`` as a set."""
+    universe = ExplicitPairs(dataset, left, right)
+    return PairSet(universe, np.arange(len(universe)))
 
 
 def source_block_bounds(

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair
+from repro.data.pairs import explicit_pairs
 from repro.errors import ConfigurationError, DataError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> graph)
@@ -63,31 +63,33 @@ class IncrementalClusterer:
     def _cluster_scores(
         self, new_refs: list[PropertyRef]
     ) -> dict[PropertyRef, list[float]]:
-        """Per-new-property linkage score against every existing cluster."""
-        existing: list[PropertyRef] = [
-            ref for cluster in self._clusters for ref in cluster
-        ]
-        cluster_of: dict[PropertyRef, int] = {}
-        for index, cluster in enumerate(self._clusters):
-            for ref in cluster:
-                cluster_of[ref] = index
-        pairs = [
-            LabeledPair(new, old, False)
-            for new in new_refs
-            for old in existing
-            if old.source != new.source
-        ]
-        scores_by_ref: dict[PropertyRef, list[list[float]]] = {
-            ref: [[] for _ in self._clusters] for ref in new_refs
-        }
-        if pairs:
-            scores = self.matcher.score_pairs(self.dataset, pairs)
-            for pair, score in zip(pairs, scores):
-                scores_by_ref[pair.left][cluster_of[pair.right]].append(float(score))
+        """Per-new-property linkage score against every existing cluster.
+
+        The (new, existing) cross-source pairs, new-major and existing
+        in cluster order, are scored as one explicit :class:`PairSet`;
+        each cluster's scores are then a contiguous run of its row.
+        """
+        properties = self.dataset.properties()
+        index = {ref: i for i, ref in enumerate(properties)}
+        sources = np.array([ref.source for ref in properties], dtype=object)
+        existing = [ref for cluster in self._clusters for ref in cluster]
+        new = np.array([index[ref] for ref in new_refs], dtype=np.intp)
+        old = np.array([index[ref] for ref in existing], dtype=np.intp)
+        left, right = np.repeat(new, len(old)), np.tile(old, len(new))
+        cross = sources[left] != sources[right]
+        scores = np.zeros(len(left))
+        if cross.any():
+            scores[cross] = self.matcher.score_pairs(
+                self.dataset, explicit_pairs(self.dataset, left[cross], right[cross])
+            )
+        scores = scores.reshape(len(new_refs), len(existing))
+        cross = cross.reshape(scores.shape)
+        bounds = np.cumsum([0] + [len(cluster) for cluster in self._clusters])
         reduced: dict[PropertyRef, list[float]] = {}
-        for ref, per_cluster in scores_by_ref.items():
+        for ref, ref_scores, ref_cross in zip(new_refs, scores, cross):
             row = []
-            for cluster_scores in per_cluster:
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                cluster_scores = ref_scores[start:stop][ref_cross[start:stop]].tolist()
                 if not cluster_scores:
                     row.append(-1.0)
                 elif self.linkage == "max":

@@ -43,8 +43,8 @@ from repro.core.feature_cache import PairUniverse
 from repro.core.matcher import LeapmeMatcher
 from repro.core.pipeline import flush_persistent_distances
 from repro.data.csvio import load_dataset_csv, load_source_csv
-from repro.data.model import Dataset, PropertyRef
-from repro.data.pairs import LabeledPair, PairSet, sample_training_pairs
+from repro.data.model import Dataset
+from repro.data.pairs import PairSet, explicit_pairs, sample_training_pairs
 from repro.errors import (
     ConfigurationError,
     DataError,
@@ -228,34 +228,36 @@ class TenantState:
         scores.setflags(write=False)
         return pairs, scores
 
-    def scores_of(self, pairs: list[LabeledPair]) -> np.ndarray:
+    def scores_of(self, pairs: PairSet) -> np.ndarray:
         """Scores of explicit pairs: universe rows from the memo.
 
-        Pairs without a universe row -- those a blocking policy pruned
-        -- are scored on demand, and so is everything for a matcher
-        without a store.
+        One row lookup splits hits from misses; the misses -- pairs a
+        blocking policy pruned -- are scored on demand, and so is
+        everything for a matcher without a store.
         """
         if not pairs:
             return np.zeros(0)
         universe = self.universe
         if universe is None:
             return self.matcher.score_pairs(self.dataset, pairs)
-        rows = universe.lookup_rows(pairs)
+        rows = universe.lookup_rows(*pairs.ends())
         found = rows >= 0
-        if found.all():
-            return self.scored_pairs()[1][rows]
         scores = np.empty(len(pairs))
         if found.any():
             scores[found] = self.scored_pairs()[1][rows[found]]
-        scores[~found] = self.matcher.score_pairs(
-            self.dataset, [pair for pair, hit in zip(pairs, found) if not hit]
-        )
+        if not found.all():
+            scores[~found] = self.matcher.score_pairs(
+                self.dataset, pairs.select(~found)
+            )
         return scores
 
-    def property_index(self) -> dict[tuple[str, str], PropertyRef]:
-        """``(source, name) -> PropertyRef`` over the snapshot's dataset."""
+    def property_index(self) -> dict[tuple[str, str], int]:
+        """``(source, name) ->`` index in the snapshot's ``dataset.properties()``."""
         return self._refs.get(
-            lambda: {(ref.source, ref.name): ref for ref in self.dataset.properties()}
+            lambda: {
+                (ref.source, ref.name): index
+                for index, ref in enumerate(self.dataset.properties())
+            }
         )
 
 
@@ -611,30 +613,30 @@ class TenantRegistry:
         """The deterministic ``/predict`` response body for explicit pairs.
 
         ``raw_pairs`` is a list of ``[left_source, left_property,
-        right_source, right_property]`` rows; unknown properties raise
-        :class:`DataError` (a client error, not a tenant failure).
-        Pairs in the snapshot's candidate universe are answered from
-        its score vector (the row ``/match`` reports); the rest -- pairs
-        a blocking policy pruned -- are scored on demand.
+        right_source, right_property]`` rows, built once into a
+        :class:`PairSet` of property indices; unknown properties raise
+        :class:`DataError` (a client error, not a tenant failure), and a
+        same-source pair :class:`ConfigurationError`.  Pairs in the
+        snapshot's candidate universe are answered from its score vector
+        (the row ``/match`` reports); the rest are scored on demand.
         """
         tenant = self._require_live(tenant_id)
         state = tenant.state
-        refs = state.property_index()
-        pairs: list[LabeledPair] = []
+        index = state.property_index()
+        ends: list[tuple[int, int]] = []
         for row in raw_pairs:
             if not isinstance(row, (list, tuple)) or len(row) != 4:
                 raise DataError(
                     "each pair must be [left_source, left_property, "
                     "right_source, right_property]"
                 )
-            left = refs.get((str(row[0]), str(row[1])))
-            right = refs.get((str(row[2]), str(row[3])))
+            left = index.get((str(row[0]), str(row[1])))
+            right = index.get((str(row[2]), str(row[3])))
             if left is None or right is None:
                 missing = row[:2] if left is None else row[2:]
                 raise DataError(f"unknown property: {list(missing)}")
-            pairs.append(
-                LabeledPair(left, right, state.dataset.is_match(left, right))
-            )
+            ends.append((left, right))
+        pairs = explicit_pairs(state.dataset, *np.reshape(ends, (-1, 2)).T)
         threshold = _tenant_threshold(tenant)
         scores = state.scores_of(pairs)
         return {

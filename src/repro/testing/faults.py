@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.api import Matcher
 from repro.data.model import Dataset
 from repro.ioutils import atomic_write_text
-from repro.data.pairs import LabeledPair, PairSet
+from repro.data.pairs import PairSet
 from repro.errors import ConfigurationError, ReproError, TrainingDivergedError
 
 #: Exit status used by injected hard worker deaths, distinctive in logs.
@@ -410,7 +410,7 @@ class FaultyMatcher(Matcher):
             )
         self.inner.fit(dataset, training_pairs)
 
-    def score_pairs(self, dataset: Dataset, pairs: list[LabeledPair]) -> np.ndarray:
+    def score_pairs(self, dataset: Dataset, pairs: PairSet) -> np.ndarray:
         if not self.is_supervised:
             # Unsupervised matchers have no fit; inject here instead.
             self._maybe_fail("score")

@@ -7,10 +7,10 @@ compared with its oracle by ``np.array_equal`` on:
 
 * the own-universe ``build_pairs`` set;
 * a subset of a minhash-blocked universe;
-* a ``LabeledPair`` list in reversed orientation;
-* a list holding refs foreign to the dataset, named in camelCase and
-  in its lowercase spelling, which ``words`` and ``token_set`` split
-  differently (LSH raises on foreign refs, as its oracle does);
+* an explicit pair set in reversed orientation;
+* an explicit set over the dataset merged with sources whose
+  properties are named in camelCase and in its lowercase spelling,
+  which ``words`` and ``token_set`` split differently;
 
 and SemProp also with ``reciprocal_best=True``.  Nezhadi's features go
 through the process-wide distance memo, so it is compared with a cold
@@ -33,9 +33,10 @@ from repro.baselines import (
 from repro.blocking.policy import CandidatePolicy
 from repro.core.feature_cache import PairUniverse
 from repro.core.pipeline import clear_distance_memo
-from repro.data.model import PropertyRef
-from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
+from repro.data.model import Dataset, PropertyInstance, PropertyRef
+from repro.data.pairs import build_pairs, explicit_pairs, sample_training_pairs
 from repro.datasets import build_domain_embeddings, load_dataset
+from tests.conftest import pair_request
 from tests.baselines.oracle import (
     AmlOracle,
     FcaMapOracle,
@@ -75,40 +76,52 @@ def _camel_case(name):
 
 
 def _request(dataset, kind):
-    """The pairs of one request kind over ``dataset``."""
+    """The pairs of one request kind; its dataset is ``pairs.universe.dataset``."""
     if kind == "own":
         return build_pairs(dataset)
     if kind == "blocked":
         universe = PairUniverse(dataset, CandidatePolicy.from_label("minhash"))
         return universe.subset(dataset.sources()[:2], within=False)
-    pairs = build_pairs(dataset).pairs
     if kind == "reversed":
-        return [LabeledPair(pair.right, pair.left, pair.label) for pair in pairs]
-    foreign = []
-    for pair in pairs[::7]:
+        left, right = build_pairs(dataset).universe.ends()
+        return explicit_pairs(dataset, right, left)
+    # Sources "elsewhere" and "yonder" respell the dataset's names, each
+    # property holding the values of the one it respells.
+    pairs, copies, mixed = build_pairs(dataset).pairs[::7], {}, []
+    for pair in pairs:
         camel = _camel_case(pair.left.name)
         stranger = PropertyRef("elsewhere", camel)
-        foreign += [
-            pair,
-            LabeledPair(stranger, pair.right, False),
-            LabeledPair(pair.left, PropertyRef("elsewhere", camel.lower()), False),
-            LabeledPair(PropertyRef("yonder", pair.right.name.upper()), stranger, False),
+        lowered = PropertyRef("elsewhere", camel.lower())
+        shouting = PropertyRef("yonder", pair.right.name.upper())
+        for ref, original in (
+            (stranger, pair.left),
+            (lowered, pair.left),
+            (shouting, pair.right),
+        ):
+            copies.setdefault(ref, original)
+        mixed += [
+            (pair.left, pair.right),
+            (stranger, pair.right),
+            (pair.left, lowered),
+            (shouting, stranger),
         ]
-    return foreign
+    addition = Dataset(
+        "respelled",
+        [
+            PropertyInstance(ref.source, ref.name, instance.entity_id, instance.value)
+            for ref, original in copies.items()
+            for instance in dataset.instances_of(original)
+        ],
+    )
+    return pair_request(dataset.merged_with(addition), mixed)
 
 
 @pytest.mark.parametrize("kind", REQUESTS)
 @pytest.mark.parametrize("baseline", list(BASELINES))
 def test_unsupervised_baseline_equals_its_oracle(domain, baseline, kind):
-    dataset, embeddings = domain
-    matcher, oracle = BASELINES[baseline](embeddings)
-    pairs = _request(dataset, kind)
-    if baseline == "LSH" and kind == "foreign":
-        with pytest.raises(KeyError):
-            oracle.score_pairs(dataset, pairs)
-        with pytest.raises(KeyError):
-            matcher.score_pairs(dataset, pairs)
-        return
+    matcher, oracle = BASELINES[baseline](domain[1])
+    pairs = _request(domain[0], kind)
+    dataset = pairs.universe.dataset
     expected = oracle.score_pairs(dataset, pairs)
     scores = matcher.score_pairs(dataset, pairs)
     assert scores.dtype == expected.dtype
@@ -128,9 +141,9 @@ def nezhadi_oracle(domain):
 @pytest.mark.parametrize("memo", ["cold", "warm", "evicting"])
 @pytest.mark.parametrize("kind", REQUESTS)
 def test_nezhadi_equals_its_oracle(domain, nezhadi_oracle, kind, memo, monkeypatch):
-    dataset, _ = domain
     oracle, training = nezhadi_oracle
-    pairs = _request(dataset, kind)
+    pairs = _request(domain[0], kind)
+    dataset = pairs.universe.dataset
     clear_distance_memo()
     if memo == "warm":
         NezhadiMatcher._features(pairs)
@@ -138,7 +151,7 @@ def test_nezhadi_equals_its_oracle(domain, nezhadi_oracle, kind, memo, monkeypat
     elif memo == "evicting":
         monkeypatch.setattr(pipeline_module, "_DISTANCE_MEMO_CAP", 16)
     matcher = NezhadiMatcher()
-    matcher.fit(dataset, training)
+    matcher.fit(domain[0], training)
     assert np.array_equal(
         matcher._features(pairs), oracle.features(list(pairs))
     )

@@ -12,13 +12,19 @@ from repro.baselines import (
 )
 from repro.baselines.lsh import MinHasher
 from repro.data.model import Dataset, PropertyInstance, PropertyRef
-from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
+from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.errors import ConfigurationError, NotFittedError
 from repro.evaluation.metrics import evaluate_scores
+from tests.conftest import pair_request
 
 
-def _pair(s1, n1, s2, n2, label=False):
-    return LabeledPair(PropertyRef(s1, n1), PropertyRef(s2, n2), label)
+def _pair(s1, n1, s2, n2):
+    return PropertyRef(s1, n1), PropertyRef(s2, n2)
+
+
+def _pairs(dataset, *pairs):
+    """The ``_pair`` ref tuples as an explicit set over ``dataset``."""
+    return pair_request(dataset, pairs)
 
 
 @pytest.fixture()
@@ -29,6 +35,13 @@ def dataset():
         PropertyInstance("s2", "Resolution", "e2", "24 mp"),
         PropertyInstance("s2", "heft", "e2", "600 g"),
     ]
+    # Unaligned properties the hand-built pairs below name.
+    for source, names in (
+        ("s1", ("screen_size", "a", "wireless", "impedance", "zzgadget")),
+        ("s2", ("Screen-Size", "b", "bluetooth", "cordless link", "playtime")),
+        ("s2", ("zzgadgets",)),
+    ):
+        instances += [PropertyInstance(source, name, "e0", "x") for name in names]
     alignment = {
         PropertyRef("s1", "resolution"): "resolution",
         PropertyRef("s2", "Resolution"): "resolution",
@@ -42,26 +55,30 @@ class TestAml:
     def test_identical_normalised_names_match(self, dataset):
         matcher = AmlMatcher()
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "resolution", "s2", "Resolution")]
+            dataset, _pairs(dataset, _pair("s1", "resolution", "s2", "Resolution"))
         )
         assert scores[0] == 1.0
 
     def test_unrelated_names_do_not_match(self, dataset):
         matcher = AmlMatcher()
-        scores = matcher.score_pairs(dataset, [_pair("s1", "weight", "s2", "Resolution")])
+        scores = matcher.score_pairs(
+            dataset, _pairs(dataset, _pair("s1", "weight", "s2", "Resolution"))
+        )
         assert scores[0] < matcher.threshold
 
     def test_separator_variants_match(self, dataset):
         matcher = AmlMatcher()
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "screen_size", "s2", "Screen-Size")]
+            dataset, _pairs(dataset, _pair("s1", "screen_size", "s2", "Screen-Size"))
         )
         assert scores[0] >= matcher.threshold
 
     def test_synonyms_are_missed(self, dataset):
         # The paper's point: no background knowledge maps "heft" to "weight".
         matcher = AmlMatcher()
-        scores = matcher.score_pairs(dataset, [_pair("s1", "weight", "s2", "heft")])
+        scores = matcher.score_pairs(
+            dataset, _pairs(dataset, _pair("s1", "weight", "s2", "heft"))
+        )
         assert scores[0] < matcher.threshold
 
     def test_is_unsupervised(self):
@@ -73,20 +90,22 @@ class TestFcaMap:
         matcher = FcaMapMatcher()
         matcher.prepare(dataset)
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "resolution", "s2", "Resolution")]
+            dataset, _pairs(dataset, _pair("s1", "resolution", "s2", "Resolution"))
         )
         assert scores[0] == 1.0
 
     def test_different_token_sets_never_match(self, dataset):
         matcher = FcaMapMatcher()
         matcher.prepare(dataset)
-        scores = matcher.score_pairs(dataset, [_pair("s1", "weight", "s2", "heft")])
+        scores = matcher.score_pairs(
+            dataset, _pairs(dataset, _pair("s1", "weight", "s2", "heft"))
+        )
         assert scores[0] == 0.0
 
     def test_prepare_called_lazily(self, dataset):
         matcher = FcaMapMatcher()
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "resolution", "s2", "Resolution")]
+            dataset, _pairs(dataset, _pair("s1", "resolution", "s2", "Resolution"))
         )
         assert scores[0] == 1.0
 
@@ -103,7 +122,7 @@ class TestNezhadi:
         training = sample_training_pairs(build_pairs(tiny_headphones), rng=rng)
         matcher = NezhadiMatcher()
         matcher.fit(tiny_headphones, training)
-        scores = matcher.score_pairs(tiny_headphones, training.pairs)
+        scores = matcher.score_pairs(tiny_headphones, training)
         quality = evaluate_scores(scores, training.labels(), matcher.threshold)
         assert quality.f1 > 0.4
 
@@ -112,7 +131,8 @@ class TestNezhadi:
         for kind in ("adaboost", "tree", "knn", "naive_bayes"):
             matcher = NezhadiMatcher(kind)
             matcher.fit(tiny_headphones, training)
-            scores = matcher.score_pairs(tiny_headphones, training.pairs[:5])
+            first = training.select(np.arange(5))
+            scores = matcher.score_pairs(tiny_headphones, first)
             assert scores.shape == (5,)
             assert ((scores >= 0) & (scores <= 1)).all()
 
@@ -122,7 +142,9 @@ class TestNezhadi:
 
     def test_unfitted_raises(self, dataset):
         with pytest.raises(NotFittedError):
-            NezhadiMatcher().score_pairs(dataset, [_pair("s1", "a", "s2", "b")])
+            NezhadiMatcher().score_pairs(
+                dataset, _pairs(dataset, _pair("s1", "a", "s2", "b"))
+            )
 
     def test_name_includes_variant(self):
         assert NezhadiMatcher("tree").name == "Nezhadi[tree]"
@@ -134,14 +156,14 @@ class TestSemProp:
         matcher = SemPropMatcher(tiny_embeddings)
         # Words from the same synonym group should link.
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "wireless", "s2", "bluetooth")]
+            dataset, _pairs(dataset, _pair("s1", "wireless", "s2", "bluetooth"))
         )
         assert scores[0] >= matcher.threshold
 
     def test_unrelated_rejected(self, tiny_embeddings, dataset):
         matcher = SemPropMatcher(tiny_embeddings)
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "impedance", "s2", "playtime")]
+            dataset, _pairs(dataset, _pair("s1", "impedance", "s2", "playtime"))
         )
         assert scores[0] < matcher.threshold
 
@@ -151,17 +173,18 @@ class TestSemProp:
         # is inside the undecided band.
         matcher = SemPropMatcher(tiny_embeddings, sema_negative=0.0)
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "zzgadget", "s2", "zzgadgets")]
+            dataset, _pairs(dataset, _pair("s1", "zzgadget", "s2", "zzgadgets"))
         )
         assert scores[0] >= matcher.threshold
 
     def test_reciprocal_best_demotes_second_best(self, tiny_embeddings, dataset):
         plain = SemPropMatcher(tiny_embeddings)
         strict = SemPropMatcher(tiny_embeddings, reciprocal_best=True)
-        pairs = [
+        pairs = _pairs(
+            dataset,
             _pair("s1", "wireless", "s2", "bluetooth"),
             _pair("s1", "wireless", "s2", "cordless link"),
-        ]
+        )
         raw = plain.score_pairs(dataset, pairs)
         selected = strict.score_pairs(dataset, pairs)
         # The weaker of the two links is demoted below threshold.
@@ -205,7 +228,7 @@ class TestLsh:
         matcher = LshMatcher()
         matcher.prepare(dataset)
         scores = matcher.score_pairs(
-            dataset, [_pair("s1", "resolution", "s2", "Resolution")]
+            dataset, _pairs(dataset, _pair("s1", "resolution", "s2", "Resolution"))
         )
         # Both properties' values contain "mp" tokens.
         assert scores[0] > 0.0
@@ -219,7 +242,9 @@ class TestLsh:
         dataset = Dataset("x", instances, {})
         matcher = LshMatcher()
         matcher.prepare(dataset)
-        scores = matcher.score_pairs(dataset, [_pair("s1", "p", "s2", "p")])
+        scores = matcher.score_pairs(
+            dataset, _pairs(dataset, _pair("s1", "p", "s2", "p"))
+        )
         assert scores[0] < matcher.threshold
 
     def test_band_size_must_divide(self):
@@ -231,7 +256,7 @@ class TestLsh:
         matcher.prepare(tiny_cameras)
         pairs = build_pairs(tiny_cameras)
         quality = evaluate_scores(
-            matcher.score_pairs(tiny_cameras, pairs.pairs),
+            matcher.score_pairs(tiny_cameras, pairs),
             pairs.labels(),
             matcher.threshold,
         )

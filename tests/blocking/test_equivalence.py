@@ -20,7 +20,7 @@ from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, PairFeatureStore, PairUniverse
 from repro.data.pairs import build_pairs
 
-from tests.conftest import direct_pair_matrix, full_matrix
+from tests.conftest import direct_pair_matrix, full_matrix, pair_request
 from tests.data.oracle import seed_pairs
 
 MINHASH = CandidatePolicy.from_label("minhash")
@@ -65,7 +65,7 @@ class TestNullPolicyIsSeed:
         store = PairFeatureStore.build(
             tiny_headphones, tiny_embeddings, policy=CandidatePolicy.null()
         )
-        pairs = list(store.universe.pairs)[:60]
+        pairs = store.universe.subset().select(np.arange(60))
         direct = direct_pair_matrix(store.table, pairs, config)
         served = store.features(pairs, config)
         assert served.tobytes() == direct.tobytes()
@@ -139,16 +139,21 @@ class TestBlockedUniverse:
         dropped = next(
             pair for pair in null_universe.pairs if pair.key not in pruned_keys
         )
-        # A pruned pair has no row; its store still serves it, and the
-        # store's rejection of a pair it cannot serve names the policy.
-        assert blocked_universe.lookup_rows([dropped]).tolist() == [-1]
+        # A pruned pair has no row; its store still serves it.  A
+        # same-source pair is rejected where its set is built, and the
+        # store's rejection of a set it cannot serve names the policy.
+        request = pair_request(tiny_headphones, [dropped])
+        assert blocked_universe.lookup_rows(*request.ends()).tolist() == [-1]
         store = PairFeatureStore.build(
             tiny_headphones, tiny_embeddings, blocked_universe
         )
-        assert store.features([dropped], FeatureConfig()).shape[0] == 1
+        assert store.features(request, FeatureConfig()).shape[0] == 1
         same_source = tuple(tiny_headphones.properties(dropped.left.source)[:2])
+        with pytest.raises(ConfigurationError, match="cross-source universe"):
+            pair_request(tiny_headphones, [same_source])
+        other = tiny_headphones.restrict_to_sources(tiny_headphones.sources()[:2])
         with pytest.raises(ConfigurationError, match="minhash"):
-            store.features([same_source], FeatureConfig())
+            store.features(build_pairs(other), FeatureConfig())
 
     def test_subsets_partition_universe(self, tiny_headphones, blocked_universe):
         sources = sorted(tiny_headphones.sources())[:2]
@@ -220,11 +225,14 @@ class TestBlockedAddSourceEquivalence:
         assert base_keys - {p.key for p in grown.universe.pairs}
         old_rows = grown.universe.rows_from(store.universe)
         grown_matrix, store_matrix = full_matrix(grown), full_matrix(store)
-        store_rows = store.universe.lookup_rows(grown.universe.pairs)
+        index = {ref: i for i, ref in enumerate(base.properties())}
         for row, pair in enumerate(grown.universe.pairs):
             if pair.key in base_keys:
-                assert store_rows[row] >= 0
-                assert old_rows[row] == store_rows[row]
+                (store_row,) = store.universe.lookup_rows(
+                    np.array([index[pair.left]]), np.array([index[pair.right]])
+                )
+                assert store_row >= 0
+                assert old_rows[row] == store_row
                 assert (
                     grown_matrix[row].tobytes()
                     == store_matrix[old_rows[row]].tobytes()
@@ -238,7 +246,7 @@ class TestBlockedAddSourceEquivalence:
 
     def test_config_views_match_rebuild(self, delta):
         store, _, rebuilt = delta
-        pairs = list(store.universe.pairs)[:40]
+        pairs = store.universe.subset().select(np.arange(40))
         for config in FeatureConfig.grid():
             np.testing.assert_array_equal(
                 store.features(pairs, config), rebuilt.features(pairs, config)

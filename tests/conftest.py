@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.data.pairs import LabeledPair
+from repro.data.pairs import LabeledPair, explicit_pairs
 from repro.datasets import build_domain_embeddings, load_dataset
 
 TEST_TIMEOUT_SECONDS = float(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
@@ -66,8 +66,21 @@ def direct_pair_matrix(table, pairs, config):
 
 
 def pair_request(dataset, pairs):
-    """Pair objects as a request ``score_pairs`` takes, in their orientation."""
-    return list(pairs)
+    """Pair objects or ref tuples as an explicit set over ``dataset``.
+
+    Each pair keeps its own orientation.  A ref foreign to ``dataset``
+    gets index ``-1``, which :func:`explicit_pairs` rejects.
+    """
+    index = {ref: i for i, ref in enumerate(dataset.properties())}
+    ends = [
+        (pair.left, pair.right) if isinstance(pair, LabeledPair) else pair
+        for pair in pairs
+    ]
+    return explicit_pairs(
+        dataset,
+        [index.get(left, -1) for left, _ in ends],
+        [index.get(right, -1) for _, right in ends],
+    )
 
 
 def full_matrix(store):

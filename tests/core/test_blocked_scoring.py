@@ -21,7 +21,7 @@ import pytest
 from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, LeapmeConfig, LeapmeMatcher
 from repro.core.classifier import LeapmeClassifier, ResilientClassifier
-from repro.core.feature_cache import PairFeatureStore, PairUniverse
+from repro.core.feature_cache import PairFeatureStore
 from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.data.splits import split_sources
 from repro.datasets import build_domain_embeddings, load_dataset
@@ -111,7 +111,7 @@ def test_blocked_scores_equal_whole_matrix_scores(headphones, config, kind):
     assert (matcher.last_degradation is not None) == (kind == "classical-fallback")
     order = np.random.default_rng(7).permutation(len(store.universe))
     for n in SIZES:
-        pairs = store.universe.pairs_at(order[:n])
+        pairs = store.universe.subset().select(order[:n])
         blocked = matcher.score_pairs(dataset, pairs)
         whole = _whole_matrix_scores(matcher.classifier, store.features(pairs, config))
         assert blocked.shape == (n,)
@@ -122,7 +122,7 @@ def test_classifier_blocks_equal_whole_matrix_scores(headphones):
     """``match_scores`` on a caller's whole matrix blocks it the same way."""
     _, _, store = headphones
     matcher = _matcher(headphones, FeatureConfig(), "paper")
-    pairs = list(store.universe.pairs[: 3 * ROW_BLOCK + 5])
+    pairs = store.universe.subset().select(np.arange(3 * ROW_BLOCK + 5))
     features = store.features(pairs, FeatureConfig())
     assert np.array_equal(
         matcher.classifier.match_scores(features),
@@ -137,7 +137,7 @@ def test_scoring_time_splits_into_gather_and_forward(headphones):
     _, test = _cell(dataset, store.universe, 0.2)
     assert len(test) > ROW_BLOCK
     before = matcher.feature_seconds
-    matcher.score_pairs(dataset, test.pairs)
+    matcher.score_pairs(dataset, test)
     assert matcher.feature_seconds > before
     result = evaluate_matcher(
         matcher, dataset, RunSettings(train_fraction=0.2, repetitions=1)
@@ -147,7 +147,7 @@ def test_scoring_time_splits_into_gather_and_forward(headphones):
 
 
 def test_pruned_pairs_are_looked_up_once(monkeypatch):
-    """Pairs a blocked universe pruned resolve in one property-index lookup."""
+    """Pairs a blocked universe pruned resolve in one pass over their ends."""
     dataset = load_dataset("headphones", scale="tiny", seed=0)
     embeddings = build_domain_embeddings("headphones", scale="tiny")
     store = PairFeatureStore.build(
@@ -157,20 +157,20 @@ def test_pruned_pairs_are_looked_up_once(monkeypatch):
     matcher.attach_store(store)
     training, _ = _cell(dataset, store.universe, 0.8)
     matcher.fit(dataset, training)
-    pairs = build_pairs(dataset).pairs
+    pairs = build_pairs(dataset)
     kept = {pair.key for pair in store.universe.pairs}
     assert any(pair.key not in kept for pair in pairs)
     lookups = []
-    original = PairUniverse.ends_of
+    original = PairFeatureStore._resolve
 
     def counted(self, requested):
         lookups.append(len(requested))
         return original(self, requested)
 
-    monkeypatch.setattr(PairUniverse, "ends_of", counted)
+    monkeypatch.setattr(PairFeatureStore, "_resolve", counted)
     scores = matcher.score_pairs(dataset, pairs)
     assert lookups == [len(pairs)]
-    direct = direct_pair_matrix(store.table, pairs, FeatureConfig())
+    direct = direct_pair_matrix(store.table, pairs.pairs, FeatureConfig())
     assert np.array_equal(scores, matcher.classifier.match_scores(direct))
 
 
@@ -219,7 +219,7 @@ def test_paper_network_past_the_small_matrix_cutoff(cameras, config):
     matcher.attach_store(store)
     training, test = _cell(dataset, store.universe, 0.2)
     matcher.fit(dataset, training)
-    blocked = matcher.score_pairs(dataset, test.pairs)
+    blocked = matcher.score_pairs(dataset, test)
     whole = _whole_matrix_scores(matcher.classifier, store.features(test, config))
     np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
     assert np.array_equal(blocked >= 0.5, whole >= 0.5)

@@ -64,7 +64,7 @@ class TestMatcherWithClassicalClassifier:
         )
         training = sample_training_pairs(build_pairs(tiny_headphones), rng=rng)
         matcher.fit(tiny_headphones, training)
-        scores = matcher.score_pairs(tiny_headphones, training.pairs)
+        scores = matcher.score_pairs(tiny_headphones, training)
         labels = training.labels()
         # Training-set separation sanity check.
         assert scores[labels == 1].mean() > scores[labels == 0].mean()

@@ -119,13 +119,13 @@ class TestLeapmeMatcher:
         matcher.prepare(dataset)
         matcher.fit(dataset, training)
         quality = evaluate_scores(
-            matcher.score_pairs(dataset, test.pairs), test.labels()
+            matcher.score_pairs(dataset, test), test.labels()
         )
         assert quality.f1 > 0.5
 
     def test_score_before_fit_raises(self, tiny_headphones, tiny_embeddings):
         matcher = LeapmeMatcher(tiny_embeddings)
-        pairs = build_pairs(tiny_headphones).pairs[:3]
+        pairs = build_pairs(tiny_headphones).select(np.arange(3))
         with pytest.raises(NotFittedError):
             matcher.score_pairs(tiny_headphones, pairs)
 
@@ -136,7 +136,7 @@ class TestLeapmeMatcher:
         training = sample_training_pairs(build_pairs(dataset), rng=rng)
         matcher = LeapmeMatcher(tiny_embeddings, config=FAST)
         matcher.fit(dataset, training)
-        pairs = build_pairs(dataset).pairs[:50]
+        pairs = build_pairs(dataset).select(np.arange(50))
         graph = matcher.match(dataset, pairs)
         assert len(graph) == 50
         for edge in graph:

@@ -19,6 +19,8 @@ from repro.blocking import CandidatePolicy
 from repro.core import FeatureConfig, PairFeatureStore
 from repro.data.pairs import PairSet, build_pairs
 
+from tests.conftest import pair_request
+
 
 @pytest.fixture(scope="module")
 def stores(tiny_headphones, tiny_embeddings):
@@ -125,7 +127,10 @@ def test_pruned_pairs_equal_the_null_store_rows(stores):
     absent = [pair for pair in pruned if _name_pair(pair) not in kept_names]
     present = [pair for pair in pruned if _name_pair(pair) in kept_names]
     assert absent and present
-    requests = [absent[:25], present[:25], absent[:10] + present[:10]]
+    requests = [
+        pair_request(null.universe.dataset, pairs)
+        for pairs in (absent[:25], present[:25], absent[:10] + present[:10])
+    ]
     for config in FeatureConfig.grid():
         for request in requests:
             assert_bits_equal(

@@ -26,7 +26,7 @@ from repro.core.pipeline import FeatureSchema
 from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.errors import ConfigurationError
 
-from tests.conftest import direct_pair_matrix, full_matrix
+from tests.conftest import direct_pair_matrix, full_matrix, pair_request
 from tests.data.oracle import seed_pairs
 
 
@@ -68,12 +68,12 @@ class TestPairUniverse:
             patch.setattr(
                 PairUniverse,
                 "lookup_rows",
-                lambda self, pairs: calls.append(1) or lookup(self, pairs),
+                lambda self, *ends: calls.append(1) or lookup(self, *ends),
             )
             subset = universe.subset(selected, within=within)
         assert calls == []
         assert subset.pairs == seed_pairs(tiny_headphones, selected, within=within)
-        np.testing.assert_array_equal(subset.rows, universe.lookup_rows(subset.pairs))
+        np.testing.assert_array_equal(subset.rows, universe.lookup_rows(*subset.ends()))
 
     def test_subset_rejects_unknown_sources(self, tiny_headphones):
         universe = PairUniverse(tiny_headphones)
@@ -82,34 +82,33 @@ class TestPairUniverse:
 
     def test_row_lookup_is_orientation_independent(self, tiny_headphones):
         universe = PairUniverse(tiny_headphones)
-        pair = universe.pairs[3]
-        rows = universe.lookup_rows([(pair.left, pair.right), (pair.right, pair.left)])
+        left, right = universe.ends(np.array([3]))
+        rows = universe.lookup_rows(np.r_[left, right], np.r_[right, left])
         assert rows.tolist() == [3, 3]
 
     def test_foreign_pair_is_rejected(
         self, tiny_headphones, tiny_cameras, tiny_embeddings
     ):
         universe = PairUniverse(tiny_headphones)
-        foreign = PairUniverse(tiny_cameras).pairs[0]
-        assert universe.lookup_rows([foreign]).tolist() == [-1]
+        foreign = PairUniverse(tiny_cameras).subset()
+        with pytest.raises(ConfigurationError, match="cross-source universe"):
+            pair_request(tiny_headphones, foreign.take([0]))
         store = PairFeatureStore.build(tiny_headphones, tiny_embeddings, universe)
         with pytest.raises(ConfigurationError):
-            store.features([foreign], FeatureConfig())
+            store.features(foreign.select([0]), FeatureConfig())
 
     def test_lookup_rows_marks_pairs_without_a_row(
         self, tiny_headphones, tiny_cameras
     ):
         universe = PairUniverse(tiny_headphones)
-        pair = universe.pairs[5]
-        source = tiny_headphones.sources()[0]
-        same_source = tuple(tiny_headphones.properties(source)[:2])
-        foreign = PairUniverse(tiny_cameras).pairs[0]
+        (left,), (right,) = universe.ends(np.array([5]))
+        # Properties 0 and 1 are the first source's.
         rows = universe.lookup_rows(
-            [pair, (pair.right, pair.left), same_source, foreign,
-             (pair.left, pair.left)]
+            np.array([left, right, 0, left]), np.array([right, left, 1, left])
         )
-        assert rows.tolist() == [5, 5, -1, -1, -1]
-        assert universe.lookup_rows([]).tolist() == []
+        assert rows.tolist() == [5, 5, -1, -1]
+        empty = np.zeros(0, dtype=np.intp)
+        assert universe.lookup_rows(empty, empty).tolist() == []
 
     def test_rows_from_maps_every_kept_pair(self, tiny_headphones):
         sources = sorted(tiny_headphones.sources())
@@ -117,11 +116,14 @@ class TestPairUniverse:
         grown = PairUniverse(tiny_headphones)
         old_rows = grown.rows_from(base)
         base_keys = {pair.key for pair in base.pairs}
-        base_rows = base.lookup_rows(grown.pairs)
+        index = {ref: i for i, ref in enumerate(base.dataset.properties())}
         for row, pair in enumerate(grown.pairs):
             if pair.key in base_keys:
-                assert base_rows[row] >= 0
-                assert old_rows[row] == base_rows[row]
+                (base_row,) = base.lookup_rows(
+                    np.array([index[pair.left]]), np.array([index[pair.right]])
+                )
+                assert base_row >= 0
+                assert old_rows[row] == base_row
             else:
                 assert sources[-1] in (pair.left.source, pair.right.source)
                 assert old_rows[row] == -1
@@ -160,7 +162,7 @@ class TestPairFeatureStore:
         )
         sources = tiny_headphones.sources()
         pairs = universe.subset(sources[: len(sources) // 2], within=False)
-        rows = universe.lookup_rows(pairs.pairs)
+        rows = universe.lookup_rows(*pairs.ends())
         assert (rows >= 0).all()
         for config in FeatureConfig.grid():
             np.testing.assert_array_equal(
@@ -192,9 +194,9 @@ class TestPairFeatureStore:
             PairFeatureStore(table, universe)
 
     def test_empty_pair_list(self, store_fixture):
-        _, _, store = store_fixture
+        _, universe, store = store_fixture
         config = FeatureConfig(kinds=FeatureKinds.NON_EMBEDDING)
-        empty = store.features([], config)
+        empty = store.features(universe.subset().select(np.arange(0)), config)
         assert empty.shape == (0, store.schema.width(config))
 
 
@@ -215,12 +217,12 @@ class TestMatcherIntegration:
 
         plain = LeapmeMatcher(tiny_embeddings, config=config)
         plain.fit(tiny_headphones, training)
-        baseline = plain.score_pairs(tiny_headphones, candidates.pairs)
+        baseline = plain.score_pairs(tiny_headphones, candidates)
 
         shared = LeapmeMatcher(tiny_embeddings, config=config)
         shared.attach_store(shared.build_feature_store(tiny_headphones))
         shared.fit(tiny_headphones, training)
-        served = shared.score_pairs(tiny_headphones, candidates.pairs)
+        served = shared.score_pairs(tiny_headphones, candidates)
         np.testing.assert_array_equal(served, baseline)
 
     def test_store_for_other_dataset_falls_back(
@@ -232,7 +234,7 @@ class TestMatcherIntegration:
         training = sample_training_pairs(pairs, rng=np.random.default_rng(1))
         matcher.fit(tiny_headphones, training)  # must not raise
         assert matcher.store.serves(tiny_headphones)
-        scores = matcher.score_pairs(tiny_headphones, pairs.pairs)
+        scores = matcher.score_pairs(tiny_headphones, pairs)
         assert scores.shape == (len(pairs),)
 
     def test_schema_total_width_covers_all_blocks(self, store_fixture):

@@ -5,11 +5,13 @@ that, training, scoring universe pairs and permutation importance are
 gathers from the store's tables -- no pipeline call, no name-distance
 kernel call and no new property table.  Only name pairs of pairs a
 blocked universe pruned reach the distance kernel, and only when the
-pairs are cross-source pairs of the store's own dataset: any other pair,
-or a pair set over another dataset, is rejected the same way under every
-candidate policy.  A pair set over another universe of the same dataset
--- ``build_pairs``' sets in active learning and transfer -- is read by
-its property ends: no pair object is built and no row looked up.
+pairs are cross-source pairs of the store's own dataset: any other pair
+is rejected where its explicit set is built, and a pair set over
+another dataset by the store, the same way under every candidate
+policy.  A pair set over other pairs of the same dataset --
+``build_pairs``' sets in active learning and transfer, explicit pairs --
+is read by its property ends: no pair object is built and no row looked
+up.
 """
 
 import numpy as np
@@ -26,7 +28,12 @@ from repro.core import (
 )
 from repro.core.pipeline import FeaturePipeline
 from repro.data.model import PropertyRef
-from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
+from repro.data.pairs import (
+    LabeledPair,
+    build_pairs,
+    explicit_pairs,
+    sample_training_pairs,
+)
 from repro.data.splits import split_sources
 from repro.datasets import build_domain_embeddings, load_dataset
 from repro.errors import ConfigurationError
@@ -34,7 +41,7 @@ from repro.evaluation import run_transfer_experiment
 from repro.evaluation.active import run_active_learning
 from repro.nn.schedule import TrainingSchedule
 
-from tests.conftest import full_matrix
+from tests.conftest import full_matrix, pair_request
 from tests.core.test_pair_sets import pair_work  # noqa: F401 -- shared fixture
 
 LIGHT = LeapmeConfig(hidden_sizes=(8,), schedule=TrainingSchedule.constant(1, 1e-3))
@@ -91,7 +98,9 @@ def test_prepared_matcher_only_gathers(
         universe.subset(), 2.0, np.random.default_rng([0, 1])
     )
     matcher.fit(tiny_headphones, training)
-    scores = matcher.score_pairs(tiny_headphones, list(universe.pairs))
+    scores = matcher.score_pairs(
+        tiny_headphones, explicit_pairs(tiny_headphones, *universe.ends())
+    )
     importances = permutation_importance(
         matcher, tiny_headphones, universe.subset(), repeats=1
     )
@@ -123,7 +132,10 @@ def test_same_source_pairs_are_rejected_by_the_store(
         tiny_headphones, tiny_embeddings, policy=CandidatePolicy.from_label(policy)
     )
     with pytest.raises(ConfigurationError, match="cross-source universe"):
-        store.features([_same_source_pair(tiny_headphones)], FeatureConfig())
+        store.features(
+            pair_request(tiny_headphones, [_same_source_pair(tiny_headphones)]),
+            FeatureConfig(),
+        )
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -135,10 +147,11 @@ def test_foreign_pairs_are_rejected_by_the_store(
     )
     known = tiny_headphones.properties()[0]
     foreign = (known, PropertyRef("elsewhere", "weight"))
+    with pytest.raises(ConfigurationError, match="cross-source universe"):
+        store.features(pair_request(tiny_headphones, [foreign]), FeatureConfig())
     # A pair set over another dataset's universe is foreign as a whole.
-    for request in ([foreign], build_pairs(tiny_cameras)):
-        with pytest.raises(ConfigurationError, match="cross-source universe"):
-            store.features(request, FeatureConfig())
+    with pytest.raises(ConfigurationError, match="cross-source universe"):
+        store.features(build_pairs(tiny_cameras), FeatureConfig())
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -157,7 +170,10 @@ def test_same_source_pairs_are_rejected_by_score_pairs(
         sample_training_pairs(universe.subset(), 2.0, np.random.default_rng([0, 3])),
     )
     with pytest.raises(ConfigurationError, match="cross-source universe"):
-        matcher.score_pairs(tiny_headphones, [_same_source_pair(tiny_headphones)])
+        matcher.score_pairs(
+            tiny_headphones,
+            pair_request(tiny_headphones, [_same_source_pair(tiny_headphones)]),
+        )
 
 
 def test_active_learning_and_transfer_build_no_pairs(

@@ -17,7 +17,7 @@ from repro.data.pairs import LabeledPair
 from repro.embeddings.hashing import hash_embeddings
 from repro.errors import ConfigurationError
 
-from tests.conftest import direct_pair_matrix
+from tests.conftest import direct_pair_matrix, pair_request
 
 
 class TestInstanceMetaFeatures:
@@ -95,7 +95,7 @@ class TestPropertyFeatureTable:
         store = PairFeatureStore(table, PairUniverse(dataset))
         unknown = (PropertyRef("nope", "nope"), PropertyRef("s1", "resolution"))
         with pytest.raises(ConfigurationError):
-            store.features([unknown], FeatureConfig())
+            store.features(pair_request(dataset, [unknown]), FeatureConfig())
 
     def test_rows_of(self, table, dataset):
         # Table rows follow dataset.properties(), the order pair-universe

@@ -109,8 +109,8 @@ class TestPersistence:
         bundle = tmp_path / "bundle"
         save_matcher(matcher, bundle)
         loaded = load_matcher(bundle)
-        original = matcher.score_pairs(dataset, pairs.pairs[:20])
-        restored = loaded.score_pairs(dataset, pairs.pairs[:20])
+        original = matcher.score_pairs(dataset, pairs.select(np.arange(20)))
+        restored = loaded.score_pairs(dataset, pairs.select(np.arange(20)))
         assert np.allclose(original, restored)
 
     def test_roundtrip_preserves_config(self, fitted, tmp_path):
@@ -185,8 +185,8 @@ class TestPersistence:
         (bundle / "config.json").write_text(json.dumps(config))
         loaded = load_matcher(bundle)
         assert np.allclose(
-            matcher.score_pairs(dataset, pairs.pairs[:10]),
-            loaded.score_pairs(dataset, pairs.pairs[:10]),
+            matcher.score_pairs(dataset, pairs.select(np.arange(10))),
+            loaded.score_pairs(dataset, pairs.select(np.arange(10))),
         )
 
 
@@ -230,7 +230,7 @@ class TestCandidatePolicyPersistence:
         loaded = load_matcher(bundle)
         assert loaded.candidate_policy == matcher.candidate_policy
         assert loaded.candidate_policy.label == "minhash:seed=7"
-        pairs = list(matcher.store.universe.pairs)[:20]
+        pairs = matcher.store.universe.subset().select(np.arange(20))
         assert np.allclose(
             matcher.score_pairs(dataset, pairs),
             loaded.score_pairs(dataset, pairs),

@@ -4,10 +4,10 @@ Every :class:`PairSet` carries its universe rows; the LEAPME path --
 subset, training sample, fit, score -- reads those rows and the
 universe's label array and never builds a :class:`LabeledPair` or looks
 a pair up.  Sets and samples must hold the pairs the seed enumeration
-(``tests.data.oracle.seed_pairs``) and an object walk give.  A plain
-pair list passed to the store has no rows of its own, so the store
-looks it up on every request and the rows it serves follow the list as
-it is now.
+(``tests.data.oracle.seed_pairs``) and an object walk give.  Pairs a
+caller names become an explicit set once, at the edge, over their
+dataset's property indices in their own orientation; the store reads
+its ends, so the rows it serves follow the list the set was built from.
 """
 
 import numpy as np
@@ -21,10 +21,18 @@ from repro.core import (
     PairFeatureStore,
     PairUniverse,
 )
-from repro.data.pairs import LabeledPair, build_pairs, sample_training_pairs
+from repro.data.pairs import (
+    LabeledPair,
+    build_pairs,
+    explicit_pairs,
+    sample_training_pairs,
+)
+from repro.errors import ConfigurationError
+from repro.graph.incremental import IncrementalClusterer
 from repro.nn.schedule import TrainingSchedule
 
-from tests.conftest import direct_pair_matrix
+from tests.conftest import direct_pair_matrix, pair_request
+from tests.serve.conftest import make_registry, make_spec, write_extra_source
 from tests.data.oracle import seed_pairs
 
 LIGHT = LeapmeConfig(hidden_sizes=(8,), schedule=TrainingSchedule.constant(1, 1e-3))
@@ -48,9 +56,9 @@ def pair_work(monkeypatch):
         calls["pairs"] += 1
         pair_init(self, *args, **kwargs)
 
-    def counted_lookup(self, pairs):
+    def counted_lookup(self, *ends):
         calls["lookups"] += 1
-        return lookup_rows(self, pairs)
+        return lookup_rows(self, *ends)
 
     monkeypatch.setattr(LabeledPair, "__init__", counted_init)
     monkeypatch.setattr(PairUniverse, "lookup_rows", counted_lookup)
@@ -72,18 +80,19 @@ def _object_sample(pairs: list, negative_ratio: float, rng) -> list:
 class TestListRequests:
     def test_rows_follow_a_list_mutated_between_requests(self, store):
         config = FeatureConfig()
+        dataset = store.universe.dataset
         universe_pairs = list(store.universe.pairs)
         requested = universe_pairs[:3]
-        assert len(store.features(requested, config)) == 3
+        assert len(store.features(pair_request(dataset, requested), config)) == 3
         requested.append(universe_pairs[10])
-        served = store.features(requested, config)
+        served = store.features(pair_request(dataset, requested), config)
         assert len(served) == 4
         np.testing.assert_array_equal(
             served, direct_pair_matrix(store.table, requested, config)
         )
-        requested[0] = universe_pairs[20]
+        requested[0] = universe_pairs[20].right, universe_pairs[20].left
         np.testing.assert_array_equal(
-            store.features(requested, config),
+            store.features(pair_request(dataset, requested), config),
             direct_pair_matrix(store.table, requested, config),
         )
 
@@ -128,7 +137,7 @@ class TestSubsets:
         assert new_pairs.universe is grown.universe
         assert all(sources[-1] in (p.left.source, p.right.source) for p in new_pairs)
         np.testing.assert_array_equal(
-            grown.universe.lookup_rows(new_pairs.pairs), new_pairs.rows
+            grown.universe.lookup_rows(*new_pairs.ends()), new_pairs.rows
         )
 
 
@@ -181,3 +190,56 @@ def test_leapme_path_builds_no_pair_objects(
     scores = matcher.score_pairs(tiny_headphones, test)
     assert pair_work == {"pairs": 0, "lookups": 0}
     assert scores.shape == (len(test),)
+
+
+class TestExplicitPairs:
+    def test_keep_the_caller_orientation_and_labels(self, tiny_headphones, store):
+        left, right = store.universe.ends(np.arange(20))
+        reversed_pairs = explicit_pairs(tiny_headphones, right, left)
+        assert [(pair.left, pair.right) for pair in reversed_pairs] == [
+            (pair.right, pair.left) for pair in store.universe.pairs_at(np.arange(20))
+        ]
+        np.testing.assert_array_equal(
+            reversed_pairs.labels(), store.universe.subset().labels()[:20]
+        )
+
+    def test_constructor_rejects_a_foreign_ref_and_a_same_source_pair(
+        self, tiny_headphones
+    ):
+        count = len(tiny_headphones.properties())
+        # Properties 0 and 1 are the first source's; the last is not.
+        for left, right in ([0, -1], [0, count], [0, 1]):
+            with pytest.raises(ConfigurationError, match="cross-source universe"):
+                explicit_pairs(tiny_headphones, [0, left], [count - 1, right])
+
+
+def test_predict_and_clusterer_build_no_pair_objects(
+    tmp_path, tiny_headphones, tiny_embeddings, pair_work
+):
+    """Explicit pairs go from the edge to the scores as property indices."""
+    registry = make_registry(tmp_path)
+    registry.create(make_spec(tmp_path, system="leapme", blocking="minhash"))
+    registry.add_source("t1", write_extra_source(tmp_path))
+    state = registry.get("t1").state
+    raw_pairs = [
+        [left.source, left.name, right.source, right.name]
+        for left in state.dataset.properties()
+        for right in state.dataset.properties()
+        if left.source < right.source
+    ]
+    pair_work.update(pairs=0, lookups=0)
+    assert len(registry.predict_payload("t1", raw_pairs)["scores"]) == len(raw_pairs)
+    assert pair_work == {"pairs": 0, "lookups": 1}
+
+    matcher = LeapmeMatcher(tiny_embeddings, config=LIGHT)
+    training = build_pairs(tiny_headphones)
+    matcher.fit(
+        tiny_headphones,
+        sample_training_pairs(training, 2.0, np.random.default_rng(3)),
+    )
+    clusterer = IncrementalClusterer(matcher, tiny_headphones)
+    first, second = tiny_headphones.sources()[:2]
+    clusterer.add_source(first)
+    pair_work.update(pairs=0, lookups=0)
+    clusterer.add_source(second)
+    assert pair_work == {"pairs": 0, "lookups": 0}

@@ -116,14 +116,14 @@ class TestNineConfigEquivalence:
 
     def test_store_gather_equals_direct_assembly(self, domain_fixture, config):
         _, _, table, universe, store, _ = domain_fixture
-        pairs = list(universe.pairs)[:60]
+        pairs = universe.subset().select(np.arange(60))
         served = store.features(pairs, config)
         direct = direct_pair_matrix(table, pairs, config)
         np.testing.assert_array_equal(served, direct)
 
     def test_matrices_are_float32(self, domain_fixture, config):
         _, _, table, universe, store, _ = domain_fixture
-        pairs = list(universe.pairs)[:10]
+        pairs = universe.subset().select(np.arange(10))
         assert direct_pair_matrix(table, pairs, config).dtype == np.float32
         assert store.features(pairs, config).dtype == np.float32
 
@@ -202,7 +202,7 @@ class TestAddSourceDelta:
 
     def test_served_config_views_match_rebuild(self, delta):
         _, _, store, _, _, rebuilt = delta
-        pairs = list(store.universe.pairs)[:40]
+        pairs = store.universe.subset().select(np.arange(40))
         for config in FeatureConfig.grid():
             np.testing.assert_array_equal(
                 store.features(pairs, config), rebuilt.features(pairs, config)

@@ -25,6 +25,7 @@ from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.data.splits import split_sources
 from repro.nn.network import ROW_BLOCK
 
+from tests.conftest import pair_request
 from tests.core.test_blocked_scoring import (  # noqa: F401 -- shared fixture
     CLASSIFIERS,
     SIZES,
@@ -77,7 +78,7 @@ def test_one_pass_over_nine_configs_equals_whole_matrix_scores(
     matchers = [members[(kind, config.label())] for config in GRID]
     order = np.random.default_rng(7).permutation(len(store.universe))
     for n in SIZES:
-        pairs = store.universe.pairs_at(order[:n])
+        pairs = store.universe.subset().select(order[:n])
         _assert_oracle(store, matchers, pairs, score_together(matchers, dataset, pairs))
 
 
@@ -88,7 +89,7 @@ def test_mixed_kinds_in_one_pass_equal_whole_matrix_scores(headphones, members):
     _, test = _cell(dataset, store.universe, 0.2)
     assert len(test) > 2 * 2048
     _assert_oracle(
-        store, matchers, test.pairs, score_together(matchers, dataset, test)
+        store, matchers, test, score_together(matchers, dataset, test)
     )
 
 
@@ -96,9 +97,9 @@ def test_mixed_kinds_in_one_pass_equal_whole_matrix_scores(headphones, members):
 def test_one_pass_over_pruned_pairs_equals_each_lone_score(headphones, kind):
     """Pairs a blocked universe pruned join the shared pass too.
 
-    A pruned-pair list and a ``build_pairs`` set (rows of another
-    universe, pruned pairs among them) score in one pass over nine
-    configs; every member equals its own ``score_pairs``.
+    An explicit set of pruned pairs and a ``build_pairs`` set (rows of
+    another universe, pruned pairs among them) score in one pass over
+    nine configs; every member equals its own ``score_pairs``.
     """
     dataset, embeddings, _ = headphones
     store = PairFeatureStore.build(
@@ -111,13 +112,15 @@ def test_one_pass_over_pruned_pairs_equals_each_lone_score(headphones, kind):
     ]
     everything = build_pairs(dataset)
     kept = {pair.key for pair in store.universe.pairs}
-    pruned = [pair for pair in everything.pairs if pair.key not in kept]
+    pruned = pair_request(
+        dataset, [pair for pair in everything.pairs if pair.key not in kept]
+    )
     assert len(pruned) > ROW_BLOCK
     for pairs in (pruned, everything):
         shared = score_together(matchers, dataset, pairs)
         for matcher, got in zip(matchers, shared):
             assert np.array_equal(got, matcher.score_pairs(dataset, pairs)), (
-                f"{matcher.name} changed over {type(pairs).__name__}"
+                f"{matcher.name} changed over {len(pairs)} pairs"
             )
 
 
@@ -163,7 +166,7 @@ def test_members_fitted_on_different_samples_get_their_own_blocks(
     assert not np.array_equal(scalers[0].mean_, scalers[1].mean_)
     made = _count_blocks(monkeypatch)
     order = np.random.default_rng(11).permutation(len(store.universe))
-    pairs = store.universe.pairs_at(order[: SIZES[-1]])
+    pairs = store.universe.subset().select(order[: SIZES[-1]])
     scores = score_together(matchers, dataset, pairs)
     assert made == [True, True]
     _assert_oracle(store, matchers, pairs, scores)

@@ -57,13 +57,13 @@ class TestAlgorithmOnePipeline:
 
     def test_beats_majority_baseline(self, pipeline):
         dataset, matcher, test = pipeline
-        scores = matcher.score_pairs(dataset, test.pairs)
+        scores = matcher.score_pairs(dataset, test)
         quality = evaluate_scores(scores, test.labels())
         assert quality.f1 > 0.5
 
     def test_similarity_graph_roundtrip(self, pipeline):
         dataset, matcher, test = pipeline
-        graph = matcher.match(dataset, test.pairs)
+        graph = matcher.match(dataset, test)
         assert len(graph) == len(test)
         matches = graph.match_keys(0.5)
         truth = {pair.key for pair in test.positives()}
@@ -72,7 +72,7 @@ class TestAlgorithmOnePipeline:
 
     def test_clustering_downstream(self, pipeline):
         dataset, matcher, test = pipeline
-        graph = matcher.match(dataset, test.pairs)
+        graph = matcher.match(dataset, test)
         clusters = cluster_connected_components(graph, 0.5)
         quality = clustering_metrics(
             clusters, dataset, restrict_to=set(graph.properties())
@@ -90,8 +90,8 @@ class TestAlgorithmOnePipeline:
             build_pairs(dataset), rng=np.random.default_rng(0)
         )
         names_only.fit(dataset, training)
-        full_scores = matcher.score_pairs(dataset, test.pairs[:20])
-        emb_scores = names_only.score_pairs(dataset, test.pairs[:20])
+        full_scores = matcher.score_pairs(dataset, test.select(np.arange(20)))
+        emb_scores = names_only.score_pairs(dataset, test.select(np.arange(20)))
         assert not np.allclose(full_scores, emb_scores)
 
 
@@ -133,5 +133,5 @@ class TestDatasetEmbeddingContract:
             build_pairs(dataset), rng=np.random.default_rng(0)
         )
         matcher.fit(dataset, training)
-        scores = matcher.score_pairs(dataset, training.pairs[:10])
+        scores = matcher.score_pairs(dataset, training.select(np.arange(10)))
         assert np.isfinite(scores).all()

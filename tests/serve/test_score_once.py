@@ -3,8 +3,9 @@
 ``/match`` and in-universe ``/predict`` read one memoised score vector
 per :class:`~repro.serve.registry.TenantState`, computed lazily by the
 first read.  These tests count the scoring passes, pin the
-lookup against direct scoring byte for byte, and time keep-alive
-requests to catch the delayed-ACK stall.
+lookup against direct scoring byte for byte, check that one row lookup
+splits a ``/predict`` into memo hits and scored misses, and time
+keep-alive requests to catch the delayed-ACK stall.
 """
 
 import http.client
@@ -12,11 +13,13 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.classifier import LeapmeClassifier
+from repro.core.feature_cache import PairUniverse
 from repro.core.matcher import LeapmeMatcher
-from repro.data.pairs import LabeledPair
+from repro.data.pairs import explicit_pairs
 from repro.errors import ConfigurationError
 from repro.serve import TenantRegistry
 
@@ -59,9 +62,7 @@ def cross_pairs(registry, tenant_id):
 def scored_body(registry, tenant_id, raw_pairs):
     """The ``/predict`` body built from direct ``score_pairs``."""
     state = registry.get(tenant_id).state
-    refs = state.property_index()
-    pairs = [labeled(state, refs, row) for row in raw_pairs]
-    scores = state.matcher.score_pairs(state.dataset, pairs)
+    scores = state.matcher.score_pairs(state.dataset, request_of(state, raw_pairs))
     threshold = registry.predict_payload(tenant_id, [])["threshold"]
     return {
         "tenant": tenant_id,
@@ -71,9 +72,14 @@ def scored_body(registry, tenant_id, raw_pairs):
     }
 
 
-def labeled(state, refs, row):
-    left, right = refs[(row[0], row[1])], refs[(row[2], row[3])]
-    return LabeledPair(left, right, state.dataset.is_match(left, right))
+def request_of(state, raw_pairs):
+    """``/predict`` rows as an explicit set over the snapshot's dataset."""
+    index = state.property_index()
+    return explicit_pairs(
+        state.dataset,
+        [index[(row[0], row[1])] for row in raw_pairs],
+        [index[(row[2], row[3])] for row in raw_pairs],
+    )
 
 
 class TestScoreOnce:
@@ -187,17 +193,46 @@ class TestPredictLookup:
         universe = registry.get("t1").state.universe
         kept = {pair.key for pair in universe.pairs}
         raw_pairs = cross_pairs(registry, "t1")
-        state = registry.get("t1").state
-        refs = state.property_index()
+        request = request_of(registry.get("t1").state, raw_pairs)
         pruned = [
-            row for row in raw_pairs
-            if labeled(state, refs, row).key not in kept
+            row for row, pair in zip(raw_pairs, request) if pair.key not in kept
         ]
         assert pruned
         forward_passes.clear()
         registry.predict_payload("t1", pruned)
         # Only the pruned pairs are scored; no universe pass is needed.
         assert forward_passes == [len(pruned)]
+
+    def test_one_lookup_splits_hits_from_scored_misses(self, tmp_path, monkeypatch):
+        registry = make_registry(tmp_path)
+        registry.create(make_spec(tmp_path, system="leapme", blocking="minhash"))
+        registry.add_source("t1", write_extra_source(tmp_path))
+        state = registry.get("t1").state
+        state.scored_pairs()
+        kept = {pair.key for pair in state.universe.pairs}
+        raw_pairs = cross_pairs(registry, "t1")
+        request = request_of(state, raw_pairs)
+        misses = np.array([pair.key not in kept for pair in request])
+        assert 0 < misses.sum() < len(raw_pairs)
+        lookups, scored = [], []
+        lookup_rows, score_pairs = PairUniverse.lookup_rows, LeapmeMatcher.score_pairs
+
+        def counted_lookup(self, left, right):
+            lookups.append(len(left))
+            return lookup_rows(self, left, right)
+
+        def recorded_score(self, dataset, pairs):
+            scored.append(pairs)
+            return score_pairs(self, dataset, pairs)
+
+        monkeypatch.setattr(PairUniverse, "lookup_rows", counted_lookup)
+        monkeypatch.setattr(LeapmeMatcher, "score_pairs", recorded_score)
+        body = registry.predict_payload("t1", raw_pairs)
+        assert lookups == [len(raw_pairs)]
+        (missed,) = scored
+        for got, want in zip(missed.ends(), request.ends()):
+            np.testing.assert_array_equal(got, want[misses])
+        assert body == scored_body(registry, "t1", raw_pairs)
 
 
     @pytest.mark.parametrize("blocking", [None, "minhash"])
