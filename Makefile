@@ -1,6 +1,6 @@
 # Developer convenience targets.
 
-.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench-smoke bench-trace bench-train bench bench-features bench-kernel bench-blocking bench-suite bench-tiny bench-paper examples lines
+.PHONY: install test lint lint-concurrency check chaos serve-smoke serve-http-smoke bench-smoke bench-trace bench-train bench-suite bench-tiny bench-paper examples lines
 
 install:
 	pip install -e . || python setup.py develop
@@ -75,34 +75,6 @@ bench-trace:
 # makes LeapmeClassifier.fit most of the workers' busy time.
 bench-train:
 	python3 bench/run.py --workload grid_table2 --trace 1
-
-# Evaluation-engine benchmark: the one grid engine in-process
-# (workers=1) vs on a process pool, aggregates asserted equal.  Writes
-# BENCH_grid.json.
-bench:
-	PYTHONPATH=src python scripts/bench_grid.py
-
-# Featurization micro-benchmark: staged float32 pipeline vs the legacy
-# monolithic float64 path, each in its own forked child (stage-level
-# timings + peak RSS).  Merges a "features" section into BENCH_grid.json.
-bench-features:
-	PYTHONPATH=src python scripts/bench_grid.py --features
-
-# Name-distance kernel micro-benchmark: scalar per-pair reference vs
-# the batched kernel vs the warm memo vs a persistent-cache reload,
-# with batched rows asserted bit-identical to the reference.  Merges a
-# "kernel" section into BENCH_grid.json.
-bench-kernel:
-	PYTHONPATH=src python scripts/bench_grid.py --kernel
-
-# Candidate-generation benchmark: the 9-config grid over the full
-# cross product vs the same grid under the minhash blocking policy
-# (paper network, so the F1 comparison is against converged
-# classifiers).  Merges a "blocking" section into BENCH_grid.json with
-# candidate counts, reduction ratio, pair recall and per-cell F1
-# deltas.
-bench-blocking:
-	PYTHONPATH=src python scripts/bench_grid.py --blocking --network paper
 
 bench-suite:
 	pytest benchmarks/ --benchmark-only -s

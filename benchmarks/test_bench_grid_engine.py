@@ -3,9 +3,10 @@
 Runs the 9-config feature grid once on two worker processes and once
 serially (``workers=1``), both over one shared pair universe and
 feature store, asserts the aggregates are identical, and reports the
-wall-clock ratio.  ``scripts/bench_grid.py`` (``make bench``) is the
-standalone driver with knobs; this module keeps the comparison in the
-benchmark suite so regressions show up alongside the paper tables.
+wall-clock ratio.  Keeping the comparison in the benchmark suite makes
+regressions show up alongside the paper tables;
+``tests/evaluation/test_parallel_grid.py`` asserts the same identity
+in tier-1.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ generators below stress the regimes where the DP vectorisation could
 diverge: empty strings, single characters, repeated characters (the
 Damerau transposition bookkeeping), shared prefixes (Jaro-Winkler),
 multi-byte unicode, and case folding that changes string length.
+The same test also runs on real inputs: every cross-source name pair of
+headphones at the small scale and of the four domains at the tiny one.
 """
 
 import random
@@ -14,6 +16,8 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import PairUniverse
+from repro.datasets import DATASET_NAMES, load_dataset
 from repro.text.batch import (
     COLUMNS,
     name_distance_matrix,
@@ -52,13 +56,27 @@ def _random_pairs(seed: int, count: int) -> list[tuple[str, str]]:
     return pairs
 
 
+#: Generated datasets whose universe names are an equivalence input, as
+#: ``name/scale``.
+REAL_UNIVERSES = ["headphones/small", *(f"{name}/tiny" for name in DATASET_NAMES)]
+
+
+def _equivalence_pairs(case: int | str) -> list[tuple[str, str]]:
+    """Random pairs for a seed, or a real dataset's universe names."""
+    if isinstance(case, int):
+        return _random_pairs(case, 150)
+    name, scale = case.split("/")
+    universe = PairUniverse(load_dataset(name, scale=scale))
+    return [(pair.left.name, pair.right.name) for pair in universe.pairs]
+
+
 class TestBatchedEquivalence:
     def test_columns_match_registry_order(self):
         assert COLUMNS == PAIR_DISTANCE_NAMES
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_unicode_pairs_match_reference_exactly(self, seed):
-        pairs = _random_pairs(seed, 150)
+    @pytest.mark.parametrize("case", [*range(8), *REAL_UNIVERSES])
+    def test_random_unicode_pairs_match_reference_exactly(self, case):
+        pairs = _equivalence_pairs(case)
         batched = name_distance_matrix(pairs)
         reference = np.array([name_distance_vector(a, b) for a, b in pairs])
         np.testing.assert_array_equal(batched, reference)
