@@ -396,8 +396,8 @@ def _cmd_features_describe(args: argparse.Namespace) -> int:
         configs = FeatureConfig.grid()
     else:
         configs = [FeatureConfig.from_label(args.config)]
-    print(describe_stages(args.dimension))
     schema = FeatureSchema(args.dimension)
+    print(describe_stages(args.dimension))
     print(f"\nfull matrix: {schema.total_width} columns at d={args.dimension}")
     for config in configs:
         print()

@@ -9,9 +9,9 @@ Algorithm 1 as follows:
 * :mod:`repro.core.property_features` -- ``pFeatures`` (rows 5-6): the
   per-property average of instance features and the name embedding,
   assembled into a :class:`PropertyFeatureTable`.
-* :mod:`repro.core.pipeline` -- the staged featurization DAG: a
-  registry of :class:`FeatureStage` nodes, the :class:`FeatureSchema`
-  column geometry and the columnar float32 :class:`FeaturePipeline`
+* :mod:`repro.core.pipeline` -- the featurization: the two property
+  :class:`FeatureStage` producers, the :class:`FeatureSchema` table of
+  pair-matrix blocks and the columnar float32 :class:`FeaturePipeline`
   with fingerprint-keyed per-property row caching.
 * :mod:`repro.core.feature_cache` -- ``ppFeatures`` (rows 7-15): the
   :class:`PairFeatureStore` of every candidate pair's difference of

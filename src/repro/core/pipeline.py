@@ -1,32 +1,25 @@
-"""Staged feature pipeline: single source of truth for Table I featurization.
+"""Feature pipeline: single source of truth for Table I featurization.
 
-Featurization is decomposed into a registry of :class:`FeatureStage`
-nodes forming a small DAG::
+LEAPME's feature vector is a fixed list, built in three levels:
 
-    instance_meta ---.
-                      >-- property_aggregate --.
-    instance_embedding                          >-- pair_diff
-    name_embedding --------------------------- '
-    name_distance  (pair-level, no property inputs)
+* **instance** rows (Table I rows 1-4) featurize one property-instance
+  value: 29 meta-features and the average word embedding.  They are
+  computed once per distinct value inside a property stage and counted
+  as the ``instance_meta`` and ``instance_embedding`` stages;
+* the two **property** stages (:data:`PROPERTY_STAGES`) reduce a
+  property to one row each -- the mean of its instance rows (row 5) and
+  its name embedding (row 6) -- cached per *content fingerprint* so the
+  same property is never featurized twice, across grid cells,
+  matchers, or incrementally ingested sources;
+* **pair** rows (rows 7-15) are absolute differences of property rows
+  plus the eight name distances.  No pair matrix is stored;
+  :meth:`FeatureSchema.pair_rows` computes any pair's row from its two
+  property rows and its name row.
 
-* **instance-level** stages featurize one property-instance value
-  (Table I rows 1-4);
-* **property-level** stages reduce a property's instances to one row
-  (rows 5-6), cached per *content fingerprint* so the same property is
-  never featurized twice -- across grid cells, matchers, or
-  incrementally ingested sources;
-* **pair-level** stages declare the pair-row column blocks (rows
-  7-15): absolute differences of property rows plus the eight name
-  distances.  No pair matrix is stored; :meth:`FeatureSchema.pair_rows`
-  computes any pair's row from its two property rows and its name row.
-
-:class:`FeatureSchema` derives the full pair-matrix column geometry
-from the registry.  It replaces both the former
-``pair_features.FeatureLayout`` and ``importance._block_slices`` (which
-duplicated the block map and could silently desync); a
-:class:`ResolvedSchema` snapshot is persisted inside matcher bundles so
-a loaded matcher can verify it scores with the geometry it was trained
-on.
+:class:`FeatureSchema` holds the pair-matrix column geometry as one
+table of blocks; a :class:`ResolvedSchema` snapshot is persisted inside
+matcher bundles so a loaded matcher can verify it scores with the
+geometry it was trained on.
 
 Stage outputs are stored as columnar ``float32`` arrays
 (:data:`FEATURE_DTYPE`).  The float32 policy: per-row math runs in
@@ -45,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 from time import perf_counter
@@ -245,75 +239,26 @@ class StageContext:
         return np.stack([memo[value] for value in values])
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """One pair-matrix block a pair-level stage emits.
-
-    ``source`` names the property-level stage whose columns
-    ``[source_start:source_stop]`` feed the block (``None`` for blocks
-    computed directly from the pair, like name distances).
-    """
-
-    key: str
-    source: str | None
-    source_start: int
-    source_stop: int
-    column_names: tuple[str, ...]
-
-
 class FeatureStage:
-    """One node of the featurization DAG.
+    """A property-level column producer (Table I rows 5-6).
 
-    Subclasses declare ``name``, ``level`` (``instance`` / ``property``
-    / ``pair``), upstream ``deps`` and a ``width``; property-level
-    stages additionally provide a content-addressed ``cache_key`` and a
-    pure ``compute``, pair-level stages declare the matrix blocks they
-    emit.  All stage output is stored as :data:`FEATURE_DTYPE`.
+    Subclasses declare a ``name`` and a ``width``, a content-addressed
+    ``cache_key`` and a pure ``compute`` of one property's row, which
+    :meth:`FeaturePipeline.property_columns` stores as
+    :data:`FEATURE_DTYPE`.
     """
 
     name: str = ""
-    level: str = ""
-    deps: tuple[str, ...] = ()
-    dtype = FEATURE_DTYPE
 
     def width(self, dimension: int) -> int:
         """Output columns for embedding dimensionality ``dimension``."""
         raise NotImplementedError
 
-    # Property-level interface -------------------------------------------
     def cache_key(self, dataset: Dataset, ref: PropertyRef) -> str:
         raise NotImplementedError
 
     def compute(self, context: StageContext, ref: PropertyRef) -> np.ndarray:
         raise NotImplementedError
-
-    # Pair-level interface -----------------------------------------------
-    def blocks(self, dimension: int) -> tuple[BlockSpec, ...]:
-        raise NotImplementedError
-
-
-#: Registered stages in registration (and matrix-block) order.
-STAGES: dict[str, FeatureStage] = {}
-
-
-def register_stage(stage: FeatureStage) -> FeatureStage:
-    """Add a stage to the registry, validating name and dependencies."""
-    if not stage.name or not stage.level:
-        raise ConfigurationError("feature stages must declare name and level")
-    if stage.name in STAGES:
-        raise ConfigurationError(f"duplicate feature stage {stage.name!r}")
-    for dep in stage.deps:
-        if dep not in STAGES:
-            raise ConfigurationError(
-                f"stage {stage.name!r} depends on unregistered stage {dep!r}"
-            )
-    STAGES[stage.name] = stage
-    return stage
-
-
-def stages_at(level: str) -> list[FeatureStage]:
-    """Registered stages of one level, in registration order."""
-    return [stage for stage in STAGES.values() if stage.level == level]
 
 
 def property_fingerprint(dataset: Dataset, ref: PropertyRef) -> str:
@@ -333,42 +278,14 @@ def property_fingerprint(dataset: Dataset, ref: PropertyRef) -> str:
     return hasher.hexdigest()[:24]
 
 
-class InstanceMetaStage(FeatureStage):
-    """Table I rows 1-3: 29 character/token/numeric meta-features."""
-
-    name = "instance_meta"
-    level = "instance"
-
-    def width(self, dimension: int) -> int:
-        return NUM_META_FEATURES
-
-    def matrix(self, context: StageContext, values: list[str]) -> np.ndarray:
-        return context.value_rows(self.name, values, instance_meta_matrix)
-
-
-class InstanceEmbeddingStage(FeatureStage):
-    """Table I row 4: average word embedding of each instance value."""
-
-    name = "instance_embedding"
-    level = "instance"
-
-    def width(self, dimension: int) -> int:
-        return dimension
-
-    def matrix(self, context: StageContext, values: list[str]) -> np.ndarray:
-        return context.value_rows(
-            self.name,
-            values,
-            lambda fresh: instance_embedding_matrix(fresh, context.embeddings),
-        )
-
-
 class PropertyAggregateStage(FeatureStage):
-    """Table I row 5: mean of instance meta + embedding rows, per property."""
+    """Table I row 5: mean of instance meta + embedding rows, per property.
+
+    The instance rows (rows 1-4) are featurized per distinct value and
+    counted as the ``instance_meta`` and ``instance_embedding`` stages.
+    """
 
     name = "property_aggregate"
-    level = "property"
-    deps = ("instance_meta", "instance_embedding")
 
     def width(self, dimension: int) -> int:
         return NUM_META_FEATURES + dimension
@@ -381,9 +298,13 @@ class PropertyAggregateStage(FeatureStage):
         row = np.zeros(NUM_META_FEATURES + dimension)
         values = context.dataset.values_of(ref)
         if values:
-            meta = STAGES["instance_meta"].matrix(context, values)
+            meta = context.value_rows("instance_meta", values, instance_meta_matrix)
             row[:NUM_META_FEATURES] = meta.mean(axis=0)
-            vectors = STAGES["instance_embedding"].matrix(context, values)
+            vectors = context.value_rows(
+                "instance_embedding",
+                values,
+                lambda fresh: instance_embedding_matrix(fresh, context.embeddings),
+            )
             # Sequential accumulation (not ndarray.sum) keeps the float64
             # rounding identical to the seed implementation's value loop.
             total = np.zeros(dimension)
@@ -397,7 +318,6 @@ class NameEmbeddingStage(FeatureStage):
     """Table I row 6: average word embedding of the property *name*."""
 
     name = "name_embedding"
-    level = "property"
 
     def width(self, dimension: int) -> int:
         return dimension
@@ -409,80 +329,11 @@ class NameEmbeddingStage(FeatureStage):
         return context.embeddings.embed_text(ref.name)
 
 
-class PairDiffStage(FeatureStage):
-    """Table I row 7: absolute differences of property feature rows."""
-
-    name = "pair_diff"
-    level = "pair"
-    deps = ("property_aggregate", "name_embedding")
-
-    def width(self, dimension: int) -> int:
-        return NUM_META_FEATURES + 2 * dimension
-
-    def blocks(self, dimension: int) -> tuple[BlockSpec, ...]:
-        return (
-            BlockSpec(
-                key="instance_meta",
-                source="property_aggregate",
-                source_start=0,
-                source_stop=NUM_META_FEATURES,
-                column_names=tuple(
-                    f"inst_meta_diff_{i}" for i in range(NUM_META_FEATURES)
-                ),
-            ),
-            BlockSpec(
-                key="instance_embedding",
-                source="property_aggregate",
-                source_start=NUM_META_FEATURES,
-                source_stop=NUM_META_FEATURES + dimension,
-                column_names=tuple(
-                    f"inst_emb_diff_{i}" for i in range(dimension)
-                ),
-            ),
-            BlockSpec(
-                key="name_embedding",
-                source="name_embedding",
-                source_start=0,
-                source_stop=dimension,
-                column_names=tuple(
-                    f"name_emb_diff_{i}" for i in range(dimension)
-                ),
-            ),
-        )
-
-
-class NameDistanceStage(FeatureStage):
-    """Table I rows 8-15: the eight name string distances."""
-
-    name = "name_distance"
-    level = "pair"
-
-    def width(self, dimension: int) -> int:
-        return NUM_NAME_DISTANCES
-
-    def blocks(self, dimension: int) -> tuple[BlockSpec, ...]:
-        return (
-            BlockSpec(
-                key="name_distances",
-                source=None,
-                source_start=0,
-                source_stop=0,
-                column_names=tuple(
-                    f"name_dist_{name}" for name in PAIR_DISTANCE_NAMES
-                ),
-            ),
-        )
-
-
-# Registration order fixes the pair-matrix block order: pair_diff's
-# three blocks (instance meta, instance embedding, name embedding), then
-# the name distances -- the layout every FeatureConfig slices.
-register_stage(InstanceMetaStage())
-register_stage(InstanceEmbeddingStage())
-register_stage(PropertyAggregateStage())
-register_stage(NameEmbeddingStage())
-register_stage(PairDiffStage())
-register_stage(NameDistanceStage())
+#: The property-level stages, in the order they compute.
+PROPERTY_STAGES: tuple[FeatureStage, ...] = (
+    PropertyAggregateStage(),
+    NameEmbeddingStage(),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +343,22 @@ register_stage(NameDistanceStage())
 
 @dataclass(frozen=True)
 class SchemaBlock:
-    """One column block of the full pair-feature matrix."""
+    """One column block of the full pair-feature matrix.
+
+    ``source`` names the property stage whose columns
+    ``[source_start:source_stop]`` feed the block (``None`` for the name
+    distances, computed from the pair); ``used_by(config)`` says whether
+    a :class:`FeatureConfig` selects the block.
+    """
 
     key: str
-    stage: str
     source: str | None
     source_start: int
     source_stop: int
     start: int
     stop: int
     column_names: tuple[str, ...]
+    used_by: Callable[[FeatureConfig], bool]
 
     @property
     def width(self) -> int:
@@ -518,23 +375,12 @@ class SchemaBlock:
         return slice(self.source_start, self.source_stop)
 
 
-def _block_active(key: str, config: FeatureConfig) -> bool:
-    if key == "instance_meta":
-        return config.scope.uses_instances and config.kinds.uses_non_embeddings
-    if key == "instance_embedding":
-        return config.scope.uses_instances and config.kinds.uses_embeddings
-    if key == "name_embedding":
-        return config.scope.uses_names and config.kinds.uses_embeddings
-    if key == "name_distances":
-        return config.scope.uses_names and config.kinds.uses_non_embeddings
-    raise ConfigurationError(f"unknown feature block {key!r}")
-
-
 class FeatureSchema:
     """Column-block geometry of the full pair-feature matrix.
 
-    Derived from the stage registry, so column order and block widths
-    have exactly one definition; :meth:`column_names`, the feature
+    Built from one table of Table I rows 7-15, so block order, source
+    columns, column names and the configs using each block have exactly
+    one definition; :meth:`column_names`, the feature
     store, permutation importance and persisted bundles all read from
     here.  Every :class:`FeatureConfig` selects whole blocks, so a
     config's matrix is ``full_matrix[:, schema.active_columns(config)]``
@@ -544,25 +390,35 @@ class FeatureSchema:
     """
 
     def __init__(self, dimension: int) -> None:
+        if dimension < 1:
+            raise ConfigurationError(
+                f"embedding dimension must be >= 1, got {dimension}"
+            )
         self.dimension = dimension
+        meta = NUM_META_FEATURES
+        # Table I rows 7-15 in column order: block key, source stage and
+        # its columns, column names, the configs using the block.
+        table = (
+            ("instance_meta", "property_aggregate", 0, meta,
+             [f"inst_meta_diff_{i}" for i in range(meta)],
+             lambda c: c.scope.uses_instances and c.kinds.uses_non_embeddings),
+            ("instance_embedding", "property_aggregate", meta, meta + dimension,
+             [f"inst_emb_diff_{i}" for i in range(dimension)],
+             lambda c: c.scope.uses_instances and c.kinds.uses_embeddings),
+            ("name_embedding", "name_embedding", 0, dimension,
+             [f"name_emb_diff_{i}" for i in range(dimension)],
+             lambda c: c.scope.uses_names and c.kinds.uses_embeddings),
+            ("name_distances", None, 0, 0,
+             [f"name_dist_{name}" for name in PAIR_DISTANCE_NAMES],
+             lambda c: c.scope.uses_names and c.kinds.uses_non_embeddings),
+        )
         blocks: list[SchemaBlock] = []
         offset = 0
-        for stage in stages_at("pair"):
-            for spec in stage.blocks(dimension):
-                stop = offset + len(spec.column_names)
-                blocks.append(
-                    SchemaBlock(
-                        key=spec.key,
-                        stage=stage.name,
-                        source=spec.source,
-                        source_start=spec.source_start,
-                        source_stop=spec.source_stop,
-                        start=offset,
-                        stop=stop,
-                        column_names=spec.column_names,
-                    )
-                )
-                offset = stop
+        for key, source, source_start, source_stop, names, used_by in table:
+            stop = offset + len(names)
+            blocks.append(SchemaBlock(key, source, source_start, source_stop,
+                                      offset, stop, tuple(names), used_by))
+            offset = stop
         self.blocks: tuple[SchemaBlock, ...] = tuple(blocks)
         self.total_width = offset
         self._by_key = {block.key: block for block in self.blocks}
@@ -575,9 +431,7 @@ class FeatureSchema:
 
     def active_blocks(self, config: FeatureConfig) -> tuple[SchemaBlock, ...]:
         """The blocks a config enables, in matrix order."""
-        active = tuple(
-            block for block in self.blocks if _block_active(block.key, config)
-        )
+        active = tuple(block for block in self.blocks if block.used_by(config))
         if not active:
             raise ConfigurationError(
                 f"feature config {config.label()} selects no features"
@@ -665,7 +519,7 @@ class FeatureSchema:
         lines = [f"{config.label()}: {resolved.dimension} columns"]
         for key, start, stop in resolved.blocks:
             block = self.block(key)
-            via = block.source if block.source is not None else block.stage
+            via = block.source or "name_distance"
             lines.append(f"  [{start:4d}:{stop:4d}] {key:<20} <- {via}")
         return "\n".join(lines)
 
@@ -722,14 +576,21 @@ class ResolvedSchema:
 
 
 def describe_stages(dimension: int) -> str:
-    """Human-readable stage graph for embedding dimensionality ``dimension``."""
+    """Table I's producers and their widths at embedding ``dimension``."""
+    meta = NUM_META_FEATURES
+    stages = (
+        ("instance_meta", "instance", meta, "-"),
+        ("instance_embedding", "instance", dimension, "-"),
+        ("property_aggregate", "property", meta + dimension,
+         "instance_meta, instance_embedding"),
+        ("name_embedding", "property", dimension, "-"),
+        ("pair_diff", "pair", meta + 2 * dimension,
+         "property_aggregate, name_embedding"),
+        ("name_distance", "pair", NUM_NAME_DISTANCES, "-"),
+    )
     lines = ["stage graph (name  level  width  <- deps):"]
-    for stage in STAGES.values():
-        deps = ", ".join(stage.deps) if stage.deps else "-"
-        lines.append(
-            f"  {stage.name:<20} {stage.level:<9} "
-            f"{stage.width(dimension):>5}  <- {deps}"
-        )
+    for name, level, width, deps in stages:
+        lines.append(f"  {name:<20} {level:<9} {width:>5}  <- {deps}")
     return "\n".join(lines)
 
 
@@ -739,7 +600,7 @@ def describe_stages(dimension: int) -> str:
 
 
 class FeaturePipeline:
-    """Executes the stage DAG for one embedding space.
+    """Runs the property stages for one embedding space.
 
     Property-level rows are cached per content fingerprint (float32,
     read-only), independently of any pair enumeration -- featurizing a
@@ -766,7 +627,7 @@ class FeaturePipeline:
         self.stage_seconds: dict[str, float] = {}
         self._totals_lock = threading.Lock()
         self._rows: dict[str, dict[str, np.ndarray]] = {
-            stage.name: {} for stage in stages_at("property")
+            stage.name: {} for stage in PROPERTY_STAGES
         }
 
     def _fold(self, calls: dict[str, int], seconds: dict[str, float]) -> None:
@@ -791,7 +652,7 @@ class FeaturePipeline:
         context = StageContext(dataset, self.embeddings)
         seconds: dict[str, float] = {}
         columns: dict[str, np.ndarray] = {}
-        for stage in stages_at("property"):
+        for stage in PROPERTY_STAGES:
             started = perf_counter()
             out = np.empty(
                 (len(refs), stage.width(self.schema.dimension)),
@@ -858,7 +719,7 @@ class FeaturePipeline:
         gather's do.  Float32, ``schema.width(config)`` columns.
         """
         names = np.zeros((len(left_rows), NUM_NAME_DISTANCES), dtype=FEATURE_DTYPE)
-        if _block_active("name_distances", config):
+        if self.schema.block("name_distances").used_by(config):
             names = self.name_pair_rows(table, left_rows, right_rows)
         rows, columns = self.schema.property_rows(table), self.schema.active_columns(config)
         return self.schema.pair_rows(rows, left_rows, right_rows, names, columns)

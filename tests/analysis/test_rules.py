@@ -1,9 +1,12 @@
 """Every REP rule: the bad fixture fires, the good twin stays silent."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import analyze_source, rule_codes
 from repro.analysis.registry import ROLE_TESTS
+from repro.core import pipeline
 
 from tests.analysis import fixtures
 
@@ -154,6 +157,14 @@ class TestRep009Variants:
             "            return handle.read()\n"
         )
         assert violations_of(source, "REP009") == []
+
+    def test_binds_the_real_stage_module(self):
+        # The rule keys on FeatureStage subclasses: if the pipeline
+        # stopped defining any, REP009 would check nothing there.
+        source = Path(pipeline.__file__).read_text(encoding="utf-8")
+        source += "\nfrom repro.evaluation import runner\n"
+        found = violations_of(source, "REP009", path="src/repro/core/pipeline.py")
+        assert len(source.splitlines()) in {v.line for v in found}
 
 
 class TestRep008Variants:

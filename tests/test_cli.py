@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -248,6 +249,28 @@ class TestDescribe:
         code = main(["describe", "--journal", str(path)])
         assert code == 2
         assert "error: corrupt journal line" in capsys.readouterr().err
+
+
+class TestFeaturesDescribe:
+    """``repro features describe`` prints Table I's layout byte for byte."""
+
+    @pytest.mark.parametrize(
+        "dimension, digest",
+        [("300", "a17cb26284181aee"), ("8", "202e6374e047cd6c")],
+    )
+    def test_all_configs_pinned(self, dimension, digest, capsys):
+        assert main(["features", "describe", "--dimension", dimension]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 43
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("dimension", ["0", "-5"])
+    def test_non_positive_dimension_rejected(self, dimension, capsys):
+        code = main(["features", "describe", "--dimension", dimension])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: embedding dimension must be >= 1" in captured.err
 
 
 class TestMatch:
