@@ -7,11 +7,6 @@ operating point -- especially with little training data.  This bench
 maps the full precision-recall curve of the scores at 20% training and
 reports the achievable operating points (the analysis behind deviation 4
 in EXPERIMENTS.md).
-
-A monotone recalibration (Platt/isotonic/prior correction; see
-``repro.ml.calibration``) cannot repair *ranking* errors, so the curve
-itself -- not any post-hoc calibration -- is the honest picture of what
-score thresholds can and cannot buy.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.blocking import (
     MinHashBlocker,
     NullBlocker,
     TokenBlocker,
-    blocking_quality,
 )
 from repro.baselines import (
     AmlMatcher,
@@ -47,10 +46,8 @@ from repro.core import (
     LeapmeConfig,
     LeapmeMatcher,
     Matcher,
-    load_matcher,
     permutation_importance,
     render_importance,
-    save_matcher,
 )
 from repro.data import (
     Dataset,
@@ -121,8 +118,6 @@ __all__ = [
     "BlockImportance",
     "permutation_importance",
     "render_importance",
-    "save_matcher",
-    "load_matcher",
     "load_dataset_csv",
     "PrecisionRecallCurve",
     "precision_recall_curve",
@@ -145,7 +140,6 @@ __all__ = [
     "NullBlocker",
     "TokenBlocker",
     "MinHashBlocker",
-    "blocking_quality",
     # graph
     "IncrementalClusterer",
     "FusedAttribute",

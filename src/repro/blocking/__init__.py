@@ -7,10 +7,10 @@ set before feature extraction, the standard scalability lever in the
 schema/entity-matching literature (cf. Rahm, "Towards large-scale schema
 and ontology matching").
 
-Since PR 10 blocking is a first-class pipeline stage, not an
-evaluation-only report: a :class:`CandidatePolicy` names a blocker and
-its parameters, travels through CLI flags, matcher bundles, serve tenant
-specs and ingest bootstrap, and every
+Blocking is a first-class pipeline stage, not an evaluation-only
+report: a :class:`CandidatePolicy` names a blocker and its parameters,
+travels through CLI flags, serve tenant specs and ingest bootstrap, and
+every
 :class:`~repro.core.feature_cache.PairUniverse` enumerates only the
 candidates its policy produces.  The ``null`` policy keeps the exact
 full cross-product semantics.
@@ -24,8 +24,6 @@ full cross-product semantics.
   expansion) and :class:`EmbeddingLSHBlocker` (random-hyperplane
   buckets over property embeddings).
 * :mod:`repro.blocking.policy` -- the serialisable policy record.
-* :mod:`repro.blocking.metrics` -- pair completeness / reduction ratio,
-  the standard blocking quality measures.
 """
 
 from repro.blocking.blockers import (
@@ -37,7 +35,6 @@ from repro.blocking.blockers import (
     SketchBlocker,
     TokenBlocker,
 )
-from repro.blocking.metrics import BlockingQuality, blocking_quality
 from repro.blocking.policy import CandidatePolicy
 
 __all__ = [
@@ -49,6 +46,4 @@ __all__ = [
     "SketchBlocker",
     "EmbeddingLSHBlocker",
     "CandidatePolicy",
-    "BlockingQuality",
-    "blocking_quality",
 ]

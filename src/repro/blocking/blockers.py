@@ -7,8 +7,8 @@ Index pairs are the native currency of the candidate-generation stage:
 no per-pair ``frozenset`` keys are materialised, and the lexicographic
 ``(i, j)`` order equals the historical full-enumeration order, which is
 what keeps the :class:`NullBlocker` path byte-identical to the seed
-pipeline.  The frozenset-based :meth:`candidate_keys` view remains for
-the evaluation metrics in :mod:`repro.blocking.metrics`.
+pipeline.  :meth:`candidate_keys` is the frozenset view of the same
+candidates.
 
 Bucket blockers (:class:`SketchBlocker`, :class:`EmbeddingLSHBlocker`)
 derive per-property bucket keys that depend only on the property's own
@@ -40,7 +40,8 @@ class Blocker(ABC):
     """Produces the candidate pair set the matcher will classify.
 
     A blocker trades *pair completeness* (true matches kept) against
-    *reduction ratio* (pairs pruned); see :mod:`repro.blocking.metrics`.
+    *reduction ratio* (pairs pruned); see
+    :meth:`~repro.core.feature_cache.PairUniverse.blocking_stats`.
     """
 
     #: Stable policy label; see :class:`repro.blocking.policy.CandidatePolicy`.

@@ -1,8 +1,7 @@
 """The candidate-generation policy: a named, serialisable blocker choice.
 
 A :class:`CandidatePolicy` is the value that travels through the stack —
-CLI flags (``repro match --blocking minhash:seed=7``), matcher bundles
-(persisted in ``config.json`` and re-verified on load), serve tenant
+CLI flags (``repro match --blocking minhash:seed=7``), serve tenant
 specs and their journal records, and the ingest bootstrap — while the
 heavyweight :class:`~repro.blocking.blockers.Blocker` instance it
 resolves to stays process-local.  The default (``null``) policy keeps

@@ -8,7 +8,7 @@ Commands
 ``evaluate``   run the paper's evaluation protocol for one system.
 ``match``      train on chosen sources and emit scored matches as CSV;
                ``--add-source`` ingests an extra source incrementally
-               through the feature store's delta path.
+               through ``Matcher.with_source``.
 ``features``   ``features describe`` prints the stage graph and the
                resolved column schema per feature configuration.
 ``describe``   post-mortem summary of a journal (run, ingestion or
@@ -479,19 +479,15 @@ def _write_matches(out: str, pairs: PairSet, scores, threshold: float) -> int:
 def _match_with_added_source(
     args: argparse.Namespace, dataset: Dataset, matcher: Matcher
 ) -> int:
-    """Incremental ingestion: train on the base dataset, delta-featurize
-    one new source, and emit matches for the *new* candidate pairs only.
+    """Incremental ingestion: fit on the base dataset (supervised systems
+    only), add one new source, and emit matches for the *new* candidate
+    pairs only.
 
-    :meth:`LeapmeMatcher.with_source` -- the add-source path the service
-    and follow mode share -- recomputes only the new source's property
-    rows and the new pairs; everything already featurized is served
-    from the pipeline's fingerprint-keyed cache.
+    :meth:`Matcher.with_source` is the add-source path the service and
+    follow mode share; for LEAPME it recomputes only the new source's
+    property rows and the new pairs, and everything already featurized
+    is served from the pipeline's fingerprint-keyed cache.
     """
-    if not isinstance(matcher, LeapmeMatcher):
-        raise ReproError(
-            "--add-source needs an incremental feature store, which only "
-            "the LEAPME systems provide"
-        )
     addition = load_dataset_csv(args.add_source, args.add_alignment)
     cache_path = _distance_cache_path(
         args, Path(args.out).with_name("distance_cache.npz")
@@ -504,20 +500,22 @@ def _match_with_added_source(
                 f"loaded from {cache_path}",
                 file=sys.stderr,
             )
+    pipeline = getattr(matcher, "pipeline", None)
     try:
-        rng = np.random.default_rng(args.seed)
-        training = sample_training_pairs(matcher.candidates(dataset), rng=rng)
-        if not training.labels().any():
-            raise ReproError(
-                "no positive training pairs in the base dataset; "
-                "provide an alignment file"
-            )
-        matcher.fit(dataset, training)
-        calls_before = dict(matcher.pipeline.stage_calls)
+        if matcher.is_supervised:
+            rng = np.random.default_rng(args.seed)
+            training = sample_training_pairs(matcher.candidates(dataset), rng=rng)
+            if not training.labels().any():
+                raise ReproError(
+                    "no positive training pairs in the base dataset; "
+                    "provide an alignment file"
+                )
+            matcher.fit(dataset, training)
+        calls_before = dict(getattr(pipeline, "stage_calls", {}))
         grown, combined, new_pairs = matcher.with_source(dataset, addition)
         delta = {
             stage: count - calls_before.get(stage, 0)
-            for stage, count in matcher.pipeline.stage_calls.items()
+            for stage, count in getattr(pipeline, "stage_calls", {}).items()
             if count - calls_before.get(stage, 0)
         }
         scores = grown.score_pairs(combined, new_pairs)
@@ -531,8 +529,9 @@ def _match_with_added_source(
         f"{len(addition.properties())} new properties, "
         f"{len(new_pairs)} new candidate pairs"
     )
-    print("stage calls for the increment: "
-          + ", ".join(f"{stage}={count}" for stage, count in sorted(delta.items())))
+    if pipeline is not None:
+        print("stage calls for the increment: "
+              + ", ".join(f"{stage}={count}" for stage, count in sorted(delta.items())))
     print(f"{kept} matches (of {len(new_pairs)} new pairs) written to {args.out}")
     return 0
 
@@ -726,9 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--add-source", default=None, metavar="CSV",
                        help="instances CSV of one or more NEW sources to "
                             "ingest incrementally: train on the base "
-                            "dataset, delta-featurize only the new "
-                            "properties/pairs, and emit matches for the "
-                            "new pairs")
+                            "dataset (supervised systems), delta-featurize "
+                            "only the new properties/pairs, and emit "
+                            "matches for the new pairs")
     match.add_argument("--add-alignment", default=None, metavar="CSV",
                        help="alignment CSV for --add-source (optional)")
     match.add_argument("--distance-cache", default=None, metavar="NPZ",

@@ -51,7 +51,6 @@ from repro.core.instance_features import (
 )
 from repro.core.feature_cache import PairFeatureStore, PairUniverse
 from repro.core.matcher import LeapmeMatcher
-from repro.core.persistence import load_matcher, save_matcher
 from repro.core.pipeline import (
     FEATURE_DTYPE,
     FeaturePipeline,
@@ -87,6 +86,4 @@ __all__ = [
     "BlockImportance",
     "permutation_importance",
     "render_importance",
-    "save_matcher",
-    "load_matcher",
 ]

@@ -45,9 +45,8 @@ DEGRADATION_CLASSICAL_FALLBACK = "classical-fallback"
 class FittedState:
     """The trained artifacts of a :class:`LeapmeClassifier`.
 
-    The public contract for persistence and inspection: callers
-    (``repro.core.persistence`` among them) never reach into private
-    attributes to serialise a classifier.
+    The public contract for inspection and shared scoring: callers
+    never reach into a classifier's private attributes.
     """
 
     network: Sequential

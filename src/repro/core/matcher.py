@@ -56,7 +56,7 @@ class LeapmeMatcher(Matcher):
         The :class:`~repro.blocking.policy.CandidatePolicy` every
         feature store this matcher builds enumerates candidates with.
         Defaults to the exact-equivalence null policy (all cross-source
-        pairs); persisted in matcher bundles and re-verified on load.
+        pairs).
     """
 
     is_supervised = True

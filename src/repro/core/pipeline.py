@@ -17,9 +17,8 @@ LEAPME's feature vector is a fixed list, built in three levels:
   property rows and its name row.
 
 :class:`FeatureSchema` holds the pair-matrix column geometry as one
-table of blocks; a :class:`ResolvedSchema` snapshot is persisted inside
-matcher bundles so a loaded matcher can verify it scores with the
-geometry it was trained on.
+table of blocks; a :class:`ResolvedSchema` is one config's snapshot of
+it.
 
 Stage outputs are stored as columnar ``float32`` arrays
 (:data:`FEATURE_DTYPE`).  The float32 policy: per-row math runs in
@@ -53,7 +52,7 @@ from repro.core.instance_features import (
 )
 from repro.data.model import Dataset, PropertyRef
 from repro.embeddings.base import WordEmbeddings
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError
 from repro.text.batch import name_distance_rows, unique_lowered_pairs
 from repro.text.similarity import PAIR_DISTANCE_NAMES
 
@@ -380,11 +379,11 @@ class FeatureSchema:
 
     Built from one table of Table I rows 7-15, so block order, source
     columns, column names and the configs using each block have exactly
-    one definition; :meth:`column_names`, the feature
-    store, permutation importance and persisted bundles all read from
-    here.  Every :class:`FeatureConfig` selects whole blocks, so a
-    config's matrix is ``full_matrix[:, schema.active_columns(config)]``
-    -- a zero-copy view whenever the active blocks are adjacent (all
+    one definition; :meth:`column_names`, the feature store and
+    permutation importance all read from here.  Every
+    :class:`FeatureConfig` selects whole blocks, so a config's matrix
+    is ``full_matrix[:, schema.active_columns(config)]`` -- a zero-copy
+    view whenever the active blocks are adjacent (all
     grid cells except ``both/non_embedding``, which skips the middle
     embedding blocks).
     """
@@ -526,12 +525,7 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class ResolvedSchema:
-    """The geometry one config's matrix actually has -- persistable.
-
-    Saved inside matcher bundles (``config.json``) so a loaded matcher
-    can verify that the pipeline it will score with produces the column
-    layout the classifier was trained on.
-    """
+    """The geometry one config's matrix actually has."""
 
     scope: str
     kinds: str
@@ -548,31 +542,6 @@ class ResolvedSchema:
     def slices(self) -> dict[str, slice]:
         """Per-block column ranges within the config's matrix."""
         return {key: slice(start, stop) for key, start, stop in self.blocks}
-
-    def to_dict(self) -> dict:
-        return {
-            "scope": self.scope,
-            "kinds": self.kinds,
-            "embedding_dimension": self.embedding_dimension,
-            "dimension": self.dimension,
-            "blocks": [[key, start, stop] for key, start, stop in self.blocks],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResolvedSchema":
-        try:
-            return cls(
-                scope=str(payload["scope"]),
-                kinds=str(payload["kinds"]),
-                embedding_dimension=int(payload["embedding_dimension"]),
-                dimension=int(payload["dimension"]),
-                blocks=tuple(
-                    (str(key), int(start), int(stop))
-                    for key, start, stop in payload["blocks"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise DataError(f"malformed feature schema: {error}") from None
 
 
 def describe_stages(dimension: int) -> str:
@@ -702,24 +671,3 @@ class FeaturePipeline:
             {"name_distance": perf_counter() - started},
         )
         return rows
-
-    def pair_matrix(
-        self,
-        table,
-        left_rows: np.ndarray,
-        right_rows: np.ndarray,
-        config: FeatureConfig,
-    ) -> np.ndarray:
-        """A config's pair matrix for pairs of a table's rows, in one call.
-
-        Pair ``k`` joins rows ``left_rows[k]`` and ``right_rows[k]`` of
-        a :class:`~repro.core.property_features.PropertyFeatureTable`.
-        Name distances are computed only when the config uses them; the
-        rows come from :meth:`FeatureSchema.pair_rows`, as every store
-        gather's do.  Float32, ``schema.width(config)`` columns.
-        """
-        names = np.zeros((len(left_rows), NUM_NAME_DISTANCES), dtype=FEATURE_DTYPE)
-        if self.schema.block("name_distances").used_by(config):
-            names = self.name_pair_rows(table, left_rows, right_rows)
-        rows, columns = self.schema.property_rows(table), self.schema.active_columns(config)
-        return self.schema.pair_rows(rows, left_rows, right_rows, names, columns)

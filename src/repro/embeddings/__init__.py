@@ -18,7 +18,6 @@ Operating offline, this package instead *trains* embeddings from scratch:
   and average-of-words text encoding.
 * :mod:`repro.embeddings.sif` -- SIF-weighted text encoding (smooth
   inverse frequency + common-direction removal, Arora et al. 2017).
-* :mod:`repro.embeddings.store` -- ``.npz`` persistence.
 """
 
 from repro.embeddings.base import WordEmbeddings
@@ -28,7 +27,6 @@ from repro.embeddings.glove_like import train_glove_like
 from repro.embeddings.hashing import hash_embeddings
 from repro.embeddings.lexicon import SynonymLexicon
 from repro.embeddings.sif import SifEncoder
-from repro.embeddings.store import load_embeddings, save_embeddings
 from repro.embeddings.vocab import Vocabulary
 
 __all__ = [
@@ -41,6 +39,4 @@ __all__ = [
     "train_glove_like",
     "hash_embeddings",
     "SifEncoder",
-    "save_embeddings",
-    "load_embeddings",
 ]

@@ -1,7 +1,7 @@
 """Crash-safe filesystem helpers.
 
-Every artifact the library writes (matcher bundles, dataset JSON, run
-journals) goes through these helpers so that a process killed mid-write
+Every artifact the library writes (dataset JSON, run journals, the
+distance cache) goes through these helpers so that a process killed mid-write
 never leaves a corrupt or half-written file behind: content is written
 to a temporary sibling in the same directory and atomically swapped into
 place with :func:`os.replace`.

@@ -13,13 +13,10 @@ scaling:
 * :mod:`repro.ml.knn` -- k-nearest-neighbour classifier.
 * :mod:`repro.ml.naive_bayes` -- Gaussian naive Bayes.
 * :mod:`repro.ml.logistic` -- binary / multinomial logistic regression.
-* :mod:`repro.ml.calibration` -- Platt / isotonic score calibration and
-  class-prior correction.
 """
 
 from repro.ml.adaboost import AdaBoostClassifier
 from repro.ml.base import Classifier
-from repro.ml.calibration import IsotonicCalibrator, PlattCalibrator, prior_correction
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.logistic import LogisticRegression
 from repro.ml.naive_bayes import GaussianNaiveBayes
@@ -28,9 +25,6 @@ from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = [
     "Classifier",
-    "PlattCalibrator",
-    "IsotonicCalibrator",
-    "prior_correction",
     "StandardScaler",
     "DecisionTreeClassifier",
     "AdaBoostClassifier",

@@ -11,7 +11,6 @@ A compact numpy implementation of exactly what LEAPME's classifier needs:
   (10 epochs at 1e-3, 5 at 1e-4, 5 at 1e-5).
 * :mod:`repro.nn.network` -- :class:`Sequential` with mini-batch training,
   and :func:`row_blocks`, the row blocks inference runs in.
-* :mod:`repro.nn.metrics` -- accuracy and confusion counts.
 
 Gradients are verified against finite differences in the test suite.
 """
@@ -19,7 +18,6 @@ Gradients are verified against finite differences in the test suite.
 from repro.nn.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers import Dense, Dropout
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.schedule import TrainingPhase, TrainingSchedule, paper_schedule
@@ -37,5 +35,4 @@ __all__ = [
     "TrainingPhase",
     "TrainingSchedule",
     "paper_schedule",
-    "accuracy",
 ]

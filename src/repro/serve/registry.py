@@ -1,7 +1,7 @@
 """Resilient tenant registry: warm per-tenant matcher state, swapped atomically.
 
 A *tenant* is one dataset/matcher pairing the service keeps warm: a
-fitted matcher bundle, a fingerprint-keyed
+fitted matcher, a fingerprint-keyed
 :class:`~repro.core.feature_cache.PairFeatureStore` (for the LEAPME
 systems), and the bootstrap spec that makes all of it reproducible.
 The registry owns three invariants:

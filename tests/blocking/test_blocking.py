@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.blocking import (
-    BlockingQuality,
-    CandidatePolicy,
-    MinHashBlocker,
-    NullBlocker,
-    TokenBlocker,
-    blocking_quality,
-)
+from repro.blocking import CandidatePolicy, MinHashBlocker, NullBlocker, TokenBlocker
 from repro.core import PairUniverse
 from repro.data.model import Dataset, PropertyInstance, PropertyRef
 from repro.data.pairs import build_pairs
@@ -104,25 +97,26 @@ class TestMinHashBlocker:
 
 class TestBlockingQuality:
     def test_null_blocker_perfect_completeness(self, dataset):
-        keys = NullBlocker().candidate_keys(dataset)
-        quality = blocking_quality(dataset, keys)
-        assert quality.pair_completeness == 1.0
-        assert quality.reduction_ratio == 0.0
+        stats = PairUniverse(dataset, CandidatePolicy.null()).blocking_stats()
+        assert stats["pair_recall"] == 1.0
+        assert stats["reduction_ratio"] == 0.0
 
     def test_token_blocker_reduces_on_real_domain(self, tiny_cameras):
-        keys = TokenBlocker().candidate_keys(tiny_cameras)
-        quality = blocking_quality(tiny_cameras, keys)
-        assert quality.reduction_ratio > 0.2
-        assert quality.pair_completeness > 0.5
+        stats = PairUniverse(tiny_cameras, CandidatePolicy("token")).blocking_stats()
+        assert stats["reduction_ratio"] > 0.2
+        assert stats["pair_recall"] > 0.5
 
-    def test_empty_candidates(self, dataset):
-        quality = blocking_quality(dataset, set())
-        assert quality.pair_completeness == 0.0
-        assert quality.reduction_ratio == 1.0
-
-    def test_describe(self, dataset):
-        text = blocking_quality(dataset, NullBlocker().candidate_keys(dataset)).describe()
-        assert "PC=" in text and "RR=" in text
+    def test_empty_candidates(self):
+        instances = [
+            PropertyInstance("s1", "alpha", "e1", "x"),
+            PropertyInstance("s2", "beta", "e2", "y"),
+        ]
+        alignment = {PropertyRef("s1", "alpha"): "t", PropertyRef("s2", "beta"): "t"}
+        dataset = Dataset("x", instances, alignment)
+        stats = PairUniverse(dataset, CandidatePolicy("token")).blocking_stats()
+        assert stats["candidates"] == 0
+        assert stats["pair_recall"] == 0.0
+        assert stats["reduction_ratio"] == 1.0
 
     def test_no_true_pairs_is_complete(self):
         instances = [
@@ -130,6 +124,6 @@ class TestBlockingQuality:
             PropertyInstance("s2", "b", "e2", "w"),
         ]
         dataset = Dataset("x", instances, {})
-        quality = blocking_quality(dataset, set())
-        assert quality.pair_completeness == 1.0
-        assert BlockingQuality(0, 0, 0, 0).reduction_ratio == 0.0
+        stats = PairUniverse(dataset, CandidatePolicy("token")).blocking_stats()
+        assert stats["candidates"] == 0
+        assert stats["pair_recall"] == 1.0

@@ -20,6 +20,8 @@ import pytest
 from repro.data.pairs import LabeledPair, explicit_pairs
 from repro.datasets import build_domain_embeddings, load_dataset
 
+from tests.core.oracle import pair_matrix
+
 TEST_TIMEOUT_SECONDS = float(os.environ.get("REPRO_TEST_TIMEOUT", "120"))
 
 
@@ -49,10 +51,10 @@ def pytest_runtest_call(item):
 
 
 def direct_pair_matrix(table, pairs, config):
-    """``pairs``' feature matrix from one pipeline call on ``table``.
+    """``pairs``' feature matrix from one oracle call on ``table``.
 
     The direct side of the store equivalence tests: the table rows of
-    each pair's ends go straight to ``FeaturePipeline.pair_matrix``,
+    each pair's ends go straight to ``tests.core.oracle.pair_matrix``,
     with no pair universe or store in between.
     """
     row = {ref: index for index, ref in enumerate(table.refs)}
@@ -62,7 +64,7 @@ def direct_pair_matrix(table, pairs, config):
     ]
     left = np.array([row[left] for left, _ in ends], dtype=np.int64)
     right = np.array([row[right] for _, right in ends], dtype=np.int64)
-    return table.pipeline.pair_matrix(table, left, right, config)
+    return pair_matrix(table, left, right, config)
 
 
 def pair_request(dataset, pairs):

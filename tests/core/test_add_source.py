@@ -133,10 +133,9 @@ def test_every_caller_reports_the_same_new_pairs(case, tmp_path, capsys):
     assert len(batch.pairs) == expected
     assert keys(batch.pairs) == keys(new_pairs)
 
-    if spec.system != "leapme":
-        return  # --add-source needs a LEAPME feature store
     argv = [
         "match",
+        "--system", spec.system,
         "--instances", spec.instances,
         "--alignment", spec.alignment,
         "--add-source", str(addition_csv),

@@ -3,7 +3,7 @@
 A :class:`PairFeatureStore` holds no pair matrix: every gather computes
 its rows from the property rows and the name-pair table.  Each gather
 here is compared, as ``uint32`` views, with
-``pipeline.pair_matrix(table, *universe.ends(rows), FeatureConfig())``
+``tests.core.oracle.pair_matrix(table, *universe.ends(rows), FeatureConfig())``
 restricted to the requested columns -- for empty, unsorted and repeated
 row subsets, slice and index-array columns, and all nine configs.
 ``build_pairs`` sets, rows of another universe of the same dataset,
@@ -20,6 +20,7 @@ from repro.core import FeatureConfig, PairFeatureStore
 from repro.data.pairs import PairSet, build_pairs
 
 from tests.conftest import pair_request
+from tests.core.oracle import pair_matrix
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +34,7 @@ def stores(tiny_headphones, tiny_embeddings):
 
 
 def reference(store, pairs, columns):
-    full = store.pipeline.pair_matrix(
-        store.table, *pairs.universe.ends(pairs.rows), FeatureConfig()
-    )
+    full = pair_matrix(store.table, *pairs.universe.ends(pairs.rows), FeatureConfig())
     return full[:, columns]
 
 

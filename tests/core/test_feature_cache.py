@@ -1,7 +1,7 @@
 """The shared feature store must be invisible except for speed.
 
 Every matrix the store serves must equal what one direct
-``FeaturePipeline.pair_matrix`` call produces, for every config of the 3x3
+``tests.core.oracle.pair_matrix`` call produces, for every config of the 3x3
 grid; the pair universe must reproduce the seed enumeration
 (``tests.data.oracle.seed_pairs``) for every ``(sources, within)``
 request, with the rows of the subset known

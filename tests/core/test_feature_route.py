@@ -51,15 +51,10 @@ POLICIES = ("null", "minhash")
 
 @pytest.fixture()
 def featurization_calls(monkeypatch):
-    """Counts ``pair_matrix`` and name-distance kernel calls and table builds."""
-    calls = {"pair_matrix": 0, "name_pair_rows": 0, "table": 0}
-    pair_matrix = FeaturePipeline.pair_matrix
+    """Counts name-distance kernel calls and table builds."""
+    calls = {"name_pair_rows": 0, "table": 0}
     name_pair_rows = FeaturePipeline.name_pair_rows
     table_init = PropertyFeatureTable.__init__
-
-    def counted_pair_matrix(self, *args, **kwargs):
-        calls["pair_matrix"] += 1
-        return pair_matrix(self, *args, **kwargs)
 
     def counted_name_pair_rows(self, *args, **kwargs):
         calls["name_pair_rows"] += 1
@@ -69,7 +64,6 @@ def featurization_calls(monkeypatch):
         calls["table"] += 1
         table_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(FeaturePipeline, "pair_matrix", counted_pair_matrix)
     monkeypatch.setattr(FeaturePipeline, "name_pair_rows", counted_name_pair_rows)
     monkeypatch.setattr(PropertyFeatureTable, "__init__", counted_table_init)
     return calls
@@ -92,7 +86,7 @@ def test_prepared_matcher_only_gathers(
     )
     matcher.prepare(tiny_headphones)
     universe = matcher.store.universe
-    featurization_calls.update(pair_matrix=0, name_pair_rows=0, table=0)
+    featurization_calls.update(name_pair_rows=0, table=0)
 
     training = sample_training_pairs(
         universe.subset(), 2.0, np.random.default_rng([0, 1])
@@ -107,7 +101,7 @@ def test_prepared_matcher_only_gathers(
 
     assert scores.shape == (len(universe),)
     assert importances
-    assert featurization_calls == {"pair_matrix": 0, "name_pair_rows": 0, "table": 0}
+    assert featurization_calls == {"name_pair_rows": 0, "table": 0}
 
 
 def test_fit_without_prepare_builds_the_store(tiny_headphones, tiny_embeddings):

@@ -1,4 +1,4 @@
-"""Tests for WordEmbeddings, hashing embeddings and persistence."""
+"""Tests for WordEmbeddings and hashing embeddings."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.embeddings.base import WordEmbeddings, cosine
 from repro.embeddings.hashing import hash_embeddings, hash_vector
-from repro.embeddings.store import load_embeddings, save_embeddings
 from repro.embeddings.vocab import Vocabulary
 from repro.errors import ConfigurationError, DataError, DimensionError
 
@@ -102,21 +101,3 @@ class TestHashing:
         with pytest.raises(ConfigurationError):
             hash_embeddings(["a"], dimension=0)
 
-
-class TestStore:
-    def test_roundtrip(self, embeddings, tmp_path):
-        path = tmp_path / "emb.npz"
-        save_embeddings(embeddings, path)
-        loaded = load_embeddings(path)
-        assert loaded.vocabulary.tokens() == embeddings.vocabulary.tokens()
-        assert np.allclose(loaded.vectors, embeddings.vectors)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="not found"):
-            load_embeddings(tmp_path / "nope.npz")
-
-    def test_wrong_contents(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, something=np.zeros(3))
-        with pytest.raises(DataError, match="missing arrays"):
-            load_embeddings(path)

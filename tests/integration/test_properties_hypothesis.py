@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import CandidatePolicy, NullBlocker, TokenBlocker, blocking_quality
+from repro.blocking import CandidatePolicy, NullBlocker, TokenBlocker
+from repro.core import PairUniverse
 from repro.data.pairs import build_pairs, sample_training_pairs
 from repro.data.splits import split_sources
 from repro.datasets.generator import GenerationConfig, derive_semantics, generate_dataset
@@ -106,9 +107,9 @@ class TestBlockingInvariants:
     def test_quality_bounds(self, params):
         n_sources, n_props, seed = params
         dataset = generate_dataset(_spec(n_sources, n_props), GenerationConfig(seed=seed))
-        quality = blocking_quality(dataset, TokenBlocker().candidate_keys(dataset))
-        assert 0.0 <= quality.pair_completeness <= 1.0
-        assert 0.0 <= quality.reduction_ratio <= 1.0
+        stats = PairUniverse(dataset, CandidatePolicy("token")).blocking_stats()
+        assert 0.0 <= stats["pair_recall"] <= 1.0
+        assert 0.0 <= stats["reduction_ratio"] <= 1.0
 
     @given(params=domain_params, blocker_seed=st.integers(0, 9))
     @settings(max_examples=10, deadline=None)

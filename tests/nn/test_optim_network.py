@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError, DimensionError, NotFittedError
 from repro.nn.activations import ReLU
 from repro.nn.layers import Dense
-from repro.nn.metrics import accuracy, confusion_counts
 from repro.nn.network import Sequential
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.schedule import TrainingPhase, TrainingSchedule, paper_schedule
@@ -160,7 +159,7 @@ class TestSequential:
             inputs, labels, TrainingSchedule.constant(10, 1e-2), rng=rng
         )
         assert history.epochs == 10
-        assert accuracy(network.predict(inputs), labels) > 0.95
+        assert (network.predict(inputs) == labels).mean() > 0.95
 
     def test_loss_decreases(self, rng):
         inputs, labels = _toy_problem(rng)
@@ -240,19 +239,3 @@ class TestSequential:
         with pytest.raises(ConfigurationError):
             Sequential([])
 
-
-class TestMetrics:
-    def test_accuracy_from_labels(self):
-        assert accuracy(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_accuracy_from_scores(self):
-        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert accuracy(scores, np.array([0, 1])) == 1.0
-
-    def test_accuracy_empty(self):
-        assert accuracy(np.array([]), np.array([])) == 0.0
-
-    def test_confusion_counts(self):
-        predictions = np.array([1, 1, 0, 0])
-        labels = np.array([1, 0, 1, 0])
-        assert confusion_counts(predictions, labels) == (1, 1, 1, 1)

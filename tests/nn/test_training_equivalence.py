@@ -22,7 +22,6 @@ import pytest
 from repro.nn import SGD, Adam, Dense, Dropout, ReLU, Sequential, TrainingSchedule
 from repro.nn.activations import Tanh
 from repro.nn.schedule import paper_schedule
-from repro.nn.serialize import load_network, save_network
 
 
 class _ReferenceAdam:
@@ -331,13 +330,6 @@ class TestTrainingStateDoesNotLeak:
         clone = copy.deepcopy(network)
         self._assert_same_refit(network, clone, inputs, labels)
 
-    def test_refit_after_save_and_load(self, trained, tmp_path):
-        network, inputs, labels = trained
-        save_network(network, tmp_path / "net.npz")
-        clone = load_network(tmp_path / "net.npz")
-        assert np.array_equal(clone.predict_proba(inputs), network.predict_proba(inputs))
-        self._assert_same_refit(network, clone, inputs, labels)
-
     def test_copies_do_not_share_parameters(self, trained):
         network, inputs, labels = trained
         clone = copy.deepcopy(network)
@@ -345,11 +337,3 @@ class TestTrainingStateDoesNotLeak:
         clone.fit(inputs, labels, SHORT, rng=np.random.default_rng(9))
         for param, saved in zip(network.parameters(), before, strict=True):
             assert np.array_equal(param, saved)
-
-    def test_saved_file_layout_is_per_layer(self, trained, tmp_path):
-        network, _, _ = trained
-        save_network(network, tmp_path / "net.npz")
-        with np.load(tmp_path / "net.npz") as payload:
-            shapes = [payload[f"param_{i}"].shape for i in range(6)]
-            assert f"param_{6}" not in payload
-        assert shapes == [(6, 128), (128,), (128, 64), (64,), (64, 2), (2,)]
